@@ -61,10 +61,11 @@ def _load_config(args) -> dict:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    f = parse_cocycle(cfg["cocycle"])
+    f = parse_cocycle(cfg["cocycle"], args.tol)
     report = cocycle.validate(f, tol=args.tol)
     payload = {
         "valid": report.ok,
+        "violation_count": len(report.violations),
         "violations": [
             {"check": c, "where": [str(w) for w in where],
              "residual": _fmt12(r)}
@@ -77,7 +78,7 @@ def cmd_validate(args) -> int:
 
 def cmd_mul(args) -> int:
     cfg = _load_config(args)
-    f = parse_cocycle(cfg["cocycle"])
+    f = parse_cocycle(cfg["cocycle"], args.tol)
     _require_valid_cli(f, args.tol)
     x = parse_element(f, cfg["x"])
     y = parse_element(f, cfg["y"])
@@ -87,7 +88,7 @@ def cmd_mul(args) -> int:
 
 def cmd_star(args) -> int:
     cfg = _load_config(args)
-    f = parse_cocycle(cfg["cocycle"])
+    f = parse_cocycle(cfg["cocycle"], args.tol)
     _require_valid_cli(f, args.tol)
     x = parse_element(f, cfg["x"])
     _emit({"result": element_to_json(algebra.alg_star(x))}, args)
@@ -96,7 +97,7 @@ def cmd_star(args) -> int:
 
 def cmd_norm(args) -> int:
     cfg = _load_config(args)
-    f = parse_cocycle(cfg["cocycle"])
+    f = parse_cocycle(cfg["cocycle"], args.tol)
     _require_valid_cli(f, args.tol)
     x = parse_element(f, cfg["x"])
     _emit({"norm": _fmt12(algebra.alg_norm(x, grid=args.grid))}, args)
@@ -158,19 +159,20 @@ def _build_iso(cfg, tol):
         return parse_value(d, params[key])
 
     if name == "identity":
-        return isolab.identity_morphism(parse_cocycle(cfg["cocycle"]))
+        return isolab.identity_morphism(parse_cocycle(cfg["cocycle"], tol))
     if name == "lambda":
-        f = parse_cocycle(cfg["cocycle"])
+        f = parse_cocycle(cfg["cocycle"], tol)
         vals = [parse_value(f.descriptor, v) for v in params["lambda"]]
-        lam = cocycle.Lambda(f.group, f.descriptor, vals)
+        lam = cocycle.Lambda(f.group, f.descriptor, vals, tol)
         return isolab.lambda_isomorphism(f, lam)
     if name == "z2_split":
-        f = parse_cocycle(cfg["cocycle"])
+        f = parse_cocycle(cfg["cocycle"], tol)
         x = (parse_value(f.descriptor, params["x"])
              if "x" in params else None)
         return isolab.z2_split(f, x=x, tol=tol)
     if name == "z2_complexify":
-        return isolab.z2_complexify(parse_cocycle(cfg["cocycle"]), tol=tol)
+        return isolab.z2_complexify(parse_cocycle(cfg["cocycle"], tol),
+                                    tol=tol)
     if name in ("klein_split4", "klein_complex_pair", "klein_quaternion",
                 "klein_matrix"):
         d = parse_descriptor(cfg.get("descriptor", "complex"))
@@ -183,12 +185,12 @@ def _build_iso(cfg, tol):
             kw["variant"] = int(params.get("variant", 1))
         return getattr(isolab, name)(a, b, g, **kw)
     if name == "char_decompose_z2n":
-        return isolab.char_decompose_z2n(parse_cocycle(cfg["cocycle"]),
+        return isolab.char_decompose_z2n(parse_cocycle(cfg["cocycle"], tol),
                                          tol=tol)
     if name == "cyclic_decompose":
         d = parse_descriptor(cfg.get("descriptor", "complex"))
         alphas = [parse_value(d, a) for a in params["alphas"]]
-        f = cocycle.make_f_alpha(len(alphas) + 1, alphas, d)
+        f = cocycle.make_f_alpha(len(alphas) + 1, alphas, d, tol)
         beta = parse_value(d, params["beta"]) if "beta" in params else None
         return isolab.cyclic_decompose(f, alphas, beta=beta, tol=tol)
     if name == "z2z4_decompose":

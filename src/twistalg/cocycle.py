@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupTable, make_cyclic, direct_product
+from .groups import GroupTable, direct_product, make_cyclic, row_blocks
 from .rings import (DEFAULT_TOL, RingDescriptor, RingValue, COMPLEX, REAL)
 
 
@@ -63,7 +63,8 @@ class SchurFunction:
             raise ValueError("value table shape mismatch")
         for row in values:
             for v in row:
-                if v.descriptor != descriptor:
+                if (v.descriptor is not descriptor
+                        and v.descriptor != descriptor):
                     raise ValueError("value descriptor mismatch")
         self.group = group
         self.descriptor = descriptor
@@ -87,12 +88,29 @@ class SchurFunction:
 def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Exhaustive check of all Schur-function invariants.
 
-    Violations are reported as data; nothing raises.  The cocycle identity
-    over all triples is vectorized when every table entry is a unimodular
-    monomial (which covers scalar tables), and falls back to a direct loop
-    otherwise.
+    Violations are reported as data; nothing raises.  Scalar (complex and
+    real) tables are checked as whole arrays.  The cocycle identity over
+    all triples is vectorized, in blocks of rows, when every table entry
+    is a unimodular monomial (which covers scalar tables), and falls back
+    to a direct loop otherwise.  Both paths report the same violations in
+    the same order.
     """
     rep = ValidationReport()
+    mono = _monomial_table(f.values, f.descriptor)
+    if f.descriptor.kind in ("complex", "real"):
+        _scalar_entry_checks(rep, f.group, mono[0], tol)
+    else:
+        _entry_checks(rep, f, tol)
+    if mono is not None:
+        _monomial_cocycle_check(rep, f.group.mul, *mono, tol)
+    else:
+        _cocycle_check(rep, f, tol)
+    return rep
+
+
+def _entry_checks(rep: ValidationReport, f: SchurFunction, tol: float):
+    """Unit, normalization, unitarity, centrality and inverse symmetry,
+    one RingValue at a time."""
     g, n = f.group, f.group.order
     unit = RingValue.unit(f.descriptor)
     e = g.identity
@@ -116,33 +134,66 @@ def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
         if not d.is_zero(tol):
             rep.add("inverse-symmetry", (t, ti), d.abs_bound())
 
-    mono = _monomial_table(f.values, f.descriptor)
-    if mono is not None:
-        coeff, exps = mono
-        mul = g.mul
-        # LHS[r,s,t] = f(r,s) f(rs,t); RHS[r,s,t] = f(r,st) f(s,t)
-        cl = coeff[:, :, None] * coeff[mul]
-        cr = coeff[:, mul] * coeff[None, :, :]
-        el = exps[:, :, None, :] + exps[mul]
-        er = exps[:, mul, :] + exps[None, :, :, :]
-        bad = (np.abs(cl - cr) > tol) | np.any(el != er, axis=-1)
-        for r, s, t in zip(*np.nonzero(bad)):
-            res = abs(cl[r, s, t] - cr[r, s, t])
-            if np.any(el[r, s, t] != er[r, s, t]):
-                res = max(res, 2.0)
-            rep.add("cocycle", (int(r), int(s), int(t)), res)
-    else:
-        for r in range(n):
-            for s in range(n):
-                rs = g.op(r, s)
-                frs = f.values[r][s]
-                for t in range(n):
-                    lhs = frs * f.values[rs][t]
-                    rhs = f.values[r][g.op(s, t)] * f.values[s][t]
-                    d = lhs - rhs
-                    if not d.is_zero(tol):
-                        rep.add("cocycle", (r, s, t), d.abs_bound())
-    return rep
+
+def _scalar_entry_checks(rep: ValidationReport, g: GroupTable, coeff,
+                         tol: float):
+    """`_entry_checks` on the (n, n) coefficient array of a scalar table:
+    same order, same residuals.  Scalars are always central.  A residual
+    fails unless it is <= tol, so NaN entries are reported as well."""
+    e = g.identity
+    res = abs(coeff[e, e] - 1)
+    if not res <= tol:
+        rep.add("unit", (e, e), res)
+    res = np.abs(np.stack([coeff[:, e], coeff[e, :]], axis=1) - 1)
+    for t, side in zip(*np.nonzero(~(res <= tol))):
+        rep.add("normalization", (int(t), e) if side == 0 else (e, int(t)),
+                res[t, side])
+    res = np.abs(coeff * coeff.conj() - 1)
+    for s, t in zip(*np.nonzero(~(res <= tol))):
+        rep.add("unitary", (int(s), int(t)), res[s, t])
+    idx = np.arange(g.order)
+    res = np.abs(coeff[idx, g.inv] - coeff[g.inv, idx])
+    for t in np.nonzero(~(res <= tol))[0]:
+        rep.add("inverse-symmetry", (int(t), int(g.inv[t])), res[t])
+
+
+def _monomial_cocycle_check(rep: ValidationReport, mul, coeff, exps,
+                            tol: float):
+    """f(r,s) f(rs,t) = f(r,st) f(s,t) over all triples of a monomial
+    table, one block of rows r at a time: peak memory O(n^2 * B)."""
+    for rows in row_blocks(len(mul)):
+        # lhs[r,s,t] = f(r,s) f(rs,t); rhs[r,s,t] = f(r,st) f(s,t)
+        lhs = coeff[mul[rows]]
+        lhs *= coeff[rows, :, None]
+        rhs = coeff[rows][:, mul]
+        rhs *= coeff
+        lhs -= rhs
+        res = np.abs(lhs)
+        bad = res > tol
+        if exps.shape[-1]:
+            moved = np.any(exps[rows, :, None] + exps[mul[rows]]
+                           != exps[rows][:, mul] + exps, axis=-1)
+            res[moved] = np.maximum(res[moved], 2.0)
+            bad |= moved
+        # np.nonzero is slow on 3-d arrays; flat indices keep row-major order
+        for r, s, t in zip(*np.unravel_index(np.flatnonzero(bad), bad.shape)):
+            rep.add("cocycle", (rows.start + int(r), int(s), int(t)),
+                    res[r, s, t])
+
+
+def _cocycle_check(rep: ValidationReport, f: SchurFunction, tol: float):
+    """The cocycle identity over all triples, one RingValue at a time."""
+    g, n = f.group, f.group.order
+    for r in range(n):
+        for s in range(n):
+            rs = g.op(r, s)
+            frs = f.values[r][s]
+            for t in range(n):
+                lhs = frs * f.values[rs][t]
+                rhs = f.values[r][g.op(s, t)] * f.values[s][t]
+                d = lhs - rhs
+                if not d.is_zero(tol):
+                    rep.add("cocycle", (r, s, t), d.abs_bound())
 
 
 def _require_valid(f: SchurFunction, what: str, tol: float = DEFAULT_TOL):
@@ -263,22 +314,20 @@ def make_f_alpha(n: int, alphas, descriptor: RingDescriptor = None,
             raise ValueError(f"alpha_{i + 1} is not unitary")
         if not a.is_central(tol):
             raise ValueError(f"alpha_{i + 1} is not central")
-    ext = alphas + [unit]                     # ext[j-1] = alpha_j, alpha_n = 1
-
-    def a_at(j):                              # index in 1..n, mod n
-        return ext[(j - 1) % n]
-
+    # ext[j] = alpha_j for j in 1..n-1 and ext[0] = alpha_n = 1, so indices
+    # in 1..n are taken mod n
+    ext = [unit] + alphas
+    stars = [a.star() for a in ext]
+    # every value is central, so the two products of f(p,q) grow one factor
+    # each from f(p,q-1): f(p,q) = f(p,q-1) alpha_{p+q-1} alpha_{q-1}^*
     g = make_cyclic(n)
     vals = []
     for p in range(n):
         pp = p if p >= 1 else n
-        row = []
-        for q in range(n):
-            v = unit
-            for j in range(pp, pp + q):
-                v = v * a_at(j)
-            for k in range(1, q):
-                v = v * a_at(k).star()
+        v = unit
+        row = [v]
+        for q in range(1, n):
+            v = v * ext[(pp + q - 1) % n] * stars[q - 1]
             row.append(v)
         vals.append(row)
     return _require_valid(SchurFunction(g, descriptor, vals), "make_f_alpha", tol)

@@ -181,7 +181,8 @@ class RingValue:
     # -- arithmetic --------------------------------------------------------
 
     def _need_same(self, other: "RingValue"):
-        if self.descriptor != other.descriptor:
+        if (self.descriptor is not other.descriptor
+                and self.descriptor != other.descriptor):
             raise ValueError(
                 f"descriptor mismatch: {self.descriptor} vs {other.descriptor}")
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .cocycle import SchurFunction, klein_table, make_f_alpha
 from .groups import GroupTable, direct_product, make_cyclic, make_subset_group
-from .rings import (COMPLEX, REAL, RingDescriptor, RingValue, laurent,
-                    matrix_ring, product_ring)
+from .rings import (COMPLEX, DEFAULT_TOL, REAL, RingDescriptor, RingValue,
+                    laurent, matrix_ring, product_ring)
 
 
 class ConfigError(ValueError):
@@ -176,7 +176,9 @@ def group_to_json(g: GroupTable):
 
 # -- cocycles --------------------------------------------------------------
 
-def parse_cocycle(obj) -> SchurFunction:
+def parse_cocycle(obj, tol: float = DEFAULT_TOL) -> SchurFunction:
+    """A cocycle from a table or a named constructor; tol reaches every
+    check the constructor makes."""
     if not isinstance(obj, dict):
         raise ConfigError("cocycle must be a dict")
     d = parse_descriptor(obj.get("descriptor", "complex"))
@@ -189,21 +191,21 @@ def parse_cocycle(obj) -> SchurFunction:
         return SchurFunction(g, d, vals)
     if "f_alpha" in obj:
         alphas = [parse_value(d, a) for a in obj["f_alpha"]]
-        return make_f_alpha(len(alphas) + 1, alphas, d)
+        return make_f_alpha(len(alphas) + 1, alphas, d, tol)
     if "klein_table" in obj:
         p = obj["klein_table"]
         try:
             return klein_table(parse_value(d, p["alpha"]),
                                parse_value(d, p["beta"]),
                                parse_value(d, p["gamma"]),
-                               parse_value(d, p["eps"]))
+                               parse_value(d, p["eps"]), tol)
         except KeyError as exc:
             raise ConfigError(f"klein_table missing parameter {exc}") from exc
     if "clifford_rho" in obj:
         from .clifford import CliffordSpec, clifford_cocycle
         values = [parse_value(d, a) for a in obj["clifford_rho"]]
         labels = obj.get("labels", list(range(1, len(values) + 1)))
-        return clifford_cocycle(CliffordSpec(labels, values, d))
+        return clifford_cocycle(CliffordSpec(labels, values, d, tol))
     raise ConfigError("cocycle needs a table or a named constructor")
 
 

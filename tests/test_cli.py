@@ -9,6 +9,7 @@ import pytest
 
 import twistalg
 from twistalg.cli import main
+from twistalg.serialize import cocycle_to_json, parse_cocycle
 
 try:
     import tomllib
@@ -51,6 +52,40 @@ def test_validate_invalid_table_exits_1(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["valid"] is False
     assert any(v["check"] == "unitary" for v in payload["violations"])
+
+
+def test_validate_reports_violation_count(tmp_path, capsys):
+    # the paper's displayed order-8 table breaks the cocycle identity 96 times
+    cfg = write(tmp_path, "z2z4.json",
+                {"cocycle": cocycle_to_json(twistalg.z2z4_cocycle())})
+    code, out = run(capsys, "validate", "--config", cfg)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["violation_count"] == 96
+    assert len(payload["violations"]) == 50
+
+
+def test_validate_tol_reaches_f_alpha(tmp_path, capsys):
+    near = {"cocycle": {"descriptor": "real",
+                        "f_alpha": ["1.0000001", "1", "1"]}}
+    cfg = write(tmp_path, "near.json", near)
+    code, out = run(capsys, "validate", "--config", cfg, "--tol", "1e-5")
+    assert code == 0
+    assert json.loads(out)["valid"] is True
+    assert main(["validate", "--config", cfg]) == 1    # default tol 1e-9
+
+
+@pytest.mark.parametrize("shorthand", [
+    {"f_alpha": ["1.0000001"]},
+    {"klein_table": {"alpha": "1", "beta": "1", "gamma": "1",
+                     "eps": "1.0000001"}},
+    {"clifford_rho": ["1.0000001", "-1"]},
+])
+def test_parse_cocycle_passes_tol_to_shorthands(shorthand):
+    obj = {"descriptor": "real", **shorthand}
+    with pytest.raises(ValueError):
+        parse_cocycle(obj)
+    assert parse_cocycle(obj, tol=1e-5).validate(1e-5).ok
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,3 +329,163 @@ def test_coboundary_cocycle_identity_random(n, data):
     lam = Lambda(g, COMPLEX, [phase(t) for t in thetas])
     f = coboundary(lam)
     assert validate(f).ok
+
+
+# -- fast paths against reference paths -----------------------------------
+
+def _as_matrix1(f):
+    """The same table over 1 x 1 matrices, which validate checks one
+    RingValue at a time (the object path)."""
+    d = matrix_ring(1, "complex" if f.descriptor == COMPLEX else "real")
+    vals = [[RingValue.mat(d, [[v.payload]]) for v in row] for row in f.values]
+    return SchurFunction(f.group, d, vals)
+
+
+_GROUPS = [(n,) for n in range(1, 9)] + [(2, 2), (2, 3), (3, 3)]
+
+
+def _group(orders):
+    g = make_cyclic(orders[0])
+    for k in orders[1:]:
+        g = direct_product(g, make_cyclic(k))
+    return g
+
+
+def _corrupted_coboundary(data, d):
+    """A random coboundary table over C or R with 0-3 corrupted entries:
+    unit, normalization, unitarity and cocycle breaks."""
+    g = _group(data.draw(st.sampled_from(_GROUPS)))
+    n = g.order
+    if d == COMPLEX:
+        thetas = [data.draw(st.floats(0, 6.28)) for _ in range(n - 1)]
+        lam = [RingValue.unit(d)] + [phase(t) for t in thetas]
+    else:
+        signs = [data.draw(st.sampled_from([-1.0, 1.0])) for _ in range(n - 1)]
+        lam = [RingValue.unit(d)] + [RingValue.scalar(d, x) for x in signs]
+    f = coboundary(Lambda(g, d, lam))
+
+    def twist():                  # a unitary factor far from 1
+        if d == COMPLEX:
+            return np.exp(1j * data.draw(st.floats(0.1, 6.18)))
+        return -1.0
+
+    kinds = ["unit", "unitary"] + (["normalization", "cocycle"] if n > 1
+                                   else [])
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "unit":
+            s = t = 0
+            c = twist()
+        elif kind == "unitary":
+            s, t = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+            c = 1 + data.draw(st.floats(0.01, 0.5))
+        elif kind == "normalization":
+            s, t = data.draw(st.integers(1, n - 1)), 0
+            if data.draw(st.booleans()):
+                s, t = t, s
+            c = twist()
+        else:
+            s, t = (data.draw(st.integers(1, n - 1)) for _ in range(2))
+            c = twist()
+        f.values[s][t] = f.values[s][t].scale(c)
+    return f
+
+
+def _same_report(fast, ref):
+    assert [(c, w) for c, w, _ in fast.violations] == \
+        [(c, w) for c, w, _ in ref.violations]
+    for (_, _, a), (_, _, b) in zip(fast.violations, ref.violations):
+        assert abs(a - b) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([COMPLEX, REAL]), st.data())
+def test_scalar_validate_matches_object_path(d, data):
+    f = _corrupted_coboundary(data, d)
+    _same_report(validate(f), validate(_as_matrix1(f)))
+
+
+def test_validate_is_independent_of_the_row_block_size(monkeypatch):
+    import twistalg.groups as groups
+    f = coboundary(random_lambda(make_cyclic(12), seed=12))
+    f.values[0][5] = phase(0.3)
+    f.values[4][8] = f.values[4][8].scale(1.2)
+    f.values[9][2] = f.values[9][2] * phase(2.0)
+    whole = validate(f)
+    assert {c for c, _, _ in whole.violations} == {
+        "normalization", "unitary", "inverse-symmetry", "cocycle"}
+    monkeypatch.setattr(groups, "TRIPLES_PER_BLOCK", 1)     # one row a block
+    assert validate(f).violations == whole.violations
+
+
+def _f_alpha_closed(n, alphas, d):
+    """f(p,q) = (prod_{j=p}^{p+q-1} alpha_j) (prod_{k=1}^{q-1} alpha_k^*),
+    O(n^3) straight from the definition."""
+    unit = RingValue.unit(d)
+    ext = list(alphas) + [unit]
+
+    def a(j):
+        return ext[(j - 1) % n]
+
+    table = []
+    for p in range(n):
+        pp = p if p >= 1 else n
+        row = []
+        for q in range(n):
+            v = unit
+            for j in range(pp, pp + q):
+                v = v * a(j)
+            for k in range(1, q):
+                v = v * a(k).star()
+            row.append(v)
+        table.append(row)
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.sampled_from([COMPLEX, REAL]), st.data())
+def test_make_f_alpha_matches_closed_formula(n, d, data):
+    if d == COMPLEX:
+        alphas = [phase(data.draw(st.floats(0, 6.28))) for _ in range(n - 1)]
+    else:
+        alphas = [RingValue.scalar(d, data.draw(st.sampled_from([-1, 1])))
+                  for _ in range(n - 1)]
+    f = make_f_alpha(n, alphas, d)
+    want = _f_alpha_closed(n, alphas, d)
+    for s in range(n):
+        for t in range(n):
+            assert (f.values[s][t] - want[s][t]).abs_bound() <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 2), st.data())
+def test_make_f_alpha_matches_closed_formula_laurent(n, m, data):
+    d = laurent(m)
+    alphas = [RingValue.monomial(
+        d, np.exp(1j * data.draw(st.floats(0, 6.28))),
+        [data.draw(st.integers(-3, 3)) for _ in range(m)])
+        for _ in range(n - 1)]
+    f = make_f_alpha(n, alphas, d)
+    want = _f_alpha_closed(n, alphas, d)
+    for s in range(n):
+        for t in range(n):
+            (c, e), (c0, e0) = f.values[s][t].is_monomial(), \
+                want[s][t].is_monomial()
+            assert e == e0
+            assert abs(c - c0) <= 1e-12
+
+
+# -- bounded memory ---------------------------------------------------------
+
+def test_scalar_validate_memory_is_bounded():
+    # all-triples arrays for n = 256 would take about 940 MB
+    rng = np.random.default_rng(256)
+    f = make_f_alpha(256, [phase(t) for t in rng.uniform(0, 6.28, 255)])
+    tracemalloc.start()
+    try:
+        rep = validate(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak <= 128 * 2 ** 20

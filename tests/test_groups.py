@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistalg import groups
 from twistalg.groups import (GroupTable, MAX_ORDER, direct_product,
-                             make_cyclic, make_subset_group, product_index)
+                             make_cyclic, make_subset_group, product_index,
+                             row_blocks)
 
 
 def test_cyclic_table_matches_modular_addition():
@@ -34,6 +38,43 @@ def test_non_associative_table_rejected():
     mul = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
     with pytest.raises(ValueError):
         GroupTable(mul)
+
+
+# the smallest non-associative loop: a two-sided identity, every element
+# its own inverse, and (1*1)*2 = 2 but 1*(1*2) = 4
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def test_non_associative_loop_rejected_in_any_row_block(monkeypatch):
+    with pytest.raises(ValueError, match="not associative"):
+        GroupTable(LOOP5)
+    monkeypatch.setattr(groups, "TRIPLES_PER_BLOCK", 1)     # one row a block
+    with pytest.raises(ValueError, match="not associative"):
+        GroupTable(LOOP5)
+
+
+def test_row_blocks_cover_every_row_once():
+    for n in (1, 7, 256, 1500):
+        rows = np.concatenate([np.arange(n)[b] for b in row_blocks(n)])
+        assert np.array_equal(rows, np.arange(n))
+        sizes = {b.stop - b.start for b in row_blocks(n)}
+        assert max(sizes) * n * n <= max(groups.TRIPLES_PER_BLOCK, n * n)
+
+
+def test_group_check_memory_is_bounded():
+    # (n, n, n) int64 arrays for n = 256 would take about 286 MB
+    tracemalloc.start()
+    try:
+        g = make_cyclic(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.op(200, 100) == 44
+    assert peak <= 64 * 2 ** 20
 
 
 def test_identity_not_at_zero_rejected():
