@@ -2,9 +2,9 @@
 coefficients: cocycle validation, algebra arithmetic, coboundary
 classification, explicit isomorphisms, and Clifford periodicity."""
 
-from .rings import (COMPLEX, REAL, QUATERNION, DEFAULT_TOL, LAURENT_TOL,
-                    DEFAULT_GRID, RingDescriptor, RingValue, laurent,
-                    matrix_ring, product_ring, real_basis, real_dim)
+from .rings import (COMPLEX, REAL, QUATERNION, DEFAULT_TOL, DEFAULT_GRID,
+                    RingDescriptor, RingValue, laurent, matrix_ring,
+                    product_ring, real_basis, real_dim)
 from .groups import (GroupTable, SubsetGroup, direct_product, make_cyclic,
                      make_subset_group, product_index)
 from .cocycle import (KLEIN_A, KLEIN_B, KLEIN_C, Lambda, SchurFunction,

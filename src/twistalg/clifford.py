@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, alg_mul, alg_star, generator,
-                      is_projection, regular_matrix, unit)
+from .algebra import (AlgebraElement, alg_mul, alg_star, coefficient,
+                      generator, is_projection, unit)
 from .cocycle import SchurFunction
 from .groups import SubsetGroup, make_subset_group
 from .isolab import (AlgebraModel, ComplexifiedModel, DirectSumModel,
@@ -310,18 +310,35 @@ class IsometryPair:
     source_f: SchurFunction        # the extended cocycle (domain of Y)
     base_f: SchurFunction
 
+    def __post_init__(self):
+        # per sign, per column a of theta: its nonzero entries (row, value)
+        self._columns = {
+            sign: [[(i, row[a]) for i, row in enumerate(self.theta(sign))
+                    if not row[a].is_zero(0.0)]
+                   for a in range(self.base_f.group.order)]
+            for sign in (1, -1)}
+
     def theta(self, sign: int):
         return self.theta_plus if sign > 0 else self.theta_minus
 
     def conjugate(self, y: AlgebraElement, sign: int) -> AlgebraElement:
         """theta* . regular(y) . theta, read back as an element of the base
-        algebra via the identity column of its regular matrix."""
-        th = self.theta(sign)
-        m = regular_matrix(y).entries
-        tm = rmat_mul(rmat_adjoint(th), rmat_mul(m, th))
+        algebra via the identity column of its regular matrix.  Only the
+        nonzero entries of theta are read, and only the regular-matrix
+        coefficients they meet; sums run in the order of rmat_mul."""
+        cols = self._columns[1 if sign > 0 else -1]
+        d = self.base_f.descriptor
+        right = cols[self.base_f.group.identity]
         out = AlgebraElement.zero(self.base_f)
-        for a in range(self.base_f.group.order):
-            out.coeffs[a] = tm[a][0]
+        for a, col in enumerate(cols):
+            acc = RingValue.zero(d)
+            for i, th_ia in col:
+                # (regular(y) . theta)[i][identity]
+                mt = RingValue.zero(d)
+                for j, th_j in right:
+                    mt = mt + coefficient(y, i, j) * th_j
+                acc = acc + th_ia.star() * mt
+            out.coeffs[a] = acc
         return out
 
 

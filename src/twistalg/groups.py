@@ -15,11 +15,12 @@ MAX_ORDER = 4096
 TRIPLES_PER_BLOCK = 1 << 16
 
 
-def row_blocks(n: int):
-    """Slices of about TRIPLES_PER_BLOCK / n^2 consecutive rows of 0..n-1,
-    so an (rows, n, n) array per block holds about TRIPLES_PER_BLOCK
-    entries."""
-    step = max(1, TRIPLES_PER_BLOCK // (n * n))
+def row_blocks(n: int, row_size: int = None, budget: int = None):
+    """Slices of consecutive rows of 0..n-1, about budget / row_size rows
+    each (at least one), so an array of row_size entries per row holds
+    about budget entries a block.  By default row_size is n^2 and budget
+    is TRIPLES_PER_BLOCK: (rows, n, n) arrays."""
+    step = max(1, (budget or TRIPLES_PER_BLOCK) // (row_size or n * n))
     for r0 in range(0, n, step):
         yield slice(r0, min(n, r0 + step))
 
@@ -81,9 +82,6 @@ class GroupTable:
             acc = self.op(acc, t)
         return acc
 
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
     def __len__(self):
         return self.order
 
@@ -140,9 +138,6 @@ class SubsetGroup(GroupTable):
         items = [str(self.base_set[i]) for i in range(len(self.base_set))
                  if mask >> i & 1]
         return "{" + ",".join(items) + "}"
-
-    def mask_of(self, element: int) -> int:
-        return element
 
     def element_of_labels(self, subset) -> int:
         mask = 0

@@ -5,7 +5,9 @@ ring, k x k matrices over a model, a complexification, a quaternion tensor,
 or a finite direct sum.  A morphism from S(f) stores one image per
 generator and acts E-linearly; the verifier measures multiplicativity and
 star residuals and certifies bijectivity by real-linear rank over the
-flattened coefficient basis.
+flattened coefficient basis.  Over finite coefficient rings it checks
+products and stars on the models' dense forms (twistalg.dense), over
+Laurent rings one model operation at a time.
 """
 from __future__ import annotations
 
@@ -414,26 +416,14 @@ class Morphism:
 
 def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
     f, g, tgt = m.source, m.source.group, m.target
-    unit_res = tgt.diff(m.images[g.identity], tgt.unit())
-    mult_res = 0.0
-    for s in range(g.order):
-        for t in range(g.order):
-            lhs = tgt.mul(m.images[s], m.images[t])
-            rhs = tgt.scale_left(f.values[s][t], m.images[g.op(s, t)])
-            mult_res = max(mult_res, tgt.diff(lhs, rhs))
-    star_res = 0.0
-    for t in range(g.order):
-        lhs = tgt.star(m.images[t])
-        rhs = tgt.scale_left(f.tilde(t), m.images[g.inverse(t)])
-        star_res = max(star_res, tgt.diff(lhs, rhs))
-
     try:
         e_dim = real_dim(f.descriptor)
     except ValueError:
         e_dim = None
     if e_dim is None:
-        return MorphismReport(unit_res, mult_res, star_res,
-                              -1, -1, None, None, None)
+        return MorphismReport(*object_residuals(m), -1, -1, None, None, None)
+    from .dense import dense_residuals      # loaded on first use
+    unit_res, mult_res, star_res = dense_residuals(m)
     basis = real_basis(f.descriptor)
     rows = []
     for t in range(g.order):
@@ -447,6 +437,26 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
     surjective = None if target_dim is None else rank == target_dim
     return MorphismReport(unit_res, mult_res, star_res, source_dim, rank,
                           target_dim, injective, surjective)
+
+
+def object_residuals(m: Morphism):
+    """(unit, product, star) residuals, one model operation at a time:
+    the check over rings with no finite real dimension, and the reference
+    that dense.dense_residuals reproduces."""
+    f, g, tgt = m.source, m.source.group, m.target
+    unit_res = tgt.diff(m.images[g.identity], tgt.unit())
+    mult_res = 0.0
+    for s in range(g.order):
+        for t in range(g.order):
+            lhs = tgt.mul(m.images[s], m.images[t])
+            rhs = tgt.scale_left(f.values[s][t], m.images[g.op(s, t)])
+            mult_res = max(mult_res, tgt.diff(lhs, rhs))
+    star_res = 0.0
+    for t in range(g.order):
+        lhs = tgt.star(m.images[t])
+        rhs = tgt.scale_left(f.tilde(t), m.images[g.inverse(t)])
+        star_res = max(star_res, tgt.diff(lhs, rhs))
+    return unit_res, mult_res, star_res
 
 
 def identity_morphism(f: SchurFunction) -> Morphism:
@@ -682,10 +692,6 @@ def char_decompose_z2n(f: SchurFunction, tol: float = DEFAULT_TOL) -> Morphism:
             unit if (t & s).bit_count() % 2 == 0 else -unit
             for t in range(n)))
     return Morphism(f, target, images)
-
-
-def character_pairing(t: int, s: int) -> int:
-    return -1 if (t & s).bit_count() % 2 else 1
 
 
 # -- cyclic decomposition over C -------------------------------------------

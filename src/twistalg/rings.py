@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-LAURENT_TOL = 1e-6
 DEFAULT_GRID = 64
 
 # coefficients below this are treated as exact zeros in Laurent payloads
@@ -427,19 +426,6 @@ class RingValue:
 
     # -- flattening --------------------------------------------------------
 
-    def block(self) -> np.ndarray:
-        """Flatten to a complex matrix block (faithful *-representation)."""
-        d = self.descriptor
-        if d.kind in ("complex", "real"):
-            return np.array([[complex(self.payload)]])
-        if d.kind == "matrix":
-            return self.payload.astype(complex)
-        if d.kind == "quaternion":
-            a, b, c, dd = self.payload
-            return np.array([[a + b * 1j, c + dd * 1j],
-                             [-c + dd * 1j, a - b * 1j]])
-        raise ValueError(f"no matrix block for kind {d.kind}")
-
     def real_flat(self) -> np.ndarray:
         d = self.descriptor
         if d.kind == "complex":
@@ -469,16 +455,6 @@ class RingValue:
 
     def __hash__(self):
         raise TypeError("RingValue is not hashable")
-
-
-def block_size(d: RingDescriptor) -> int:
-    if d.kind in ("complex", "real"):
-        return 1
-    if d.kind == "matrix":
-        return d.k
-    if d.kind == "quaternion":
-        return 2
-    raise ValueError(f"no uniform block size for kind {d.kind}")
 
 
 def real_dim(d: RingDescriptor) -> int:

@@ -7,8 +7,6 @@ cocycles are either explicit tables or named constructor shorthands.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .cocycle import SchurFunction, klein_table, make_f_alpha
 from .groups import GroupTable, direct_product, make_cyclic, make_subset_group
 from .rings import (COMPLEX, DEFAULT_TOL, REAL, RingDescriptor, RingValue,
@@ -238,17 +236,3 @@ def element_to_json(x):
         if not c.is_zero(0.0):
             out[str(x.cocycle.group.labels[t])] = value_to_json(c)
     return {"coeffs": out}
-
-
-def regular_matrix_csv(x) -> str:
-    """Flattened complex regular matrix with real/imag interleaved."""
-    from .algebra import regular_matrix
-    m = regular_matrix(x).flatten()
-    lines = []
-    for row in np.asarray(m):
-        cells = []
-        for c in row:
-            cells.append(_fmt_float(c.real))
-            cells.append(_fmt_float(c.imag))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

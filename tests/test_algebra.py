@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalg import (COMPLEX, KLEIN_C, AlgebraElement, Lambda, RingValue,
+from twistalg import (COMPLEX, KLEIN_C, REAL, AlgebraElement, Lambda,
+                      RingDescriptor, RingValue,
                       alg_mul, alg_norm, alg_star, center_check, coboundary,
                       coefficient, coefficient_positivity, embed_scalar,
                       generator, is_projection, klein_table, laurent,
@@ -239,3 +240,14 @@ def test_algebra_axioms_random(n, data):
         random_element(f, rng.integers(10 ** 6))
     assert alg_star(alg_mul(x, y)).close(alg_mul(alg_star(y), alg_star(x)))
     assert alg_mul(x, y + y).close(alg_mul(x, y) + alg_mul(x, y))
+
+
+def test_coefficient_descriptor_mismatch():
+    f = random_f(2, seed=30)
+    with pytest.raises(ValueError, match="coefficient descriptor mismatch"):
+        AlgebraElement(f, [RingValue.unit(COMPLEX), RingValue.unit(REAL)])
+    # an equal descriptor that is another object is accepted
+    other = RingDescriptor("complex")
+    assert other is not COMPLEX
+    x = AlgebraElement(f, [RingValue.unit(other), RingValue.zero(other)])
+    assert x.close(unit(f))

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistalg import (COMPLEX, REAL, AlgebraElement, CliffordSpec,
                       MatrixModel, QuaternionTensorModel, RingValue,
@@ -9,7 +12,7 @@ from twistalg import (COMPLEX, REAL, AlgebraElement, CliffordSpec,
                       complexify_odd, corner_projection,
                       extend_even_projection, extend_two_matrix,
                       extend_two_quaternion, generator, is_projection,
-                      matrix_corner_elements, projection_family,
+                      laurent, matrix_corner_elements, projection_family,
                       regular_matrix, split_odd, transposition_sign, unit,
                       universal_map, validate, verify_morphism)
 from twistalg.clifford import rmat_adjoint, rmat_mul, rmat_residual
@@ -325,3 +328,54 @@ def test_periodicity_requires_even_base():
         extend_two_matrix(spec, ONE_C, ONE_C)
     with pytest.raises(ValueError, match="even"):
         split_odd(spec)
+
+
+def rmat_conjugate(pair, y, sign):
+    """theta* regular(y) theta through rmat_mul, read on the identity
+    column: the dense reference for IsometryPair.conjugate."""
+    th = pair.theta(sign)
+    tm = rmat_mul(rmat_adjoint(th), rmat_mul(regular_matrix(y).entries, th))
+    return [row[pair.base_f.group.identity] for row in tm]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["complex", "real", "laurent"]), st.sampled_from([0, 2]),
+       st.data())
+def test_split_odd_sparse_conjugate_matches_rmat(kind, size, data):
+    d = {"complex": COMPLEX, "real": REAL, "laurent": laurent(1)}[kind]
+
+    def central_unitary():
+        if kind == "complex":
+            return RingValue.scalar(d, np.exp(1j * data.draw(st.floats(0, 6.3))))
+        if kind == "real":
+            return RingValue.scalar(d, data.draw(st.sampled_from([-1, 1])))
+        return RingValue.monomial(d, data.draw(st.sampled_from([1, -1, 1j])),
+                                  (data.draw(st.integers(-2, 2)),))
+
+    spec = CliffordSpec(list(range(1, size + 1)),
+                        [central_unitary() for _ in range(size)], d)
+    _, _, pair, m = split_odd(spec)
+    f2 = pair.source_f
+    for t in range(f2.group.order):
+        for k, sign in enumerate((1, -1)):
+            assert m.images[t][k].coeffs == rmat_conjugate(
+                pair, generator(f2, t), sign)
+    # an element with every coefficient nonzero
+    y = AlgebraElement(f2, [central_unitary() for _ in range(f2.group.order)])
+    for sign in (1, -1):
+        assert pair.conjugate(y, sign).coeffs == rmat_conjugate(pair, y, sign)
+
+
+def test_verify_morphism_memory_is_bounded():
+    # order 64 over R: about 0.5 MB a block of rows at a time, 8.5 MB with
+    # all 64 rows in one block
+    spec = cspec([1, -1, -1, 1], REAL)
+    m = extend_two_quaternion(spec, ONE_R, -ONE_R)
+    tracemalloc.start()
+    try:
+        rep = verify_morphism(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.bijective()
+    assert peak <= 1.5e6

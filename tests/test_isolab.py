@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, REAL,
-                      AlgebraElement, ComplexifiedModel, DirectSumModel,
-                      Lambda, MatrixModel, Morphism, QuaternionTensorModel,
-                      RingModel, RingValue, TwistedModel, alg_mul, alg_star,
-                      char_decompose_z2n, coboundary, cyclic_decompose,
-                      direct_product, extend_generator_images, generator,
+from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, QUATERNION, REAL,
+                      AlgebraElement, CliffordSpec, ComplexifiedModel,
+                      DirectSumModel, Lambda, MatrixModel, Morphism,
+                      MorphismReport, QuaternionTensorModel, RingModel,
+                      RingValue, TwistedModel, alg_mul, alg_star,
+                      char_decompose_z2n, clifford_cocycle, coboundary,
+                      cocycle_mul, complexify_odd, cyclic_decompose,
+                      direct_product, extend_generator_images,
+                      extend_two_matrix, extend_two_quaternion, generator,
                       identity_morphism, klein_complex_pair, klein_matrix,
                       klein_quaternion, klein_split4, klein_table,
                       lambda_isomorphism, laurent, laurent_z2_rewrite,
                       make_cyclic, make_f_alpha, make_subset_group,
-                      tensor_structure_check, trivial_cocycle, validate,
-                      verify_morphism, z2_complexify, z2_split,
+                      matrix_ring, product_ring, real_basis, real_dim,
+                      split_odd, tensor_structure_check, trivial_cocycle,
+                      validate, verify_morphism, z2_complexify, z2_split,
                       z2n_torus_rewrite, z2z4_cocycle,
                       z2z4_corrected_cocycle, z2z4_decompose)
+from twistalg.isolab import flat_rows, object_residuals
 
 L1 = laurent(1)
 
@@ -340,3 +347,158 @@ def test_matrix_model_mul_matches_numpy():
     for i in range(2):
         for j in range(2):
             assert complex(prod[i][j].payload) == pytest.approx(want[i, j])
+
+
+# -- the dense verifier against the object loop ----------------------------
+
+RINGS = {"C": COMPLEX, "R": REAL, "H": QUATERNION, "M2": matrix_ring(2),
+         "CxM2": product_ring(COMPLEX, matrix_ring(2))}
+CONSTRUCTORS = ["identity", "lambda", "z2_split", "klein_matrix",
+                "klein_split4", "extend_two_matrix", "split_odd"]
+REAL_CONSTRUCTORS = ["z2_complexify", "complexify_odd", "klein_quaternion",
+                     "klein_complex_pair", "extend_two_quaternion"]
+CASES = ([(r, c) for r in RINGS for c in CONSTRUCTORS]
+         + [(r, c) for r in ("R", "H") for c in REAL_CONSTRUCTORS]
+         + [("C", "cyclic_decompose")])
+
+
+def central_unitary(d, data):
+    """Signs over real rings, phases (times 1) otherwise, per factor over
+    products."""
+    if d.kind == "product":
+        return RingValue.tuple_value(
+            d, [central_unitary(f, data) for f in d.factors])
+    if d.is_real:
+        return RingValue.unit(d).scale(data.draw(st.sampled_from([-1, 1])))
+    return RingValue.unit(d).scale(np.exp(1j * data.draw(st.floats(0, 6.3))))
+
+
+def random_value(d, data):
+    """A ring element, neither central nor unitary in general."""
+    if d.kind == "product":
+        return RingValue.tuple_value(
+            d, [random_value(f, data) for f in d.factors])
+    comps = [data.draw(st.floats(0.25, 1))] + [
+        data.draw(st.floats(-1, 1)) for _ in range(7)]
+    if d.kind == "real":
+        return RingValue.scalar(d, comps[0])
+    if d.kind == "complex":
+        return RingValue.scalar(d, complex(comps[0], comps[1]))
+    if d.kind == "quaternion":
+        return RingValue.quaternion(comps[:4])
+    return RingValue.mat(d, np.reshape(comps[:4], (2, 2))
+                         + 1j * np.reshape(comps[4:], (2, 2)))
+
+
+def random_cocycle(d, data):
+    """A coboundary on Z/n or a Clifford cocycle times one."""
+    if data.draw(st.booleans()):
+        base = trivial_cocycle(make_cyclic(data.draw(st.integers(1, 6))), d)
+    else:
+        base = clifford_cocycle(random_spec(d, data, data.draw(
+            st.integers(0, 3))))
+    lam = random_lambda(base, data)
+    return cocycle_mul(base, coboundary(lam))
+
+
+def random_lambda(f, data):
+    d = f.descriptor
+    return Lambda(f.group, d, [RingValue.unit(d)] + [
+        central_unitary(d, data) for _ in range(f.group.order - 1)])
+
+
+def random_spec(d, data, size=None):
+    size = data.draw(st.sampled_from([0, 2])) if size is None else size
+    return CliffordSpec(list(range(1, size + 1)),
+                        [central_unitary(d, data) for _ in range(size)], d)
+
+
+def build_morphism(name, d, data):
+    u = lambda: central_unitary(d, data)      # noqa: E731
+    if name == "identity":
+        return identity_morphism(random_cocycle(d, data))
+    if name == "lambda":
+        f = random_cocycle(d, data)
+        return lambda_isomorphism(f, random_lambda(f, data))
+    if name == "z2_split":
+        x = u()
+        return z2_split(make_f_alpha(2, [x * x], d), x)
+    if name == "z2_complexify":
+        return z2_complexify(make_f_alpha(2, [-RingValue.unit(d)], d))
+    if name == "cyclic_decompose":
+        alphas = [u() for _ in range(data.draw(st.integers(2, 6)) - 1)]
+        return cyclic_decompose(make_f_alpha(len(alphas) + 1, alphas),
+                                alphas)
+    if name == "extend_two_matrix":
+        return extend_two_matrix(random_spec(d, data), u(), u())
+    if name == "extend_two_quaternion":
+        return extend_two_quaternion(random_spec(d, data), u(), u())
+    if name == "split_odd":
+        return split_odd(random_spec(d, data))[3]
+    if name == "complexify_odd":
+        return complexify_odd(random_spec(d, data))
+    x, y, gamma, alpha = u(), u(), u(), u()
+    xx, yy = x * x * gamma.star(), y * y * gamma.star()
+    if name == "klein_matrix":
+        return klein_matrix(alpha, xx, gamma, x=x, y=y)
+    if name == "klein_split4":
+        return klein_split4(yy, xx, gamma, x=x, y=y)
+    if name == "klein_quaternion":
+        return klein_quaternion(yy, -xx, gamma, x=x, y=y)
+    variant = data.draw(st.sampled_from([1, 2]))
+    return klein_complex_pair(yy if variant == 1 else -yy, -xx, gamma,
+                              variant=variant, x=x, y=y)
+
+
+def reference_report(m):
+    """The verifier with every residual from the object loop."""
+    f, tgt = m.source, m.target
+    rows = [tgt.slots(tgt.scale_left(b, m.images[t]))
+            for t in range(f.group.order) for b in real_basis(f.descriptor)]
+    rank = int(np.linalg.matrix_rank(flat_rows(rows)))
+    source_dim = f.group.order * real_dim(f.descriptor)
+    target_dim = tgt.total_real_dim()
+    return MorphismReport(*object_residuals(m), source_dim, rank, target_dim,
+                          rank == source_dim, rank == target_dim)
+
+
+def assert_matches_reference(m):
+    rep, ref = verify_morphism(m), reference_report(m)
+    for key in ("unit_residual", "mult_residual", "star_residual"):
+        assert abs(getattr(rep, key) - getattr(ref, key)) <= 1e-12, key
+    for key in ("source_dim", "image_rank", "target_dim", "injective",
+                "surjective"):
+        assert getattr(rep, key) == getattr(ref, key), key
+    assert rep.ok() == ref.ok() and rep.bijective() == ref.bijective()
+    return rep, ref
+
+
+@pytest.mark.parametrize("ring,name", CASES)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_dense_verifier_matches_object_loop(ring, name, data):
+    d = RINGS[ring]
+    m = build_morphism(name, d, data)
+    change = data.draw(st.sampled_from(["none", "image", "source"]))
+    n = m.source.group.order
+    if change == "image":
+        # add r image_u to image_t for a general ring element r
+        t, u = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+        m.images[t] = m.target.add(m.images[t], m.target.scale_left(
+            random_value(d, data), m.images[u]))
+    elif change == "source":
+        # a cocycle the images do not satisfy (unless lambda is trivial)
+        wrong = cocycle_mul(m.source, coboundary(random_lambda(m.source,
+                                                               data)))
+        m = Morphism(wrong, m.target, m.images)
+    rep, _ = assert_matches_reference(m)
+    if change == "none":
+        assert rep.ok()
+    elif change == "image":
+        assert not rep.ok()
+
+
+def test_dense_verifier_keeps_z2z4_residuals():
+    rep, ref = assert_matches_reference(z2z4_decompose())
+    assert rep.mult_residual == ref.mult_residual == 2.0
+    assert rep.image_rank == 12
