@@ -7,7 +7,8 @@ An element is its coefficient family (X_t)_{t in T}; the product is
 and the involution is (X^*)_t = tilde f(t) (X_{t^{-1}})^*.  The regular
 representation identifies X with the |T| x |T| matrix whose (s,t) entry is
 f(st^{-1}, t) X_{st^{-1}}; its largest singular value (after replacing each
-coefficient by its dense form, dense.value_dense) is the C*-norm.
+coefficient by a faithful dense form: dense.value_dense, or the complex 2 x 2
+form dense.quaternion_complex for quaternions) is the C*-norm.
 """
 from __future__ import annotations
 
@@ -186,13 +187,18 @@ class RegularMatrix:
         complex array for every ring: norms over real rings then run the
         same LAPACK SVD as complex ones, so a process that takes both
         kinds loads one routine, not two (a real one added 1.5-2.4 MB of
-        peak resident memory to a mixed run)."""
-        from .dense import dense_array, dense_size      # loaded on first use
+        peak resident memory to a mixed run).  Quaternions take their
+        complex 2 x 2 form, dense.quaternion_complex: the same norm as the
+        real 4 x 4 form, on an array of a quarter of the entries."""
+        from .dense import dense_array, dense_size, quaternion_complex
         d, n = self.descriptor, self.size
-        b = dense_size(d)
+        if d.kind == "quaternion":
+            b, form = 2, quaternion_complex
+        else:
+            b, form = dense_size(d), lambda row: dense_array(d, row)
         out = np.empty((n * b, n * b), dtype=complex)
         for s, row in enumerate(self.entries):
-            out[s * b:(s + 1) * b] = dense_array(d, row).transpose(
+            out[s * b:(s + 1) * b] = form(row).transpose(
                 1, 0, 2).reshape(b, n * b)
         return out
 

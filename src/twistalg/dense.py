@@ -10,7 +10,8 @@ Faithful *-representations of a finite-dimensional C*-algebra are
 isometric, so norms taken on these arrays are the C*-norms.  The forms are
 also picked so that the columns that hold an element (its readout) carry
 exactly the coordinates the model's diff compares, and dense_residuals
-reproduces the residuals of the object loop (isolab.object_residuals).
+reproduces the residuals of the object loop (isolab.object_residuals) when
+every cocycle value is central; it refuses other tables (NotCentral).
 """
 from __future__ import annotations
 
@@ -23,6 +24,16 @@ from .rings import RingDescriptor, RingValue
 
 # entries of the largest arrays that dense_residuals holds per row block
 BLOCK_ENTRIES = 1 << 13
+
+# value_dense of a quaternion p: entry (r, q) is _QSIGN[r, q] p[_QIDX[r, q]]
+_QIDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_QSIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0],
+                   [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
+
+
+class NotCentral(ValueError):
+    """A cocycle value that is not central: it does not act on dense forms
+    as row scalars, so dense_residuals does not apply."""
 
 
 # -- coefficient rings -----------------------------------------------------
@@ -70,9 +81,7 @@ def value_dense(v: RingValue) -> np.ndarray:
     if d.kind == "matrix":
         return v.payload.astype(dense_dtype(d))
     if d.kind == "quaternion":
-        a, b, c, e = v.payload
-        return np.array([[a, -b, -c, -e], [b, a, -e, c],
-                         [c, e, a, -b], [e, -c, b, a]])
+        return dense_array(d, [v])[0]
     if d.kind == "product":
         out = np.zeros((dense_size(d),) * 2, dtype=dense_dtype(d))
         o = 0
@@ -90,7 +99,24 @@ def dense_array(d: RingDescriptor, values) -> np.ndarray:
     if d.kind in ("complex", "real", "matrix"):
         return np.array([v.payload for v in values],
                         dtype=dense_dtype(d)).reshape(-1, b, b)
+    if d.kind == "quaternion":
+        return _payloads(values)[:, _QIDX] * _QSIGN
     return np.array([value_dense(v) for v in values]).reshape(-1, b, b)
+
+
+def _payloads(values) -> np.ndarray:
+    """(N, 4) coordinates of a list of quaternions."""
+    return np.array([v.payload for v in values], dtype=float).reshape(-1, 4)
+
+
+def quaternion_complex(values) -> np.ndarray:
+    """(N, 2, 2) stack of a + bi + cj + ek as [[a + bi, c + ei],
+    [-c + ei, a - bi]]: another faithful *-representation of H, so norms
+    taken on it equal those on value_dense, on arrays of half the side."""
+    p = _payloads(values)
+    re = np.stack([p[:, 0], p[:, 2], -p[:, 2], p[:, 0]], axis=1)
+    im = np.stack([p[:, 1], p[:, 3], p[:, 3], -p[:, 1]], axis=1)
+    return _complex(re, im).reshape(-1, 2, 2)
 
 
 def readout_array(d: RingDescriptor, values) -> np.ndarray:
@@ -101,14 +127,32 @@ def readout_array(d: RingDescriptor, values) -> np.ndarray:
 def central_rows(d: RingDescriptor, values) -> np.ndarray:
     """A table of central values as row scalars: the dense form of a
     central value is diagonal, so multiplying by it on the left scales row
-    i by rows[i].  values is a list of lists; the result is (n, m, b)."""
+    i by rows[i].  values is a list of lists; the result is (n, m, b).
+    Raises NotCentral unless every value is exactly central: its dense
+    form is diagonal and constant over each ring factor."""
     n, m = len(values), len(values[0])
     flat = [v for row in values for v in row]
     if d.kind in ("complex", "real"):
         return np.array([v.payload for v in flat],
                         dtype=dense_dtype(d)).reshape(n, m, 1)
-    return np.diagonal(dense_array(d, flat), axis1=1, axis2=2).reshape(
-        n, m, dense_size(d))
+    full = dense_array(d, flat)
+    diag = np.diagonal(full, axis1=1, axis2=2)
+    if np.count_nonzero(full) != np.count_nonzero(diag) or any(
+            (diag[:, o:o + b] != diag[:, o:o + 1]).any()
+            for o, b in _factor_spans(d)):
+        raise NotCentral("cocycle values are not central")
+    return diag.reshape(n, m, dense_size(d))
+
+
+def _factor_spans(d: RingDescriptor, o: int = 0) -> list:
+    """(offset, side) of each non-product factor's block in value_dense."""
+    if d.kind != "product":
+        return [(o, dense_size(d))]
+    out = []
+    for f in d.factors:
+        out.extend(_factor_spans(f, o))
+        o += dense_size(f)
+    return out
 
 
 def star_readout(d: RingDescriptor, y: np.ndarray) -> np.ndarray:
@@ -386,14 +430,16 @@ def dense_residuals(m):
     Each product image_s image_t is computed only on the columns that
     hold its slots, for a block of rows s at a time against all t, and
     compared with f(s,t) image_{st}; cocycle values act as row scalars.
+    Raises NotCentral, before any product, if a value of the source
+    cocycle or of a twisted algebra in the target is not central.
     """
     f, g = m.source, m.source.group
+    rows = central_rows(f.descriptor, f.values)         # (n, n, b)
     form = model_form(m.target)
     n, size, cols = g.order, form.size, form.cols
     y = form.readout(m.images)                          # (n, size, cols)
     unit_res = _max_abs(y[g.identity]
                         - form.readout([m.target.unit()])[0])
-    rows = central_rows(f.descriptor, f.values)         # (n, n, b)
     # the readouts of every image side by side: (size, n cols)
     right = y.transpose(1, 0, 2).reshape(size, n * cols)
     mult_res = 0.0

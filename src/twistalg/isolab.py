@@ -422,8 +422,12 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
         e_dim = None
     if e_dim is None:
         return MorphismReport(*object_residuals(m), -1, -1, None, None, None)
-    from .dense import dense_residuals      # loaded on first use
-    unit_res, mult_res, star_res = dense_residuals(m)
+    from .dense import NotCentral, dense_residuals      # loaded on first use
+    try:
+        unit_res, mult_res, star_res = dense_residuals(m)
+    except NotCentral:
+        # a table from outside whose values are not central
+        unit_res, mult_res, star_res = object_residuals(m)
     basis = real_basis(f.descriptor)
     rows = []
     for t in range(g.order):
@@ -441,8 +445,9 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
 
 def object_residuals(m: Morphism):
     """(unit, product, star) residuals, one model operation at a time:
-    the check over rings with no finite real dimension, and the reference
-    that dense.dense_residuals reproduces."""
+    the check over rings with no finite real dimension and over tables
+    with values that are not central, and the reference that
+    dense.dense_residuals reproduces."""
     f, g, tgt = m.source, m.source.group, m.target
     unit_res = tgt.diff(m.images[g.identity], tgt.unit())
     mult_res = 0.0

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalg import (COMPLEX, KLEIN_C, REAL, AlgebraElement, Lambda,
-                      RingDescriptor, RingValue,
+from twistalg import (COMPLEX, KLEIN_C, QUATERNION, REAL, AlgebraElement,
+                      Lambda, RingDescriptor, RingValue,
                       alg_mul, alg_norm, alg_star, center_check, coboundary,
                       coefficient, coefficient_positivity, embed_scalar,
                       generator, is_projection, klein_table, laurent,
                       make_cyclic, make_f_alpha, projection_pair,
                       regular_matrix, restrict_cocycle, restrict_to_subgroup,
                       trace_functional, trivial_cocycle, unit)
+
+from twistalg.dense import value_dense
 
 L1 = laurent(1)
 
@@ -122,6 +124,21 @@ def test_norm_of_generator_and_scalars():
     for t in range(4):
         assert alg_norm(generator(f, t)) == pytest.approx(1.0)
     assert alg_norm(unit(f).scale(3 - 4j)) == pytest.approx(5.0)
+
+
+def test_quaternion_norm_matches_real_form():
+    """alg_norm flattens quaternions to their complex 2 x 2 form; the norm
+    is that of the real 4 x 4 form value_dense (both are faithful)."""
+    minus = RingValue.unit(QUATERNION).scale(-1)
+    f = make_f_alpha(4, [minus, RingValue.unit(QUATERNION), minus],
+                     QUATERNION)
+    rng = np.random.default_rng(31)
+    x = AlgebraElement(f, [RingValue.quaternion(c)
+                           for c in rng.normal(size=(4, 4))])
+    m = regular_matrix(x)
+    real = np.block([[value_dense(e) for e in row] for row in m.entries])
+    assert m.flatten().shape == (8, 8)
+    assert alg_norm(x) == pytest.approx(np.linalg.norm(real, 2), rel=1e-12)
 
 
 def test_laurent_norm_is_sup_over_torus():

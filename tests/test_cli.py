@@ -203,6 +203,24 @@ def test_iso_identity_and_failure(tmp_path, capsys):
     assert "square root" in payload["error"]
 
 
+def test_iso_identity_of_non_central_table(tmp_path, capsys):
+    """f(1,2) = i, f(2,1) = j on Z/3: the star check sees |j^* - i^*| = 1."""
+    one, i, j = [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]
+    cfg = write(tmp_path, "nc.json", {
+        "constructor": "identity",
+        "cocycle": {"descriptor": "quaternion",
+                    "group": {"kind": "cyclic", "n": 3},
+                    "table": [[one, one, one], [one, one, i],
+                              [one, j, one]]},
+    })
+    code, out = run(capsys, "iso", "--config", cfg)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verified"] is False
+    assert payload["report"]["star_residual"] == "1"
+    assert payload["report"]["mult_residual"] == "0"
+
+
 def test_iso_klein_quaternion(tmp_path, capsys):
     cfg = write(tmp_path, "kq.json", {
         "constructor": "klein_quaternion",

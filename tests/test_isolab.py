@@ -21,6 +21,8 @@ from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, QUATERNION, REAL,
                       validate, verify_morphism, z2_complexify, z2_split,
                       z2n_torus_rewrite, z2z4_cocycle,
                       z2z4_corrected_cocycle, z2z4_decompose)
+from twistalg import dense, isolab
+from twistalg.cocycle import SchurFunction
 from twistalg.isolab import flat_rows, object_residuals
 
 L1 = laurent(1)
@@ -502,3 +504,81 @@ def test_dense_verifier_keeps_z2z4_residuals():
     rep, ref = assert_matches_reference(z2z4_decompose())
     assert rep.mult_residual == ref.mult_residual == 2.0
     assert rep.image_rank == 12
+
+
+def quaternion_z3_table():
+    """Z/3 with f(1,2) = i, f(2,1) = j and 1 elsewhere: not central."""
+    one = RingValue.unit(QUATERNION)
+    vals = [[one] * 3 for _ in range(3)]
+    vals[1][2] = RingValue.quaternion([0, 1, 0, 0])
+    vals[2][1] = RingValue.quaternion([0, 0, 1, 0])
+    return SchurFunction(make_cyclic(3), QUATERNION, vals)
+
+
+def test_verifier_on_non_central_quaternion_table():
+    f = quaternion_z3_table()
+    with pytest.raises(dense.NotCentral):
+        dense.central_rows(f.descriptor, f.values)
+    rep, _ = assert_matches_reference(identity_morphism(f))
+    assert rep.star_residual == 1.0
+    assert not rep.ok()
+
+
+def non_central_value(d, data):
+    """random_value plus 2j (quaternions) or 2 E_12 (matrices): never
+    central."""
+    if d.kind == "product":
+        return RingValue.tuple_value(
+            d, [non_central_value(f, data) if f.kind != "complex"
+                else random_value(f, data) for f in d.factors])
+    if d.kind == "quaternion":
+        return random_value(d, data) + RingValue.quaternion([0, 0, 2, 0])
+    return random_value(d, data) + RingValue.mat(d, [[0, 2], [0, 0]])
+
+
+@pytest.mark.parametrize("ring", ["H", "M2", "CxM2"])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_verifier_matches_object_loop_on_non_central_tables(ring, data):
+    """A table with one value that is not central, as the source of an
+    identity map or as the target's twisted algebra only."""
+    d = RINGS[ring]
+    f = random_cocycle(d, data)
+    n = f.group.order
+    s, t = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    vals = [list(row) for row in f.values]
+    vals[s][t] = non_central_value(d, data)
+    bad = SchurFunction(f.group, d, vals)
+    with pytest.raises(dense.NotCentral):
+        dense.central_rows(d, bad.values)
+    assert_matches_reference(identity_morphism(bad))
+    assert_matches_reference(
+        Morphism(f, TwistedModel(bad), identity_morphism(bad).images))
+
+
+def test_central_rows_is_exact_centrality():
+    """0.1 I is central although its trace / 3 is not 0.1 exactly; a
+    diagonal matrix that is not scalar is not."""
+    d = matrix_ring(3)
+    rows = dense.central_rows(d, [[RingValue.unit(d).scale(0.1)]])
+    assert rows.tolist() == [[[0.1, 0.1, 0.1]]]
+    with pytest.raises(dense.NotCentral):
+        dense.central_rows(d, [[RingValue.mat(d, np.diag([1.0, 1.0, 2.0]))]])
+    p = product_ring(COMPLEX, matrix_ring(2))
+    ok = RingValue.tuple_value(p, [RingValue.scalar(COMPLEX, 2j),
+                                   RingValue.unit(matrix_ring(2))])
+    assert dense.central_rows(p, [[ok]]).tolist() == [[[2j, 1, 1]]]
+
+
+def test_every_algebra_model_has_a_dense_form():
+    """dense.model_form mirrors each AlgebraModel subclass of isolab; a new
+    model needs a dense form there too (no model here is Laurent-only)."""
+    todo, models = [isolab.AlgebraModel], []
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__ == isolab.__name__:
+                models.append(sub)
+    assert len(models) >= 6
+    for cls in models:
+        assert any(issubclass(cls, c) for c, _ in dense._FORMS), cls
