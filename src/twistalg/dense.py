@@ -1,10 +1,14 @@
-"""Dense *-representations of finite coefficient rings and algebra models.
+"""Dense *-representations of finite coefficient rings, and the dense
+morphism check.
 
 Every finite coefficient ring (complex, real, quaternion, k x k matrices
 and products of these) has one faithful *-representation on square arrays,
-value_dense, and so has every algebra model over it, model_form.  Real
-rings give real arrays.  RegularMatrix.flatten and verify_morphism import
-this module when they first run, so importing twistalg does not load it.
+value_dense.  Real rings give real arrays.  Each algebra model of
+twistalg.isolab builds its own dense form (dense, readout, star_readout)
+from these ring-level forms and the exact elementwise arithmetic here.
+RegularMatrix.flatten and the models import this module when they first
+need it, so importing twistalg does not load it, and it imports nothing
+from isolab.
 
 Faithful *-representations of a finite-dimensional C*-algebra are
 isometric, so norms taken on these arrays are the C*-norms.  The forms are
@@ -18,8 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import row_blocks
-from .isolab import (_QMUL, ComplexifiedModel, DirectSumModel, MatrixModel,
-                     QuaternionTensorModel, RingModel, TwistedModel)
 from .rings import RingDescriptor, RingValue
 
 # entries of the largest arrays that dense_residuals holds per row block
@@ -231,197 +233,6 @@ def _diagonal(blocks):
     return out.reshape(n, k * s, k * w)
 
 
-# -- algebra models --------------------------------------------------------
-
-class DenseForm:
-    """A model's dense *-representation on (size, size) arrays.
-
-    dense(elems) stacks the dense forms of a list of elements;
-    readout(elems) stacks only the cols columns that hold their slots, as
-    (N, size, cols), so the max |entry| of a readout difference is the
-    model's diff; star(y) maps readouts of elements to readouts of their
-    stars with the same arithmetic as the model's star.  Row i belongs to
-    row i % b of the coefficient ring's dense form (b = dense_size), so a
-    central ring value acts by scaling rows.
-    """
-
-    def __init__(self, size: int, cols: int, dense, readout, star):
-        self.size, self.cols = size, cols
-        self.dense, self.readout, self.star = dense, readout, star
-
-
-def model_form(model) -> DenseForm:
-    """The dense form of one of the algebra models of twistalg.isolab."""
-    for cls, build in _FORMS:
-        if isinstance(model, cls):
-            return build(model)
-    raise TypeError(f"no dense form for {type(model).__name__}")
-
-
-def _ring_form(model: RingModel) -> DenseForm:
-    d = model.base
-    return DenseForm(dense_size(d), len(readout_columns(d)),
-                     lambda elems: dense_array(d, elems),
-                     lambda elems: readout_array(d, elems),
-                     lambda y: star_readout(d, y))
-
-
-def _twisted_form(model: TwistedModel) -> DenseForm:
-    """The regular representation: block (t, u) is f(r, u) X_r with
-    r = t u^{-1}, so block column 1 is the coefficient vector."""
-    g, d = model.f.group, model.base
-    n, b = g.order, dense_size(d)
-    rows = central_rows(d, model.f.values)
-    r = g.mul[:, g.inv]
-    frows = rows[r, np.arange(n)]                   # f(r, u) by (t, u)
-    tilde = rows[np.arange(n), g.inv].conj()        # f(t, t^{-1})^*
-
-    def dense(elems):
-        xd = dense_array(d, [c for x in elems for c in x.coeffs])
-        blocks = _cmul(frows[..., None], xd.reshape(-1, n, b, b)[:, r])
-        return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, n * b, n * b)
-
-    def readout(elems):
-        y = readout_array(d, [c for x in elems for c in x.coeffs])
-        return y.reshape(len(elems), n * b, y.shape[-1])
-
-    def star(y):
-        # (X^*)_t = tilde f(t) (X_{t^{-1}})^*, as alg_star
-        blocks = y.reshape(len(y), n, b, y.shape[-1])[:, g.inv]
-        return _cmul(tilde[:, :, None],
-                     star_readout(d, blocks)).reshape(y.shape)
-
-    return DenseForm(n * b, len(readout_columns(d)), dense, readout, star)
-
-
-def _matrix_form(model: MatrixModel) -> DenseForm:
-    inner, k = model_form(model.inner), model.k
-    m, c = inner.size, inner.cols
-
-    def blocks(fn, elems):
-        # entry (i, j) of each element becomes block (i, j)
-        y = fn([e for a in elems for row in a for e in row])
-        y = y.reshape(len(elems), k, k, m, y.shape[-1])
-        return y.transpose(0, 1, 3, 2, 4).reshape(
-            len(elems), k * m, k * y.shape[-1])
-
-    def star(y):
-        # entry (i, j) of a^* is the star of entry (j, i)
-        swapped = y.reshape(len(y), k, m, k, c).transpose(0, 3, 1, 2, 4)
-        st = inner.star(swapped.reshape(-1, m, c))
-        return st.reshape(len(y), k, k, m, c).transpose(
-            0, 1, 3, 2, 4).reshape(y.shape)
-
-    return DenseForm(k * m, k * c, lambda elems: blocks(inner.dense, elems),
-                     lambda elems: blocks(inner.readout, elems), star)
-
-
-def _direct_sum_form(model: DirectSumModel) -> DenseForm:
-    """Block diagonal.  A summand repeated in a row, as in
-    DirectSumModel(*[e] * n), is one run: its form is called once for all
-    of the run's blocks."""
-    runs = []
-    for mod in model.models:
-        if runs and runs[-1][0] is mod:
-            runs[-1][2] += 1
-        else:
-            runs.append([mod, model_form(mod), 1])
-    size = sum(fm.size * k for _, fm, k in runs)
-    cols = sum(fm.cols * k for _, fm, k in runs)
-    dtype = dense_dtype(model.base)
-
-    def block_diag(elems, square):
-        n = len(elems)
-        out = np.zeros((n, size, size if square else cols), dtype=dtype)
-        o = c = i = 0
-        for _, fm, k in runs:
-            fn = fm.dense if square else fm.readout
-            y = fn([e[j] for e in elems for j in range(i, i + k)])
-            w = y.shape[-1]
-            out[:, o:o + k * fm.size, c:c + k * w] = _diagonal(
-                y.reshape(n, k, fm.size, w))
-            o, c, i = o + k * fm.size, c + k * w, i + k
-        return out
-
-    def star(y):
-        out = np.zeros_like(y)
-        n, o, c = len(y), 0, 0
-        for _, fm, k in runs:
-            s, w = fm.size, fm.cols
-            sub = y[:, o:o + k * s, c:c + k * w].reshape(n, k, s, k, w)
-            idx = np.arange(k)
-            diag = sub[:, idx, :, idx, :].transpose(1, 0, 2, 3)
-            st = fm.star(diag.reshape(n * k, s, w))
-            out[:, o:o + k * s, c:c + k * w] = _diagonal(
-                st.reshape(n, k, s, w))
-            o, c = o + k * s, c + k * w
-        return out
-
-    return DenseForm(size, cols, lambda elems: block_diag(elems, True),
-                     lambda elems: block_diag(elems, False), star)
-
-
-def _complexified_form(model: ComplexifiedModel) -> DenseForm:
-    """a + ib as [[A, -B], [B, A]], i.e. A (x) 1 + B (x) J."""
-    inner = model_form(model.inner)
-    m = inner.size
-
-    def halves(fn, elems):
-        y = fn([a[0] for a in elems] + [a[1] for a in elems])
-        return y[:len(elems)], y[len(elems):]
-
-    def dense(elems):
-        a, b = halves(inner.dense, elems)
-        return np.block([[a, -b], [b, a]])
-
-    def star(y):
-        st = inner.star(np.concatenate([y[:, :m], y[:, m:]]))
-        return np.concatenate([st[:len(y)], -st[len(y):]], axis=1)
-
-    return DenseForm(2 * m, inner.cols, dense,
-                     lambda elems: np.concatenate(
-                         halves(inner.readout, elems), axis=1),
-                     star)
-
-
-def _quaternion_tensor_form(model: QuaternionTensorModel) -> DenseForm:
-    """sum_p L(e_p) (x) X_p, where L(e_p)[r, q] = sign for
-    _QMUL[p][q] = (r, sign) is left multiplication by the unit e_p."""
-    inner = model_form(model.inner)
-    m = inner.size
-
-    def parts(fn, elems):
-        y = fn([x for a in elems for x in a])
-        return y.reshape(len(elems), 4, m, y.shape[-1])
-
-    def dense(elems):
-        x = parts(inner.dense, elems)
-        out = np.zeros((len(elems), 4 * m, 4 * m), dtype=x.dtype)
-        for p in range(4):
-            for q in range(4):
-                r, sign = _QMUL[p][q]
-                out[:, r * m:(r + 1) * m, q * m:(q + 1) * m] = \
-                    x[:, p] if sign > 0 else -x[:, p]
-        return out
-
-    def star(y):
-        st = inner.star(y.reshape(-1, m, y.shape[-1]))
-        st = st.reshape(len(y), 4, m, y.shape[-1])
-        return np.concatenate([st[:, :1], -st[:, 1:]],
-                              axis=1).reshape(y.shape)
-
-    return DenseForm(4 * m, inner.cols, dense,
-                     lambda elems: parts(inner.readout, elems).reshape(
-                         len(elems), 4 * m, inner.cols),
-                     star)
-
-
-_FORMS = ((RingModel, _ring_form), (TwistedModel, _twisted_form),
-          (MatrixModel, _matrix_form), (DirectSumModel, _direct_sum_form),
-          (ComplexifiedModel, _complexified_form),
-          (QuaternionTensorModel, _quaternion_tensor_form))
-
-
 # -- the morphism check ----------------------------------------------------
 
 def dense_residuals(m):
@@ -430,24 +241,24 @@ def dense_residuals(m):
     Each product image_s image_t is computed only on the columns that
     hold its slots, for a block of rows s at a time against all t, and
     compared with f(s,t) image_{st}; cocycle values act as row scalars.
-    Raises NotCentral, before any product, if a value of the source
-    cocycle or of a twisted algebra in the target is not central.
+    Raises NotCentral, before any product image_s image_t, if a value of
+    the source cocycle or of a twisted algebra in the target is not
+    central.
     """
-    f, g = m.source, m.source.group
+    f, g, tgt = m.source, m.source.group, m.target
     rows = central_rows(f.descriptor, f.values)         # (n, n, b)
-    form = model_form(m.target)
-    n, size, cols = g.order, form.size, form.cols
-    y = form.readout(m.images)                          # (n, size, cols)
-    unit_res = _max_abs(y[g.identity]
-                        - form.readout([m.target.unit()])[0])
+    n = g.order
+    y = tgt.readout(m.images)                           # (n, size, cols)
+    size, cols = y.shape[1:]
+    unit_res = _max_abs(y[g.identity] - tgt.readout([tgt.unit()])[0])
     # the readouts of every image side by side: (size, n cols)
     right = y.transpose(1, 0, 2).reshape(size, n * cols)
     mult_res = 0.0
     for blk in row_blocks(n, n * size * cols + size * size, BLOCK_ENTRIES):
-        lhs = _matmul(form.dense(m.images[blk]), right)
+        lhs = _matmul(tgt.dense(m.images[blk]), right)
         lhs = lhs.reshape(-1, size, n, cols).transpose(0, 2, 1, 3)
         rhs = _scale_rows(rows[blk], y[g.mul[blk]])
         mult_res = max(mult_res, _max_abs(lhs - rhs))
     tilde = rows[np.arange(n), g.inv].conj()            # f(t, t^{-1})^*
-    star_res = _max_abs(form.star(y) - _scale_rows(tilde, y[g.inv]))
+    star_res = _max_abs(tgt.star_readout(y) - _scale_rows(tilde, y[g.inv]))
     return unit_res, mult_res, star_res

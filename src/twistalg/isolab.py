@@ -6,13 +6,15 @@ or a finite direct sum.  A morphism from S(f) stores one image per
 generator and acts E-linearly; the verifier measures multiplicativity and
 star residuals and certifies bijectivity by real-linear rank over the
 flattened coefficient basis.  Over finite coefficient rings it checks
-products and stars on the models' dense forms (twistalg.dense), over
-Laurent rings one model operation at a time.
+products and stars on the models' dense forms (each model's dense,
+readout and star_readout), over Laurent rings one model operation at a
+time.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +29,19 @@ from .rings import (COMPLEX, DEFAULT_TOL, RingDescriptor, RingValue, laurent,
 # -- algebra models --------------------------------------------------------
 
 class AlgebraModel:
-    """Common interface: elements are opaque; all operations live here."""
+    """Common interface: elements are opaque; all operations live here.
+
+    Over finite coefficient rings each model also has a dense
+    *-representation on (size, size) arrays, built from the ring-level
+    forms of twistalg.dense (loaded on first use):  dense(elems) stacks the
+    dense forms of a list of elements; readout(elems) stacks only the
+    columns that hold their slots, as (N, size, cols), so the max |entry|
+    of a readout difference is the model's diff; star_readout(y) maps
+    readouts of elements to readouts of their stars with the same
+    arithmetic as the model's star.  Row i belongs to row i % b of the
+    coefficient ring's dense form (b = dense.dense_size), so a central ring
+    value acts by scaling rows.
+    """
 
     base: RingDescriptor
 
@@ -70,14 +84,23 @@ class RingModel(AlgebraModel):
     def star(self, a):
         return a.star()
 
-    def scale(self, c, a):
-        return a.scale(c)
-
     def scale_left(self, x: RingValue, a):
         return x * a
 
     def slots(self, a):
         return [a]
+
+    def dense(self, elems):
+        from .dense import dense_array
+        return dense_array(self.base, elems)
+
+    def readout(self, elems):
+        from .dense import readout_array
+        return readout_array(self.base, elems)
+
+    def star_readout(self, y):
+        from .dense import star_readout
+        return star_readout(self.base, y)
 
 
 class TwistedModel(AlgebraModel):
@@ -103,14 +126,51 @@ class TwistedModel(AlgebraModel):
     def star(self, a):
         return alg_star(a)
 
-    def scale(self, c, a):
-        return a.scale(c)
-
     def scale_left(self, x: RingValue, a):
         return a.scale_ring(x)
 
     def slots(self, a):
         return list(a.coeffs)
+
+    @cached_property
+    def _dense_tables(self):
+        """(r, frows, tilde), read from f once, on first use of the dense
+        form: r[t, u] = t u^{-1}, frows[t, u] = f(r, u) and tilde[t] =
+        f(t, t^{-1})^* as row scalars.  Raises dense.NotCentral unless
+        every value of f is central."""
+        from .dense import central_rows
+        g = self.f.group
+        idx = np.arange(g.order)
+        rows = central_rows(self.base, self.f.values)
+        r = g.mul[:, g.inv]
+        return r, rows[r, idx], rows[idx, g.inv].conj()
+
+    def dense(self, elems):
+        """The regular representation: block (t, u) is f(r, u) X_r with
+        r = t u^{-1}, so block column 1 is the coefficient vector."""
+        from .dense import _cmul, dense_array
+        r, frows, _ = self._dense_tables
+        n = self.f.group.order
+        xd = dense_array(self.base, [c for x in elems for c in x.coeffs])
+        b = xd.shape[-1]
+        blocks = _cmul(frows[..., None], xd.reshape(-1, n, b, b)[:, r])
+        return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, n * b, n * b)
+
+    def readout(self, elems):
+        from .dense import readout_array
+        y = readout_array(self.base, [c for x in elems for c in x.coeffs])
+        n, b, c = self.f.group.order, y.shape[1], y.shape[2]
+        return y.reshape(len(elems), n * b, c)
+
+    def star_readout(self, y):
+        # (X^*)_t = tilde f(t) (X_{t^{-1}})^*, as alg_star
+        from .dense import _cmul, star_readout
+        _, _, tilde = self._dense_tables
+        g = self.f.group
+        blocks = y.reshape(len(y), g.order, y.shape[1] // g.order,
+                           y.shape[2])[:, g.inv]
+        return _cmul(tilde[:, :, None],
+                     star_readout(self.base, blocks)).reshape(y.shape)
 
 
 class MatrixModel(AlgebraModel):
@@ -155,9 +215,6 @@ class MatrixModel(AlgebraModel):
         return [[self.inner.star(a[j][i]) for j in range(self.k)]
                 for i in range(self.k)]
 
-    def scale(self, c, a):
-        return self._map(lambda e: self.inner.scale(c, e), a)
-
     def scale_left(self, x, a):
         return self._map(lambda e: self.inner.scale_left(x, e), a)
 
@@ -167,6 +224,29 @@ class MatrixModel(AlgebraModel):
             for e in row:
                 out.extend(self.inner.slots(e))
         return out
+
+    def _blocks(self, fn, elems):
+        # entry (i, j) of each element becomes block (i, j)
+        k = self.k
+        y = fn([e for a in elems for row in a for e in row])
+        m, w = y.shape[1:]
+        y = y.reshape(len(elems), k, k, m, w)
+        return y.transpose(0, 1, 3, 2, 4).reshape(len(elems), k * m, k * w)
+
+    def dense(self, elems):
+        return self._blocks(self.inner.dense, elems)
+
+    def readout(self, elems):
+        return self._blocks(self.inner.readout, elems)
+
+    def star_readout(self, y):
+        # entry (i, j) of a^* is the star of entry (j, i)
+        k = self.k
+        n, m, c = len(y), y.shape[1] // k, y.shape[2] // k
+        swapped = y.reshape(n, k, m, k, c).transpose(0, 3, 1, 2, 4)
+        st = self.inner.star_readout(swapped.reshape(-1, m, c))
+        return st.reshape(n, k, k, m, c).transpose(
+            0, 1, 3, 2, 4).reshape(y.shape)
 
 
 class DirectSumModel(AlgebraModel):
@@ -198,9 +278,6 @@ class DirectSumModel(AlgebraModel):
     def star(self, a):
         return self._map("star", a)
 
-    def scale(self, c, a):
-        return tuple(m.scale(c, a[i]) for i, m in enumerate(self.models))
-
     def scale_left(self, x, a):
         return tuple(m.scale_left(x, a[i]) for i, m in enumerate(self.models))
 
@@ -216,52 +293,63 @@ class DirectSumModel(AlgebraModel):
             return None
         return sum(dims)
 
+    @cached_property
+    def _runs(self):
+        """The dense form is block diagonal.  A summand repeated in a row,
+        as in DirectSumModel(*[e] * n), is one run: its form is called
+        once for all of the run's blocks.  Each run is (summand, count,
+        size, cols) with the summand's dense form (size, size) and
+        readouts (size, cols)."""
+        runs = []
+        for mod in self.models:
+            if runs and runs[-1][0] is mod:
+                runs[-1][1] += 1
+            else:
+                runs.append([mod, 1, *mod.readout([mod.unit()]).shape[1:]])
+        return runs
 
-class ComplexifiedModel(AlgebraModel):
-    """Pairs (a, b) representing a + ib over a real inner model."""
+    def _block_diag(self, elems, square):
+        from .dense import _diagonal, dense_dtype
+        n, runs = len(elems), self._runs
+        size = sum(k * s for _, k, s, _ in runs)
+        cols = size if square else sum(k * w for _, k, _, w in runs)
+        out = np.zeros((n, size, cols), dtype=dense_dtype(self.base))
+        o = c = i = 0
+        for mod, k, s, _ in runs:
+            fn = mod.dense if square else mod.readout
+            y = fn([e[j] for e in elems for j in range(i, i + k)])
+            w = y.shape[-1]
+            out[:, o:o + k * s, c:c + k * w] = _diagonal(y.reshape(n, k, s, w))
+            o, c, i = o + k * s, c + k * w, i + k
+        return out
 
-    def __init__(self, inner: AlgebraModel):
-        if not inner.base.is_real:
-            raise ValueError("complexification needs a real inner model")
-        self.inner = inner
-        self.base = inner.base
+    def dense(self, elems):
+        return self._block_diag(elems, True)
 
-    def zero(self):
-        return (self.inner.zero(), self.inner.zero())
+    def readout(self, elems):
+        return self._block_diag(elems, False)
 
-    def unit(self):
-        return (self.inner.unit(), self.inner.zero())
-
-    def add(self, a, b):
-        return (self.inner.add(a[0], b[0]), self.inner.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.inner.neg(a[0]), self.inner.neg(a[1]))
-
-    def mul(self, a, b):
-        inn = self.inner
-        re = inn.add(inn.mul(a[0], b[0]), inn.neg(inn.mul(a[1], b[1])))
-        im = inn.add(inn.mul(a[0], b[1]), inn.mul(a[1], b[0]))
-        return (re, im)
-
-    def star(self, a):
-        return (self.inner.star(a[0]), self.inner.neg(self.inner.star(a[1])))
-
-    def scale(self, c, a):
-        c = complex(c)
-        inn = self.inner
-        re = inn.add(inn.scale(c.real, a[0]), inn.scale(-c.imag, a[1]))
-        im = inn.add(inn.scale(c.imag, a[0]), inn.scale(c.real, a[1]))
-        return (re, im)
-
-    def scale_left(self, x, a):
-        return (self.inner.scale_left(x, a[0]), self.inner.scale_left(x, a[1]))
-
-    def slots(self, a):
-        return self.inner.slots(a[0]) + self.inner.slots(a[1])
+    def star_readout(self, y):
+        from .dense import _diagonal
+        out = np.zeros_like(y)
+        n, o, c = len(y), 0, 0
+        for mod, k, s, w in self._runs:
+            sub = y[:, o:o + k * s, c:c + k * w].reshape(n, k, s, k, w)
+            idx = np.arange(k)
+            diag = sub[:, idx, :, idx, :].transpose(1, 0, 2, 3)
+            st = mod.star_readout(diag.reshape(n * k, s, w))
+            out[:, o:o + k * s, c:c + k * w] = _diagonal(
+                st.reshape(n, k, s, w))
+            o, c = o + k * s, c + k * w
+        return out
 
 
-# structure constants of the quaternion units: _QMUL[p][q] = (r, sign)
+# structure constants of the units 1, i of C and 1, i, j, k of H:
+# table[p][q] = (r, sign) for e_p e_q = sign e_r
+_CMUL = [
+    [(0, 1), (1, 1)],
+    [(1, 1), (0, -1)],
+]
 _QMUL = [
     [(0, 1), (1, 1), (2, 1), (3, 1)],
     [(1, 1), (0, -1), (3, 1), (2, -1)],
@@ -270,21 +358,27 @@ _QMUL = [
 ]
 
 
-class QuaternionTensorModel(AlgebraModel):
-    """4-tuples (x0, x1, x2, x3) representing x0 + i x1 + j x2 + k x3 with
-    components in a real inner model (H tensor E)."""
+class HypercomplexModel(AlgebraModel):
+    """A (x) E for A = C or H and a real inner model E: tuples
+    (x_0, ..., x_{d-1}) representing sum_p e_p x_p over the units e_p of A,
+    multiplied by the subclass's unit table.  Every unit but e_0 = 1 is
+    imaginary, e_p^* = -e_p."""
+
+    table = None             # the unit table, _CMUL or _QMUL
+    name = None              # the construction, for error messages
 
     def __init__(self, inner: AlgebraModel):
         if not inner.base.is_real:
-            raise ValueError("quaternion tensor needs a real inner model")
+            raise ValueError(f"{self.name} needs a real inner model")
         self.inner = inner
         self.base = inner.base
 
     def zero(self):
-        return tuple(self.inner.zero() for _ in range(4))
+        return tuple(self.inner.zero() for _ in self.table)
 
     def unit(self):
-        return (self.inner.unit(),) + tuple(self.inner.zero() for _ in range(3))
+        return (self.inner.unit(),) + tuple(self.inner.zero()
+                                            for _ in self.table[1:])
 
     def add(self, a, b):
         return tuple(self.inner.add(x, y) for x, y in zip(a, b))
@@ -294,22 +388,18 @@ class QuaternionTensorModel(AlgebraModel):
 
     def mul(self, a, b):
         inn = self.inner
-        out = [inn.zero() for _ in range(4)]
-        for p in range(4):
-            for q in range(4):
-                r, sign = _QMUL[p][q]
+        out = [None] * len(self.table)
+        for p, row in enumerate(self.table):
+            for q, (r, sign) in enumerate(row):
                 term = inn.mul(a[p], b[q])
                 if sign < 0:
                     term = inn.neg(term)
-                out[r] = inn.add(out[r], term)
+                out[r] = term if out[r] is None else inn.add(out[r], term)
         return tuple(out)
 
     def star(self, a):
         inn = self.inner
         return (inn.star(a[0]),) + tuple(inn.neg(inn.star(x)) for x in a[1:])
-
-    def scale(self, c, a):
-        return tuple(self.inner.scale(c, x) for x in a)
 
     def scale_left(self, x, a):
         return tuple(self.inner.scale_left(x, e) for e in a)
@@ -319,6 +409,50 @@ class QuaternionTensorModel(AlgebraModel):
         for e in a:
             out.extend(self.inner.slots(e))
         return out
+
+    def _parts(self, fn, elems):
+        y = fn([x for a in elems for x in a])
+        return y.reshape((len(elems), len(self.table)) + y.shape[1:])
+
+    def dense(self, elems):
+        """sum_p L(e_p) (x) X_p, where L(e_p)[r, q] = sign for
+        table[p][q] = (r, sign) is left multiplication by the unit e_p;
+        for C this is [[A, -B], [B, A]]."""
+        x = self._parts(self.inner.dense, elems)
+        d, m = x.shape[1], x.shape[2]
+        out = np.zeros((len(elems), d * m, d * m), dtype=x.dtype)
+        for p, row in enumerate(self.table):
+            for q, (r, sign) in enumerate(row):
+                out[:, r * m:(r + 1) * m, q * m:(q + 1) * m] = \
+                    x[:, p] if sign > 0 else -x[:, p]
+        return out
+
+    def readout(self, elems):
+        # column block 0 of the dense form: X_0, ..., X_{d-1} stacked
+        y = self._parts(self.inner.readout, elems)
+        n, d, m, c = y.shape
+        return y.reshape(n, d * m, c)
+
+    def star_readout(self, y):
+        d = len(self.table)
+        st = self.inner.star_readout(y.reshape(-1, y.shape[1] // d,
+                                               y.shape[2]))
+        st = st.reshape((len(y), d) + st.shape[1:])
+        return np.concatenate([st[:, :1], -st[:, 1:]],
+                              axis=1).reshape(y.shape)
+
+
+class ComplexifiedModel(HypercomplexModel):
+    """Pairs (a, b) representing a + ib over a real inner model."""
+
+    table, name = _CMUL, "complexification"
+
+
+class QuaternionTensorModel(HypercomplexModel):
+    """4-tuples (x0, x1, x2, x3) representing x0 + i x1 + j x2 + k x3 with
+    components in a real inner model (H tensor E)."""
+
+    table, name = _QMUL, "quaternion tensor"
 
 
 # -- flattening and rank ---------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -316,6 +317,36 @@ def test_console_script_entry_point(tmp_path):
         assert scripts["twistalg"] == "twistalg.cli:main"
     else:
         assert 'twistalg = "twistalg.cli:main"' in text
+
+
+def test_cli_start_up_does_not_load_dense(tmp_path):
+    # the dense forms load on first use: importing them at start-up costs
+    # every CLI run (validate, classify) that never verifies a morphism
+    package_root = str(Path(twistalg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, twistalg.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('twistalg.')))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout
+    assert "'twistalg.isolab'" in loaded and "'twistalg.cli'" in loaded
+    assert "'twistalg.dense'" not in loaded
+
+
+def test_dense_module_does_not_import_isolab():
+    # the models in isolab build their forms from dense, not the reverse
+    path = Path(twistalg.__file__).resolve().parent / "dense.py"
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert "numpy" in names and "row_blocks" in names
+    assert not [n for n in names if "isolab" in n]
 
 
 @pytest.mark.skipif(shutil.which("twistalg") is None,

@@ -570,15 +570,116 @@ def test_central_rows_is_exact_centrality():
     assert dense.central_rows(p, [[ok]]).tolist() == [[[2j, 1, 1]]]
 
 
-def test_every_algebra_model_has_a_dense_form():
-    """dense.model_form mirrors each AlgebraModel subclass of isolab; a new
-    model needs a dense form there too (no model here is Laurent-only)."""
-    todo, models = [isolab.AlgebraModel], []
+# -- each model's dense form against its object arithmetic -----------------
+
+def model_classes():
+    """Every AlgebraModel subclass of isolab but HypercomplexModel, whose
+    subclasses give its unit table."""
+    todo, out = [isolab.AlgebraModel], []
     while todo:
         for sub in todo.pop().__subclasses__():
             todo.append(sub)
-            if sub.__module__ == isolab.__name__:
-                models.append(sub)
-    assert len(models) >= 6
-    for cls in models:
-        assert any(issubclass(cls, c) for c, _ in dense._FORMS), cls
+            if (sub.__module__ == isolab.__name__
+                    and sub is not isolab.HypercomplexModel):
+                out.append(sub)
+    return out
+
+
+def inner_model(d, data, depth):
+    """A random model over d to nest in another; from depth 1 on only a
+    ring or a twisted algebra, so models nest at most three levels."""
+    classes = [RingModel, TwistedModel]
+    if depth < 1:
+        classes += [MatrixModel, DirectSumModel]
+        if d.is_real:
+            classes += [ComplexifiedModel, QuaternionTensorModel]
+    return MODEL_CASES[data.draw(st.sampled_from(classes))](d, data,
+                                                             depth + 1)
+
+
+def direct_sum_case(d, data, depth):
+    # summands drawn with repeats, so some sit next to themselves (runs)
+    mods = [inner_model(d, data, depth) for _ in range(2)]
+    return DirectSumModel(*data.draw(st.lists(st.sampled_from(mods),
+                                              min_size=1, max_size=4)))
+
+
+MODEL_CASES = {
+    RingModel: lambda d, data, depth: RingModel(d),
+    TwistedModel: lambda d, data, depth: TwistedModel(random_cocycle(d, data)),
+    MatrixModel: lambda d, data, depth: MatrixModel(
+        data.draw(st.integers(1, 3)), inner_model(d, data, depth)),
+    DirectSumModel: direct_sum_case,
+    ComplexifiedModel: lambda d, data, depth: ComplexifiedModel(
+        inner_model(d, data, depth)),
+    QuaternionTensorModel: lambda d, data, depth: QuaternionTensorModel(
+        inner_model(d, data, depth)),
+}
+REAL_ONLY = {ComplexifiedModel: "complexification",
+             QuaternionTensorModel: "quaternion tensor"}
+
+
+def rng_value(d, rng):
+    """A ring element with random coordinates in [-1, 1].  Drawn from a
+    seeded generator, not one hypothesis draw per coordinate as in
+    random_value: a nested model's element has hundreds of coordinates."""
+    if d.kind == "product":
+        return RingValue.tuple_value(d, [rng_value(f, rng) for f in d.factors])
+    c = rng.uniform(-1, 1, 8)
+    if d.kind == "real":
+        return RingValue.scalar(d, c[0])
+    if d.kind == "complex":
+        return RingValue.scalar(d, complex(c[0], c[1]))
+    if d.kind == "quaternion":
+        return RingValue.quaternion(c[:4])
+    return RingValue.mat(d, np.reshape(c[:4] + 1j * c[4:], (2, 2)))
+
+
+def random_element(model, rng):
+    if isinstance(model, RingModel):
+        return rng_value(model.base, rng)
+    if isinstance(model, TwistedModel):
+        return AlgebraElement(model.f, [rng_value(model.base, rng)
+                                        for _ in range(model.f.group.order)])
+    if isinstance(model, MatrixModel):
+        return [[random_element(model.inner, rng) for _ in range(model.k)]
+                for _ in range(model.k)]
+    if isinstance(model, DirectSumModel):
+        return tuple(random_element(m, rng) for m in model.models)
+    return tuple(random_element(model.inner, rng) for _ in model.table)
+
+
+def assert_close(x, y):
+    assert x.shape == y.shape
+    assert np.abs(x - y).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ring", list(RINGS))
+@pytest.mark.parametrize("cls", model_classes(), ids=lambda c: c.__name__)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_every_algebra_model_dense_form_matches_object_arithmetic(
+        cls, ring, data):
+    """Each model's dense form (dense, readout, star_readout) against its
+    own object arithmetic.  A new model needs a case here."""
+    assert cls in MODEL_CASES, f"no test case for {cls.__name__}"
+    d = RINGS[ring]
+    if cls in REAL_ONLY and not d.is_real:
+        with pytest.raises(ValueError, match=REAL_ONLY[cls]):
+            cls(RingModel(d))
+        return
+    model = MODEL_CASES[cls](d, data, 0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = random_element(model, rng), random_element(model, rng)
+    dense_a, ra, rb = model.dense([a])[0], *model.readout([a, b])
+    # the unit's form is the identity and its readout picks the columns
+    # that hold an element
+    assert_close(model.dense([model.unit()])[0], np.eye(len(dense_a)))
+    assert_close(dense_a @ model.readout([model.unit()])[0], ra)
+    # the readout carries exactly the coordinates diff compares
+    assert abs(np.abs(ra - rb).max() - model.diff(a, b)) <= 1e-12
+    assert_close(model.readout([model.mul(a, b)])[0], dense_a @ rb)
+    assert_close(model.readout([model.star(a)]),
+                 model.star_readout(model.readout([a])))
+    # a *-representation
+    assert_close(model.dense([model.star(a)])[0], dense_a.conj().T)
