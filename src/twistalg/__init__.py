@@ -19,8 +19,8 @@ from .algebra import (AlgebraElement, RegularMatrix, alg_mul, alg_norm,
                       is_projection, projection_pair, regular_matrix,
                       restrict_cocycle, restrict_to_subgroup,
                       trace_functional, unit)
-from .isolab import (AlgebraModel, ComplexifiedModel, DirectSumModel,
-                     MatrixModel, Morphism, MorphismReport,
+from .isolab import (AlgebraModel, ComplexifiedModel, CornerModel,
+                     DirectSumModel, MatrixModel, Morphism, MorphismReport,
                      QuaternionTensorModel, RingModel, TwistedModel,
                      char_decompose_z2n, cyclic_decompose,
                      extend_generator_images, identity_morphism,

@@ -161,27 +161,6 @@ class RegularMatrix:
     def entry(self, s: int, t: int) -> RingValue:
         return self.entries[s][t]
 
-    def matmul(self, other: "RegularMatrix") -> "RegularMatrix":
-        out = RegularMatrix.__new__(RegularMatrix)
-        out.descriptor, out.size = self.descriptor, self.size
-        n = self.size
-        z = RingValue.zero(self.descriptor)
-        out.entries = [[sum((self.entries[s][k] * other.entries[k][t]
-                             for k in range(n)), z)
-                        for t in range(n)] for s in range(n)]
-        return out
-
-    def adjoint(self) -> "RegularMatrix":
-        out = RegularMatrix.__new__(RegularMatrix)
-        out.descriptor, out.size = self.descriptor, self.size
-        out.entries = [[self.entries[t][s].star() for t in range(self.size)]
-                       for s in range(self.size)]
-        return out
-
-    def close(self, other: "RegularMatrix", tol: float = DEFAULT_TOL) -> bool:
-        return all(self.entries[s][t].close(other.entries[s][t], tol)
-                   for s in range(self.size) for t in range(self.size))
-
     def flatten(self) -> np.ndarray:
         """Block matrix of the entries' dense forms (finite rings), as a
         complex array for every ring: norms over real rings then run the

@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, alg_mul, alg_star, coefficient,
-                      generator, is_projection, unit)
+from .algebra import (AlgebraElement, alg_mul, coefficient, generator,
+                      is_projection, unit)
 from .cocycle import SchurFunction
 from .groups import SubsetGroup, make_subset_group
-from .isolab import (AlgebraModel, ComplexifiedModel, DirectSumModel,
-                     MatrixModel, Morphism, QuaternionTensorModel,
-                     TwistedModel, flat_rows)
+from .isolab import (AlgebraModel, ComplexifiedModel, CornerModel,
+                     DirectSumModel, MatrixModel, Morphism,
+                     QuaternionTensorModel, TwistedModel)
 from .rings import DEFAULT_TOL, RingDescriptor, RingValue, real_basis
 
 MAX_LABELS = 8
@@ -103,45 +103,50 @@ def clifford_cocycle(spec: CliffordSpec) -> SchurFunction:
     return SchurFunction(spec.group, spec.descriptor, vals)
 
 
+def relation_residuals(spec: CliffordSpec, images, target: AlgebraModel):
+    """(message, residual) for each generator relation of S(f_rho) on
+    per-label images x_s in target, label by label: x_s^2 = rho(s),
+    x_s^* = rho(s)^* x_s, and x_s x_r + x_r x_s = 0 for each earlier r."""
+    one = target.unit()
+    for i, x in enumerate(images):
+        lbl, rho = spec.labels[i], spec.values[i]
+        yield (f"x_{lbl}^2 != rho({lbl})",
+               target.diff(target.mul(x, x), target.scale_left(rho, one)))
+        yield (f"x_{lbl}* != rho*({lbl}) x_s",
+               target.diff(target.star(x), target.scale_left(rho.star(), x)))
+        for j, y in enumerate(images[:i]):
+            anti = target.add(target.mul(x, y), target.mul(y, x))
+            yield (f"x_{lbl} and x_{spec.labels[j]} do not anticommute",
+                   target.diff(anti, target.zero()))
+
+
 def universal_map(spec: CliffordSpec, images, target: AlgebraModel,
-                  tol: float = DEFAULT_TOL,
-                  check_scalars: bool = True) -> Morphism:
-    """Extend per-label images satisfying the generator relations to all of
-    S(f_rho) by ordered products V_A -> prod_{s in A, ascending} x_s."""
+                  tol: float = DEFAULT_TOL) -> Morphism:
+    """Extend per-label images satisfying the generator relations, and
+    commuting with the central coefficients, to all of S(f_rho) by ordered
+    products V_A -> prod_{s in A, ascending} x_s."""
     images = list(images)
     if len(images) != spec.size:
         raise ValueError("one image per label required")
     f = clifford_cocycle(spec)
+    for message, residual in relation_residuals(spec, images, target):
+        if residual > tol:
+            raise ValueError(message)
     one = target.unit()
-    for i, x in enumerate(images):
-        sq = target.mul(x, x)
-        if target.diff(sq, target.scale_left(spec.values[i], one)) > tol:
-            raise ValueError(f"x_{spec.labels[i]}^2 != rho({spec.labels[i]})")
-        st = target.star(x)
-        if target.diff(st, target.scale_left(spec.values[i].star(), x)) > tol:
-            raise ValueError(f"x_{spec.labels[i]}* != rho*({spec.labels[i]})"
-                             " x_s")
-        for j in range(i):
-            y = images[j]
-            anti = target.add(target.mul(x, y), target.mul(y, x))
-            if target.diff(anti, target.zero()) > tol:
-                raise ValueError(f"x_{spec.labels[i]} and x_{spec.labels[j]}"
-                                 " do not anticommute")
-    if check_scalars:
-        try:
-            basis = real_basis(spec.descriptor)
-        except ValueError:
-            basis = []
-        for b in basis:
-            if not b.is_central(tol):
-                continue
-            scal = target.scale_left(b, one)
-            for i, x in enumerate(images):
-                comm = target.add(target.mul(scal, x),
-                                  target.neg(target.mul(x, scal)))
-                if target.diff(comm, target.zero()) > tol:
-                    raise ValueError(f"x_{spec.labels[i]} does not commute "
-                                     "with the coefficient ring")
+    try:
+        basis = real_basis(spec.descriptor)
+    except ValueError:
+        basis = []
+    for b in basis:
+        if not b.is_central(tol):
+            continue
+        scal = target.scale_left(b, one)
+        for i, x in enumerate(images):
+            comm = target.add(target.mul(scal, x),
+                              target.neg(target.mul(x, scal)))
+            if target.diff(comm, target.zero()) > tol:
+                raise ValueError(f"x_{spec.labels[i]} does not commute "
+                                 "with the coefficient ring")
     full = [None] * f.group.order
     full[0] = one
     for mask in range(1, f.group.order):
@@ -325,7 +330,9 @@ class IsometryPair:
         """theta* . regular(y) . theta, read back as an element of the base
         algebra via the identity column of its regular matrix.  Only the
         nonzero entries of theta are read, and only the regular-matrix
-        coefficients they meet; sums run in the order of rmat_mul."""
+        coefficients they meet; sums run in ascending order of the inner
+        index, as in the plain product theta* (regular(y) theta), so the
+        result equals that product's exactly."""
         cols = self._columns[1 if sign > 0 else -1]
         d = self.base_f.descriptor
         right = cols[self.base_f.group.identity]
@@ -340,31 +347,6 @@ class IsometryPair:
                 acc = acc + th_ia.star() * mt
             out.coeffs[a] = acc
         return out
-
-
-def rmat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    d = a[0][0].descriptor
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = RingValue.zero(d)
-            for l in range(inner):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def rmat_adjoint(a):
-    return [[a[j][i].star() for j in range(len(a))]
-            for i in range(len(a[0]))]
-
-
-def rmat_residual(a, b) -> float:
-    return max((x - y).abs_bound()
-               for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def split_odd(spec: CliffordSpec, tol: float = DEFAULT_TOL):
@@ -414,25 +396,13 @@ def split_odd(spec: CliffordSpec, tol: float = DEFAULT_TOL):
 
 # -- up to two extra generators: corner embedding --------------------------
 
-@dataclass
-class EvenProjectionReport:
-    projection: AlgebraElement
-    images: list
-    unit_residual: float
-    mult_residual: float
-    star_residual: float
-    image_rank: int
-    corner_rank: int
-    injective: bool
-    surjective: object     # bool for m <= 2, None when not asserted
-
-
 def extend_even_projection(spec: CliffordSpec, m: int, alphas,
                            tol: float = DEFAULT_TOL):
     """Adjoin m generators with rho values alpha_i^2 tilde(S); then
     P = (1/2) V_0 + (1/(2 sqrt m)) sum_i alpha_i* V_{S union {new_i}} is a
-    projection, and X -> (image with phi V_s = P V_s P) embeds S(rho) onto
-    a corner of the extension (onto the full corner when m <= 2)."""
+    projection, and V_s -> P V_s P embeds S(rho) into the corner
+    P S(rho') P (onto it when m <= 2).  Returns (P, Morphism onto
+    CornerModel(P))."""
     _require_even(spec)
     alphas = list(alphas)
     if m < 1 or len(alphas) != m:
@@ -442,50 +412,11 @@ def extend_even_projection(spec: CliffordSpec, m: int, alphas,
     ft = f.tilde(full)
     spec2 = spec.extended([(a * a) * ft for a in alphas])
     f2 = clifford_cocycle(spec2)
-    g2 = f2.group
-    d = spec.descriptor
     c = 1.0 / (2.0 * np.sqrt(m))
-    entries = []
-    for i, a in enumerate(alphas):
-        t = full | (1 << (spec.size + i))
-        entries.append((t, 1, a.star().scale(c)))
+    entries = [(full | (1 << (spec.size + i)), 1, a.star().scale(c))
+               for i, a in enumerate(alphas)]
     p, _ = projection_family(f2, entries, tol=tol)
-
-    def phi_gen(t_mask):
-        # t_mask indexes an element of the base subset group
-        return alg_mul(alg_mul(p, generator(f2, t_mask)), p)
-
-    images = [phi_gen(t) for t in range(f.group.order)]
-    unit_res = 0.0   # by construction phi(V_0) = P, the corner unit
-    mult_res = 0.0
-    for s in range(f.group.order):
-        for t in range(f.group.order):
-            lhs = alg_mul(images[s], images[t])
-            rhs = images[f.group.op(s, t)].scale_ring(f.values[s][t])
-            mult_res = max(mult_res, _elem_residual(lhs, rhs))
-    star_res = 0.0
-    for t in range(f.group.order):
-        lhs = alg_star(images[t])
-        rhs = images[f.group.inverse(t)].scale_ring(f.tilde(t))
-        star_res = max(star_res, _elem_residual(lhs, rhs))
-
-    basis = real_basis(d)
-    tgt = TwistedModel(f2)
-    img_rows = [tgt.slots(x.scale_ring(b)) for x in images for b in basis]
-    image_rank = int(np.linalg.matrix_rank(flat_rows(img_rows)))
-    corner_rows = []
-    for u in range(g2.order):
-        for b in basis:
-            el = alg_mul(alg_mul(p, generator(f2, u).scale_ring(b)), p)
-            corner_rows.append(tgt.slots(el))
-    corner_rank = int(np.linalg.matrix_rank(flat_rows(corner_rows)))
-    source_dim = f.group.order * len(basis)
-    injective = image_rank == source_dim
-    surjective = image_rank == corner_rank if m <= 2 else None
-    return p, EvenProjectionReport(p, images, unit_res, mult_res, star_res,
-                                   image_rank, corner_rank, injective,
-                                   surjective)
-
-
-def _elem_residual(x: AlgebraElement, y: AlgebraElement) -> float:
-    return max((a - b).abs_bound() for a, b in zip(x.coeffs, y.coeffs))
+    # a base element t indexes the same subset in the extended group
+    images = [alg_mul(alg_mul(p, generator(f2, t)), p)
+              for t in range(f.group.order)]
+    return p, Morphism(f, CornerModel(p), images)

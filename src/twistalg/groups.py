@@ -75,10 +75,9 @@ class GroupTable:
         return int(self.inv[a])
 
     def power(self, t: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(t), -k)
+        """t^k for any integer k, as t^(k mod order) (Lagrange)."""
         acc = self.identity
-        for _ in range(k):
+        for _ in range(k % self.order):
             acc = self.op(acc, t)
         return acc
 

@@ -1,14 +1,15 @@
 """Named isomorphisms between twisted algebras and concrete models.
 
-A model is an algebra we can compute in: a twisted algebra, a coefficient
-ring, k x k matrices over a model, a complexification, a quaternion tensor,
-or a finite direct sum.  A morphism from S(f) stores one image per
-generator and acts E-linearly; the verifier measures multiplicativity and
-star residuals and certifies bijectivity by real-linear rank over the
-flattened coefficient basis.  Over finite coefficient rings it checks
-products and stars on the models' dense forms (each model's dense,
-readout and star_readout), over Laurent rings one model operation at a
-time.
+A model is an algebra we can compute in: a twisted algebra, a corner
+p S(f) p of one, a coefficient ring, k x k matrices over a model, a
+complexification, a quaternion tensor, or a finite direct sum.  A morphism
+from S(f) stores one image per generator and acts E-linearly; the verifier
+measures unit, multiplicativity and star residuals and certifies
+bijectivity by real-linear rank over the flattened coefficient basis,
+against the target's real dimension (for a corner, the real rank of
+p S(f) p).  Over finite coefficient rings it checks products and stars on
+the models' dense forms (each model's dense, readout and star_readout),
+over Laurent rings one model operation at a time.
 """
 from __future__ import annotations
 
@@ -171,6 +172,32 @@ class TwistedModel(AlgebraModel):
                            y.shape[2])[:, g.inv]
         return _cmul(tilde[:, :, None],
                      star_readout(self.base, blocks)).reshape(y.shape)
+
+
+class CornerModel(TwistedModel):
+    """The corner p S(f) p of a projection p in S(f), with unit p.  Its
+    elements are those of S(f) of the form p x p, with the arithmetic and
+    the dense form of S(f)."""
+
+    def __init__(self, p: AlgebraElement):
+        super().__init__(p.cocycle)
+        self.p = p
+
+    def unit(self):
+        return self.p
+
+    def total_real_dim(self):
+        """The real rank of the elements p (b V_u) p, over every group
+        element u and every b of a real basis of the coefficients."""
+        try:
+            basis = real_basis(self.base)
+        except ValueError:
+            return None
+        p = self.p
+        rows = [self.slots(alg_mul(alg_mul(p, generator(self.f, u)
+                                           .scale_ring(b)), p))
+                for u in range(self.f.group.order) for b in basis]
+        return int(np.linalg.matrix_rank(flat_rows(rows)))
 
 
 class MatrixModel(AlgebraModel):

@@ -312,11 +312,14 @@ def test_console_script_entry_point(tmp_path):
     # the installed script must point at that same callable
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     text = pyproject.read_text()
+    # and the distribution carries the package's name
     if tomllib is not None:
-        scripts = tomllib.loads(text)["project"]["scripts"]
-        assert scripts["twistalg"] == "twistalg.cli:main"
+        project = tomllib.loads(text)["project"]
+        assert project["scripts"]["twistalg"] == "twistalg.cli:main"
+        assert project["name"] == "twistalg"
     else:
         assert 'twistalg = "twistalg.cli:main"' in text
+        assert '\nname = "twistalg"\n' in text
 
 
 def test_cli_start_up_does_not_load_dense(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalg import (COMPLEX, REAL, AlgebraElement, CliffordSpec,
-                      MatrixModel, QuaternionTensorModel, RingValue,
+                      MatrixModel, Morphism, QuaternionTensorModel, RingValue,
                       TwistedModel, alg_mul, alg_star, clifford_cocycle,
                       complexify_odd, corner_projection,
                       extend_even_projection, extend_two_matrix,
@@ -15,8 +15,9 @@ from twistalg import (COMPLEX, REAL, AlgebraElement, CliffordSpec,
                       laurent, matrix_corner_elements, projection_family,
                       regular_matrix, split_odd, transposition_sign, unit,
                       universal_map, validate, verify_morphism)
-from twistalg.clifford import rmat_adjoint, rmat_mul, rmat_residual
 from twistalg.isolab import RingModel
+
+from rmat import rmat_adjoint, rmat_mul, rmat_residual
 
 ONE_C = RingValue.unit(COMPLEX)
 ONE_R = RingValue.unit(REAL)
@@ -152,6 +153,11 @@ def test_universal_map_names_offending_relation():
                       target)
     with pytest.raises(ValueError, match="anticommute"):
         universal_map(spec, [generator(f, 1), generator(f, 1)], target)
+    # squares to 1 but is not self-adjoint
+    x = [[RingValue.zero(COMPLEX), ONE_C.scale(2.0)],
+         [ONE_C.scale(0.5), RingValue.zero(COMPLEX)]]
+    with pytest.raises(ValueError, match="x_1\\* != rho\\*\\(1\\) x_s"):
+        universal_map(cspec([1]), [x], MatrixModel(2, RingModel(COMPLEX)))
 
 
 # -- projection families ---------------------------------------------------
@@ -293,22 +299,35 @@ def test_extend_even_projection_full_corner(m):
     spec = cspec([1, -1])
     alphas = [RingValue.scalar(COMPLEX, np.exp(0.3j * (i + 1)))
               for i in range(m)]
-    p, rep = extend_even_projection(spec, m, alphas)
+    p, phi = extend_even_projection(spec, m, alphas)
     assert is_projection(p)
-    assert rep.mult_residual < 1e-12 and rep.star_residual < 1e-12
-    assert rep.injective
-    assert rep.surjective is True
-    assert rep.image_rank == rep.corner_rank == 8
+    assert phi.target.unit() is p
+    rep = verify_morphism(phi)
+    assert rep.bijective()
+    assert rep.unit_residual <= 1e-12
+    assert rep.image_rank == rep.target_dim == 8
 
 
 def test_extend_even_projection_m3():
+    # three extra generators: the corner is larger than the image
     spec = cspec([])
     alphas = [ONE_C, ONE_C, ONE_C]
-    p, rep = extend_even_projection(spec, 3, alphas)
+    p, phi = extend_even_projection(spec, 3, alphas)
     assert is_projection(p)
-    assert rep.mult_residual < 1e-12 and rep.star_residual < 1e-12
-    assert rep.injective
-    assert rep.surjective is None       # not asserted for m >= 3
+    rep = verify_morphism(phi)
+    assert rep.ok() and rep.injective
+    assert rep.surjective is False
+    assert rep.image_rank == 2 < rep.target_dim == 4
+
+
+def test_extend_even_projection_unit_residual_is_measured():
+    # V_0 mapped to the unit V_0 of S(rho'), not to the corner's unit P:
+    # V_0 - P has coefficients 1/2 and -1/2 alpha*
+    p, phi = extend_even_projection(cspec([1, -1]), 1, [ONE_C])
+    images = [generator(p.cocycle, 0)] + phi.images[1:]
+    rep = verify_morphism(Morphism(phi.source, phi.target, images))
+    assert rep.unit_residual == pytest.approx(0.5)
+    assert not rep.ok()
 
 
 def test_double_matrix_extension_composes():

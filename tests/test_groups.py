@@ -31,6 +31,9 @@ def test_power():
     assert g.power(2, 3) == 1
     assert g.power(2, 0) == 0
     assert g.power(2, -1) == 3
+    # reduced mod the order first: no loop of 4 million steps
+    assert g.power(2, 4 * 10**6 + 3) == 1
+    assert g.power(2, -(4 * 10**6 + 1)) == 3
 
 
 def test_non_associative_table_rejected():

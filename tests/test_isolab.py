@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 
 from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, QUATERNION, REAL,
                       AlgebraElement, CliffordSpec, ComplexifiedModel,
-                      DirectSumModel, Lambda, MatrixModel, Morphism,
-                      MorphismReport, QuaternionTensorModel, RingModel,
-                      RingValue, TwistedModel, alg_mul, alg_star,
+                      CornerModel, DirectSumModel, Lambda, MatrixModel,
+                      Morphism, MorphismReport, QuaternionTensorModel,
+                      RingModel, RingValue, TwistedModel, alg_mul, alg_star,
                       char_decompose_z2n, clifford_cocycle, coboundary,
                       cocycle_mul, complexify_odd, cyclic_decompose,
-                      direct_product, extend_generator_images,
-                      extend_two_matrix, extend_two_quaternion, generator,
-                      identity_morphism, klein_complex_pair, klein_matrix,
-                      klein_quaternion, klein_split4, klein_table,
+                      direct_product, extend_even_projection,
+                      extend_generator_images, extend_two_matrix,
+                      extend_two_quaternion, generator, identity_morphism,
+                      klein_complex_pair, klein_matrix, klein_quaternion,
+                      klein_split4, klein_table,
                       lambda_isomorphism, laurent, laurent_z2_rewrite,
                       make_cyclic, make_f_alpha, make_subset_group,
                       matrix_ring, product_ring, real_basis, real_dim,
@@ -356,7 +357,8 @@ def test_matrix_model_mul_matches_numpy():
 RINGS = {"C": COMPLEX, "R": REAL, "H": QUATERNION, "M2": matrix_ring(2),
          "CxM2": product_ring(COMPLEX, matrix_ring(2))}
 CONSTRUCTORS = ["identity", "lambda", "z2_split", "klein_matrix",
-                "klein_split4", "extend_two_matrix", "split_odd"]
+                "klein_split4", "extend_two_matrix", "split_odd",
+                "extend_even_projection"]
 REAL_CONSTRUCTORS = ["z2_complexify", "complexify_odd", "klein_quaternion",
                      "klein_complex_pair", "extend_two_quaternion"]
 CASES = ([(r, c) for r in RINGS for c in CONSTRUCTORS]
@@ -415,6 +417,14 @@ def random_spec(d, data, size=None):
                         [central_unitary(d, data) for _ in range(size)], d)
 
 
+def corner_morphism(d, data):
+    """extend_even_projection on a random base with m = 1, 2 or 3 (onto
+    its corner for m <= 2, into it for m = 3)."""
+    m = data.draw(st.integers(1, 3))
+    return extend_even_projection(random_spec(d, data), m, [
+        central_unitary(d, data) for _ in range(m)])[1]
+
+
 def build_morphism(name, d, data):
     u = lambda: central_unitary(d, data)      # noqa: E731
     if name == "identity":
@@ -439,6 +449,8 @@ def build_morphism(name, d, data):
         return split_odd(random_spec(d, data))[3]
     if name == "complexify_odd":
         return complexify_odd(random_spec(d, data))
+    if name == "extend_even_projection":
+        return corner_morphism(d, data)
     x, y, gamma, alpha = u(), u(), u(), u()
     xx, yy = x * x * gamma.star(), y * y * gamma.star()
     if name == "klein_matrix":
@@ -610,6 +622,7 @@ MODEL_CASES = {
     MatrixModel: lambda d, data, depth: MatrixModel(
         data.draw(st.integers(1, 3)), inner_model(d, data, depth)),
     DirectSumModel: direct_sum_case,
+    CornerModel: lambda d, data, depth: corner_morphism(d, data).target,
     ComplexifiedModel: lambda d, data, depth: ComplexifiedModel(
         inner_model(d, data, depth)),
     QuaternionTensorModel: lambda d, data, depth: QuaternionTensorModel(
@@ -639,8 +652,11 @@ def random_element(model, rng):
     if isinstance(model, RingModel):
         return rng_value(model.base, rng)
     if isinstance(model, TwistedModel):
-        return AlgebraElement(model.f, [rng_value(model.base, rng)
-                                        for _ in range(model.f.group.order)])
+        x = AlgebraElement(model.f, [rng_value(model.base, rng)
+                                     for _ in range(model.f.group.order)])
+        if isinstance(model, CornerModel):      # a corner element p x p
+            x = model.mul(model.mul(model.unit(), x), model.unit())
+        return x
     if isinstance(model, MatrixModel):
         return [[random_element(model.inner, rng) for _ in range(model.k)]
                 for _ in range(model.k)]
@@ -672,9 +688,16 @@ def test_every_algebra_model_dense_form_matches_object_arithmetic(
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     a, b = random_element(model, rng), random_element(model, rng)
     dense_a, ra, rb = model.dense([a])[0], *model.readout([a, b])
-    # the unit's form is the identity and its readout picks the columns
-    # that hold an element
-    assert_close(model.dense([model.unit()])[0], np.eye(len(dense_a)))
+    # the unit's form is the identity (for a corner, a self-adjoint
+    # idempotent that fixes its elements) and its readout picks the
+    # columns that hold an element
+    unit_form = model.dense([model.unit()])[0]
+    if cls is CornerModel:
+        assert_close(unit_form, unit_form.conj().T)
+        assert_close(unit_form @ unit_form, unit_form)
+        assert_close(unit_form @ ra, ra)
+    else:
+        assert_close(unit_form, np.eye(len(dense_a)))
     assert_close(dense_a @ model.readout([model.unit()])[0], ra)
     # the readout carries exactly the coordinates diff compares
     assert abs(np.abs(ra - rb).max() - model.diff(a, b)) <= 1e-12
