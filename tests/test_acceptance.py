@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, REAL,
-                      AlgebraElement, CliffordSpec, DirectSumModel, Lambda,
-                      Morphism, RingModel, RingValue, SchurFunction, alg_mul,
+                      AlgebraElement, CliffordSpec, CornerModel,
+                      DirectSumModel, Lambda, Morphism, RingModel, RingValue,
+                      SchurFunction, alg_mul,
                       alg_norm, alg_star, char_decompose_z2n,
                       clifford_cocycle, coboundary, complexify_odd,
                       cyclic_decompose, direct_product, equivalent_cyclic,
@@ -38,8 +39,8 @@ from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, REAL,
                       z2_complexify, z2_split, z2n_torus_rewrite,
                       z2z4_cocycle, z2z4_corrected_cocycle, z2z4_decompose)
 from twistalg.cli import main as cli_main
-from twistalg.isolab import MatrixModel, TwistedModel, flat_rows
-from twistalg.rings import matrix_ring, real_basis
+from twistalg.isolab import MatrixModel
+from twistalg.rings import matrix_ring
 
 from rmat import rmat_adjoint, rmat_mul, rmat_residual
 
@@ -440,16 +441,6 @@ def test_criterion_10_clifford_periodicity():
 
 # -- 11 --------------------------------------------------------------------
 
-def corner_rank(p):
-    """Real rank of the corner p S(f) p, spanned by p (b V_u) p over the
-    group elements u and a real basis b of E."""
-    f = p.cocycle
-    tgt = TwistedModel(f)
-    rows = [tgt.slots(alg_mul(alg_mul(p, generator(f, u).scale_ring(b)), p))
-            for u in range(f.group.order) for b in real_basis(f.descriptor)]
-    return int(np.linalg.matrix_rank(flat_rows(rows)))
-
-
 def half_sum(f, s, t, c=1.0):
     """(1/2)(V_s + c V_t)."""
     p = AlgebraElement.zero(f)
@@ -501,7 +492,7 @@ def test_criterion_11_order8_instance():
     for p, rank in [(p, 2) for p in minimal] + [(p, 8) for p in central]:
         ok = ok and (alg_mul(p, p) - p).is_zero(TOL)
         ok = ok and (alg_star(p) - p).is_zero(TOL)
-        ok = ok and corner_rank(p) == rank
+        ok = ok and CornerModel(p).total_real_dim() == rank
     ok = refuted and ok
     announce(11, "order-8 instance decomposition", ok)
     assert ok

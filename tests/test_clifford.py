@@ -304,6 +304,7 @@ def test_extend_even_projection_full_corner(m):
     assert phi.target.unit() is p
     rep = verify_morphism(phi)
     assert rep.bijective()
+    assert rep.mult_residual < 1e-12 and rep.star_residual < 1e-12
     assert rep.unit_residual <= 1e-12
     assert rep.image_rank == rep.target_dim == 8
 
@@ -316,6 +317,8 @@ def test_extend_even_projection_m3():
     assert is_projection(p)
     rep = verify_morphism(phi)
     assert rep.ok() and rep.injective
+    assert rep.mult_residual < 1e-12 and rep.star_residual < 1e-12
+    assert rep.unit_residual <= 1e-12
     assert rep.surjective is False
     assert rep.image_rank == 2 < rep.target_dim == 4
 
