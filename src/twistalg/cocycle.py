@@ -49,7 +49,7 @@ def _monomial_table(values, descriptor):
         exps = np.empty((n, n, descriptor.m), dtype=np.int64)
         for s in range(n):
             for t in range(n):
-                mono = values[s][t].is_monomial()
+                mono = values[s][t].is_monomial(0.0)
                 if mono is None:
                     return None
                 coeff[s, t], exps[s, t] = mono[0], mono[1]
@@ -160,21 +160,24 @@ def _scalar_entry_checks(rep: ValidationReport, g: GroupTable, coeff,
 def _monomial_cocycle_check(rep: ValidationReport, mul, coeff, exps,
                             tol: float):
     """f(r,s) f(rs,t) = f(r,st) f(s,t) over all triples of a monomial
-    table, one block of rows r at a time: peak memory O(n^2 * B)."""
+    table, one block of rows r at a time: peak memory O(n^2 * B).  Where
+    the two sides' exponents differ, their difference has two terms, and
+    the residual is the larger coefficient, as RingValue.abs_bound."""
     for rows in row_blocks(len(mul)):
         # lhs[r,s,t] = f(r,s) f(rs,t); rhs[r,s,t] = f(r,st) f(s,t)
         lhs = coeff[mul[rows]]
         lhs *= coeff[rows, :, None]
         rhs = coeff[rows][:, mul]
         rhs *= coeff
-        lhs -= rhs
-        res = np.abs(lhs)
-        bad = res > tol
         if exps.shape[-1]:
             moved = np.any(exps[rows, :, None] + exps[mul[rows]]
                            != exps[rows][:, mul] + exps, axis=-1)
-            res[moved] = np.maximum(res[moved], 2.0)
-            bad |= moved
+            apart = np.maximum(np.abs(lhs[moved]), np.abs(rhs[moved]))
+        lhs -= rhs
+        res = np.abs(lhs)
+        if exps.shape[-1]:
+            res[moved] = apart
+        bad = res > tol
         # np.nonzero is slow on 3-d arrays; flat indices keep row-major order
         for r, s, t in zip(*np.unravel_index(np.flatnonzero(bad), bad.shape)):
             rep.add("cocycle", (rows.start + int(r), int(s), int(t)),

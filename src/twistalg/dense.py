@@ -13,9 +13,11 @@ from isolab.
 Faithful *-representations of a finite-dimensional C*-algebra are
 isometric, so norms taken on these arrays are the C*-norms.  The forms are
 also picked so that the columns that hold an element (its readout) carry
-exactly the coordinates the model's diff compares, and dense_residuals
-reproduces the residuals of the object loop (isolab.object_residuals) when
-every cocycle value is central; it refuses other tables (NotCentral).
+exactly the coordinates the model's diff compares.  A cocycle value acts
+on a readout by its own b x b dense form (value_blocks), on each group of
+b rows, so dense_residuals reproduces the residuals of the object loop
+(isolab.object_residuals) for every table, central or not.  It checks a
+map into a direct sum one summand at a time.
 """
 from __future__ import annotations
 
@@ -31,11 +33,6 @@ BLOCK_ENTRIES = 1 << 13
 _QIDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _QSIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0],
                    [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
-
-
-class NotCentral(ValueError):
-    """A cocycle value that is not central: it does not act on dense forms
-    as row scalars, so dense_residuals does not apply."""
 
 
 # -- coefficient rings -----------------------------------------------------
@@ -126,35 +123,12 @@ def readout_array(d: RingDescriptor, values) -> np.ndarray:
     return dense_array(d, values)[:, :, readout_columns(d)]
 
 
-def central_rows(d: RingDescriptor, values) -> np.ndarray:
-    """A table of central values as row scalars: the dense form of a
-    central value is diagonal, so multiplying by it on the left scales row
-    i by rows[i].  values is a list of lists; the result is (n, m, b).
-    Raises NotCentral unless every value is exactly central: its dense
-    form is diagonal and constant over each ring factor."""
-    n, m = len(values), len(values[0])
-    flat = [v for row in values for v in row]
-    if d.kind in ("complex", "real"):
-        return np.array([v.payload for v in flat],
-                        dtype=dense_dtype(d)).reshape(n, m, 1)
-    full = dense_array(d, flat)
-    diag = np.diagonal(full, axis1=1, axis2=2)
-    if np.count_nonzero(full) != np.count_nonzero(diag) or any(
-            (diag[:, o:o + b] != diag[:, o:o + 1]).any()
-            for o, b in _factor_spans(d)):
-        raise NotCentral("cocycle values are not central")
-    return diag.reshape(n, m, dense_size(d))
-
-
-def _factor_spans(d: RingDescriptor, o: int = 0) -> list:
-    """(offset, side) of each non-product factor's block in value_dense."""
-    if d.kind != "product":
-        return [(o, dense_size(d))]
-    out = []
-    for f in d.factors:
-        out.extend(_factor_spans(f, o))
-        o += dense_size(f)
-    return out
+def value_blocks(d: RingDescriptor, values) -> np.ndarray:
+    """(n, m, b, b) dense forms of a table of values of ring d, given as a
+    list of n lists of m values."""
+    b = dense_size(d)
+    return dense_array(d, [v for row in values for v in row]).reshape(
+        len(values), -1, b, b)
 
 
 def star_readout(d: RingDescriptor, y: np.ndarray) -> np.ndarray:
@@ -176,25 +150,17 @@ def star_readout(d: RingDescriptor, y: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- exact elementwise arithmetic ------------------------------------------
-
-def _cmul(x, y):
-    """x * y elementwise, rounded as Python's complex product (numpy's
-    own complex multiply may fuse operations and round differently)."""
-    if not np.iscomplexobj(x) and not np.iscomplexobj(y):
-        return x * y
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    return _complex(xr * yr - xi * yi, xr * yi + xi * yr)
-
+# -- exact block arithmetic -----------------------------------------------
 
 def _matmul(a, b):
-    """a @ b for a (..., i, j) and b (j, k); complex products as four real
-    ones, so a product with one nonzero term rounds as Python's complex
-    product (complex BLAS gemm may round it differently).  numpy's own
-    loops (einsum), not BLAS: the first real gemm call of a process adds
-    about 0.26 MB of resident library code."""
+    """a @ b for a (..., i, j) and b (..., j, k), broadcast over the
+    leading axes; complex products as four real ones, so a product with
+    one nonzero term rounds as Python's complex product (complex BLAS gemm
+    may round it differently).  numpy's own loops (einsum), not BLAS: the
+    first real gemm call of a process adds about 0.26 MB of resident
+    library code."""
     if not np.iscomplexobj(a) and not np.iscomplexobj(b):
-        return np.einsum("...ij,jk->...ik", a, b)
+        return np.einsum("...ij,...jk->...ik", a, b)
     return _complex(_matmul(a.real, b.real) - _matmul(a.imag, b.imag),
                     _matmul(a.real, b.imag) + _matmul(a.imag, b.real))
 
@@ -206,13 +172,14 @@ def _complex(re, im):
     return out
 
 
-def _scale_rows(rows, y):
-    """Left multiplication of dense forms or readouts y (..., D, r) by
-    central ring values given as row scalars rows (..., b)."""
-    b = rows.shape[-1]
+def _act(blocks, y):
+    """Left multiplication of readouts y (..., D, r) by ring values given
+    as dense forms blocks (..., b, b): each group of b rows of y by its
+    value's form."""
+    b = blocks.shape[-1]
     shape = y.shape
     y = y.reshape(shape[:-2] + (shape[-2] // b, b, shape[-1]))
-    return _cmul(rows[..., None, :, None], y).reshape(shape)
+    return _matmul(blocks[..., None, :, :], y).reshape(shape)
 
 
 def _max_abs(y) -> float:
@@ -224,41 +191,40 @@ def _max_abs(y) -> float:
     return float(np.abs(y).max())
 
 
-def _diagonal(blocks):
-    """(N, k, s, w) blocks to (N, k s, k w) block diagonal arrays."""
-    n, k, s, w = blocks.shape
-    out = np.zeros((n, k, s, k, w), dtype=blocks.dtype)
-    idx = np.arange(k)
-    out[:, idx, :, idx, :] = blocks.transpose(1, 0, 2, 3)
-    return out.reshape(n, k * s, k * w)
-
-
 # -- the morphism check ----------------------------------------------------
 
-def dense_residuals(m):
-    """isolab.object_residuals of a Morphism, on the target's dense form.
+def dense_residuals(f, summands):
+    """isolab.object_residuals of a morphism out of S(f), on dense forms.
 
-    Each product image_s image_t is computed only on the columns that
-    hold its slots, for a block of rows s at a time against all t, and
-    compared with f(s,t) image_{st}; cocycle values act as row scalars.
-    Raises NotCentral, before any product image_s image_t, if a value of
-    the source cocycle or of a twisted algebra in the target is not
-    central.
+    summands holds one (model, images) pair per summand of the target
+    (isolab._summands): a map into a direct sum is a unital
+    *-homomorphism exactly when each component is, and each residual is
+    the maximum over the components.  On each, every product
+    image_s image_t is computed only on the columns that hold its slots,
+    for a block of rows s at a time against all t, and compared with
+    f(s,t) image_{st}.
     """
-    f, g, tgt = m.source, m.source.group, m.target
-    rows = central_rows(f.descriptor, f.values)         # (n, n, b)
+    g, n = f.group, f.group.order
+    blocks = value_blocks(f.descriptor, f.values)           # (n, n, b, b)
+    # f(t, t^{-1})^*
+    tilde = blocks[np.arange(n), g.inv].conj().swapaxes(-1, -2)
+    res = [_summand_residuals(g, blocks, tilde, tgt, images)
+           for tgt, images in summands]
+    return tuple(max(r) for r in zip(*res))
+
+
+def _summand_residuals(g, blocks, tilde, tgt, images):
     n = g.order
-    y = tgt.readout(m.images)                           # (n, size, cols)
+    y = tgt.readout(images)                             # (n, size, cols)
     size, cols = y.shape[1:]
     unit_res = _max_abs(y[g.identity] - tgt.readout([tgt.unit()])[0])
     # the readouts of every image side by side: (size, n cols)
     right = y.transpose(1, 0, 2).reshape(size, n * cols)
     mult_res = 0.0
     for blk in row_blocks(n, n * size * cols + size * size, BLOCK_ENTRIES):
-        lhs = _matmul(tgt.dense(m.images[blk]), right)
+        lhs = _matmul(tgt.dense(images[blk]), right)
         lhs = lhs.reshape(-1, size, n, cols).transpose(0, 2, 1, 3)
-        rhs = _scale_rows(rows[blk], y[g.mul[blk]])
+        rhs = _act(blocks[blk], y[g.mul[blk]])
         mult_res = max(mult_res, _max_abs(lhs - rhs))
-    tilde = rows[np.arange(n), g.inv].conj()            # f(t, t^{-1})^*
-    star_res = _max_abs(tgt.star_readout(y) - _scale_rows(tilde, y[g.inv]))
+    star_res = _max_abs(tgt.star_readout(y) - _act(tilde, y[g.inv]))
     return unit_res, mult_res, star_res

@@ -101,7 +101,6 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     ng, nh = g.order, h.order
     if ng * nh > MAX_ORDER:
         raise ValueError("product order exceeds cap")
-    mul = np.empty((ng * nh, ng * nh), dtype=np.int64)
     # (a1,b1)(a2,b2) = (a1 a2, b1 b2); index (a,b) -> a*nh + b
     ga = g.mul[:, None, :, None] * nh
     hb = h.mul[None, :, None, :]

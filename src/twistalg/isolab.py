@@ -9,7 +9,8 @@ bijectivity by real-linear rank over the flattened coefficient basis,
 against the target's real dimension (for a corner, the real rank of
 p S(f) p).  Over finite coefficient rings it checks products and stars on
 the models' dense forms (each model's dense, readout and star_readout),
-over Laurent rings one model operation at a time.
+and a map into a direct sum one summand at a time (_summands); over
+Laurent rings it checks them one model operation at a time.
 """
 from __future__ import annotations
 
@@ -40,8 +41,11 @@ class AlgebraModel:
     of a readout difference is the model's diff; star_readout(y) maps
     readouts of elements to readouts of their stars with the same
     arithmetic as the model's star.  Row i belongs to row i % b of the
-    coefficient ring's dense form (b = dense.dense_size), so a central ring
-    value acts by scaling rows.
+    coefficient ring's dense form (b = dense.dense_size), and a ring value
+    x acts on each group of b rows of a readout by its dense form: the
+    readout of scale_left(x, a) is that of a with each group of b rows
+    multiplied on the left by x's form.  A DirectSumModel has no dense
+    form; the verifier checks a map into it one summand at a time.
     """
 
     base: RingDescriptor
@@ -135,26 +139,26 @@ class TwistedModel(AlgebraModel):
 
     @cached_property
     def _dense_tables(self):
-        """(r, frows, tilde), read from f once, on first use of the dense
-        form: r[t, u] = t u^{-1}, frows[t, u] = f(r, u) and tilde[t] =
-        f(t, t^{-1})^* as row scalars.  Raises dense.NotCentral unless
-        every value of f is central."""
-        from .dense import central_rows
+        """(r, fr, tilde), read from f once, on first use of the dense
+        form: r[t, u] = t u^{-1}, fr[t, u] = f(r, u) and tilde[t] =
+        f(t, t^{-1})^*, as dense forms."""
+        from .dense import value_blocks
         g = self.f.group
         idx = np.arange(g.order)
-        rows = central_rows(self.base, self.f.values)
+        blocks = value_blocks(self.base, self.f.values)
         r = g.mul[:, g.inv]
-        return r, rows[r, idx], rows[idx, g.inv].conj()
+        return (r, blocks[r, idx],
+                blocks[idx, g.inv].conj().swapaxes(-1, -2))
 
     def dense(self, elems):
         """The regular representation: block (t, u) is f(r, u) X_r with
         r = t u^{-1}, so block column 1 is the coefficient vector."""
-        from .dense import _cmul, dense_array
-        r, frows, _ = self._dense_tables
+        from .dense import _matmul, dense_array
+        r, fr, _ = self._dense_tables
         n = self.f.group.order
         xd = dense_array(self.base, [c for x in elems for c in x.coeffs])
         b = xd.shape[-1]
-        blocks = _cmul(frows[..., None], xd.reshape(-1, n, b, b)[:, r])
+        blocks = _matmul(fr, xd.reshape(-1, n, b, b)[:, r])
         return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, n * b, n * b)
 
     def readout(self, elems):
@@ -165,13 +169,13 @@ class TwistedModel(AlgebraModel):
 
     def star_readout(self, y):
         # (X^*)_t = tilde f(t) (X_{t^{-1}})^*, as alg_star
-        from .dense import _cmul, star_readout
+        from .dense import _matmul, star_readout
         _, _, tilde = self._dense_tables
         g = self.f.group
         blocks = y.reshape(len(y), g.order, y.shape[1] // g.order,
                            y.shape[2])[:, g.inv]
-        return _cmul(tilde[:, :, None],
-                     star_readout(self.base, blocks)).reshape(y.shape)
+        return _matmul(tilde, star_readout(self.base, blocks)).reshape(
+            y.shape)
 
 
 class CornerModel(TwistedModel):
@@ -204,6 +208,7 @@ class MatrixModel(AlgebraModel):
     """k x k matrices with entries in an inner model."""
 
     def __init__(self, k: int, inner: AlgebraModel):
+        _refuse_sum(inner)
         self.k = k
         self.inner = inner
         self.base = inner.base
@@ -320,55 +325,21 @@ class DirectSumModel(AlgebraModel):
             return None
         return sum(dims)
 
-    @cached_property
-    def _runs(self):
-        """The dense form is block diagonal.  A summand repeated in a row,
-        as in DirectSumModel(*[e] * n), is one run: its form is called
-        once for all of the run's blocks.  Each run is (summand, count,
-        size, cols) with the summand's dense form (size, size) and
-        readouts (size, cols)."""
-        runs = []
-        for mod in self.models:
-            if runs and runs[-1][0] is mod:
-                runs[-1][1] += 1
-            else:
-                runs.append([mod, 1, *mod.readout([mod.unit()]).shape[1:]])
-        return runs
 
-    def _block_diag(self, elems, square):
-        from .dense import _diagonal, dense_dtype
-        n, runs = len(elems), self._runs
-        size = sum(k * s for _, k, s, _ in runs)
-        cols = size if square else sum(k * w for _, k, _, w in runs)
-        out = np.zeros((n, size, cols), dtype=dense_dtype(self.base))
-        o = c = i = 0
-        for mod, k, s, _ in runs:
-            fn = mod.dense if square else mod.readout
-            y = fn([e[j] for e in elems for j in range(i, i + k)])
-            w = y.shape[-1]
-            out[:, o:o + k * s, c:c + k * w] = _diagonal(y.reshape(n, k, s, w))
-            o, c, i = o + k * s, c + k * w, i + k
-        return out
+def _refuse_sum(inner: AlgebraModel):
+    # M_k(A + B) = M_k(A) + M_k(B), and likewise for C (x) and H (x)
+    if isinstance(inner, DirectSumModel):
+        raise ValueError("a direct sum must be the outermost model")
 
-    def dense(self, elems):
-        return self._block_diag(elems, True)
 
-    def readout(self, elems):
-        return self._block_diag(elems, False)
-
-    def star_readout(self, y):
-        from .dense import _diagonal
-        out = np.zeros_like(y)
-        n, o, c = len(y), 0, 0
-        for mod, k, s, w in self._runs:
-            sub = y[:, o:o + k * s, c:c + k * w].reshape(n, k, s, k, w)
-            idx = np.arange(k)
-            diag = sub[:, idx, :, idx, :].transpose(1, 0, 2, 3)
-            st = mod.star_readout(diag.reshape(n * k, s, w))
-            out[:, o:o + k * s, c:c + k * w] = _diagonal(
-                st.reshape(n, k, s, w))
-            o, c = o + k * s, c + k * w
-        return out
+def _summands(target: AlgebraModel, images) -> list:
+    """(model, images) pairs, one per summand of a direct sum target with
+    the images' components in it, nested sums flattened; [(target,
+    images)] for any other model."""
+    if not isinstance(target, DirectSumModel):
+        return [(target, images)]
+    return [pair for i, mod in enumerate(target.models)
+            for pair in _summands(mod, [im[i] for im in images])]
 
 
 # structure constants of the units 1, i of C and 1, i, j, k of H:
@@ -395,6 +366,7 @@ class HypercomplexModel(AlgebraModel):
     name = None              # the construction, for error messages
 
     def __init__(self, inner: AlgebraModel):
+        _refuse_sum(inner)
         if not inner.base.is_real:
             raise ValueError(f"{self.name} needs a real inner model")
         self.inner = inner
@@ -484,41 +456,11 @@ class QuaternionTensorModel(HypercomplexModel):
 
 # -- flattening and rank ---------------------------------------------------
 
-def _expand_products(slotlists):
-    out = []
-    for slots in slotlists:
-        row = []
-        for v in slots:
-            if v.descriptor.kind == "product":
-                row.extend(v.payload)
-            else:
-                row.append(v)
-        out.append(row)
-    if any(v.descriptor.kind == "product" for row in out for v in row):
-        return _expand_products(out)
-    return out
-
-
 def flat_rows(slotlists) -> np.ndarray:
-    """One real row vector per slot list, with consistent coordinates
-    (Laurent slots use the union of all occurring exponents)."""
-    slotlists = _expand_products(slotlists)
-    cols = list(zip(*slotlists))
-    pieces = []
-    for col in cols:
-        d = col[0].descriptor
-        if d.kind == "laurent":
-            exps = sorted({e for v in col for e in v.payload})
-            arr = np.zeros((len(col), 2 * max(len(exps), 1)))
-            for i, v in enumerate(col):
-                for j, e in enumerate(exps):
-                    c = v.payload.get(e, 0j)
-                    arr[i, 2 * j] = c.real
-                    arr[i, 2 * j + 1] = c.imag
-        else:
-            arr = np.stack([v.real_flat() for v in col])
-        pieces.append(arr)
-    return np.hstack(pieces)
+    """One real row vector per slot list (finite coefficient rings): the
+    real coordinates of its slots side by side."""
+    return np.array([np.concatenate([v.real_flat() for v in slots])
+                     for slots in slotlists])
 
 
 # -- morphisms -------------------------------------------------------------
@@ -583,12 +525,9 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
         e_dim = None
     if e_dim is None:
         return MorphismReport(*object_residuals(m), -1, -1, None, None, None)
-    from .dense import NotCentral, dense_residuals      # loaded on first use
-    try:
-        unit_res, mult_res, star_res = dense_residuals(m)
-    except NotCentral:
-        # a table from outside whose values are not central
-        unit_res, mult_res, star_res = object_residuals(m)
+    from .dense import dense_residuals                  # loaded on first use
+    unit_res, mult_res, star_res = dense_residuals(
+        f, _summands(tgt, m.images))
     basis = real_basis(f.descriptor)
     rows = []
     for t in range(g.order):
@@ -606,9 +545,8 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
 
 def object_residuals(m: Morphism):
     """(unit, product, star) residuals, one model operation at a time:
-    the check over rings with no finite real dimension and over tables
-    with values that are not central, and the reference that
-    dense.dense_residuals reproduces."""
+    the check over rings with no finite real dimension, and the reference
+    that dense.dense_residuals reproduces."""
     f, g, tgt = m.source, m.source.group, m.target
     unit_res = tgt.diff(m.images[g.identity], tgt.unit())
     mult_res = 0.0

@@ -12,8 +12,11 @@ from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, REAL, Lambda,
                       make_cyclic, make_f_alpha, matrix_ring, tensor_cocycle,
                       trivial_cocycle, validate, winding,
                       z_coboundary_witness)
+from twistalg.cocycle import (ValidationReport, _cocycle_check,
+                              _entry_checks)
 
 L1 = laurent(1)
+L2 = laurent(2)
 M2 = matrix_ring(2)
 
 
@@ -352,22 +355,30 @@ def _group(orders):
 
 
 def _corrupted_coboundary(data, d):
-    """A random coboundary table over C or R with 0-3 corrupted entries:
-    unit, normalization, unitarity and cocycle breaks."""
+    """A random coboundary table over C, R or Laurent monomials with 0-3
+    corrupted entries: unit, normalization, unitarity and cocycle breaks.
+    Over Laurent rings a break may also move an entry's exponents."""
     g = _group(data.draw(st.sampled_from(_GROUPS)))
     n = g.order
-    if d == COMPLEX:
-        thetas = [data.draw(st.floats(0, 6.28)) for _ in range(n - 1)]
-        lam = [RingValue.unit(d)] + [phase(t) for t in thetas]
-    else:
+
+    def monomial(c):            # c z^e with e drawn from {-1, 0, 1}^m
+        return RingValue.monomial(d, c, [data.draw(st.integers(-1, 1))
+                                         for _ in range(d.m)])
+
+    if d == REAL:
         signs = [data.draw(st.sampled_from([-1.0, 1.0])) for _ in range(n - 1)]
         lam = [RingValue.unit(d)] + [RingValue.scalar(d, x) for x in signs]
+    else:
+        thetas = [data.draw(st.floats(0, 6.28)) for _ in range(n - 1)]
+        lam = [RingValue.unit(d)] + [
+            phase(t) if d == COMPLEX else monomial(np.exp(1j * t))
+            for t in thetas]
     f = coboundary(Lambda(g, d, lam))
 
     def twist():                  # a unitary factor far from 1
-        if d == COMPLEX:
-            return np.exp(1j * data.draw(st.floats(0.1, 6.18)))
-        return -1.0
+        if d == REAL:
+            return -1.0
+        return np.exp(1j * data.draw(st.floats(0.1, 6.18)))
 
     kinds = ["unit", "unitary"] + (["normalization", "cocycle"] if n > 1
                                    else [])
@@ -388,6 +399,8 @@ def _corrupted_coboundary(data, d):
             s, t = (data.draw(st.integers(1, n - 1)) for _ in range(2))
             c = twist()
         f.values[s][t] = f.values[s][t].scale(c)
+        if d.kind == "laurent":
+            f.values[s][t] = f.values[s][t] * monomial(1)
     return f
 
 
@@ -398,11 +411,37 @@ def _same_report(fast, ref):
         assert abs(a - b) <= 1e-12
 
 
+def _object_report(f, tol=1e-9):
+    """validate on the object path, for any ring."""
+    rep = ValidationReport()
+    _entry_checks(rep, f, tol)
+    _cocycle_check(rep, f, tol)
+    return rep
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([COMPLEX, REAL]), st.data())
+@given(st.sampled_from([COMPLEX, REAL, L1, L2]), st.data())
 def test_scalar_validate_matches_object_path(d, data):
     f = _corrupted_coboundary(data, d)
-    _same_report(validate(f), validate(_as_matrix1(f)))
+    ref = (_object_report(f) if d.kind == "laurent"
+           else validate(_as_matrix1(f)))
+    _same_report(validate(f), ref)
+
+
+def test_laurent_validate_residuals_match_object_path():
+    """Exponents that differ give the larger coefficient, as the object
+    loop, not a fixed 2.0; a second term of 5e-10 at tol 1e-12 makes the
+    table non-monomial, so it takes the object loop too."""
+    f = trivial_cocycle(make_cyclic(3), L1)
+    f.values[1][1] = RingValue.monomial(L1, 1, (1,))
+    rep = validate(f)
+    assert rep.violations == [("cocycle", w, 1.0) for w in
+                              ((1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 2, 1))]
+    assert rep.violations == _object_report(f).violations
+    f.values[1][1] = RingValue.poly(L1, {(0,): 1, (1,): 5e-10})
+    rep = validate(f, 1e-12)
+    assert len(rep.violations) == 5
+    assert rep.violations == _object_report(f, 1e-12).violations
 
 
 def test_validate_is_independent_of_the_row_block_size(monkeypatch):

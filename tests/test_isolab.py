@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, QUATERNION, REAL,
                       validate, verify_morphism, z2_complexify, z2_split,
                       z2n_torus_rewrite, z2z4_cocycle,
                       z2z4_corrected_cocycle, z2z4_decompose)
-from twistalg import dense, isolab
+from twistalg import isolab
 from twistalg.cocycle import SchurFunction
 from twistalg.isolab import flat_rows, object_residuals
 
@@ -529,8 +531,6 @@ def quaternion_z3_table():
 
 def test_verifier_on_non_central_quaternion_table():
     f = quaternion_z3_table()
-    with pytest.raises(dense.NotCentral):
-        dense.central_rows(f.descriptor, f.values)
     rep, _ = assert_matches_reference(identity_morphism(f))
     assert rep.star_residual == 1.0
     assert not rep.ok()
@@ -553,7 +553,8 @@ def non_central_value(d, data):
 @given(data=st.data())
 def test_verifier_matches_object_loop_on_non_central_tables(ring, data):
     """A table with one value that is not central, as the source of an
-    identity map or as the target's twisted algebra only."""
+    identity map or as the target's twisted algebra only, whose images
+    are the generators or general multiples r_t V_t of them."""
     d = RINGS[ring]
     f = random_cocycle(d, data)
     n = f.group.order
@@ -561,38 +562,94 @@ def test_verifier_matches_object_loop_on_non_central_tables(ring, data):
     vals = [list(row) for row in f.values]
     vals[s][t] = non_central_value(d, data)
     bad = SchurFunction(f.group, d, vals)
-    with pytest.raises(dense.NotCentral):
-        dense.central_rows(d, bad.values)
     assert_matches_reference(identity_morphism(bad))
     assert_matches_reference(
         Morphism(f, TwistedModel(bad), identity_morphism(bad).images))
+    target = TwistedModel(bad)
+    assert_matches_reference(Morphism(f, target, [
+        target.scale_left(random_value(d, data), generator(bad, t))
+        for t in range(n)]))
 
 
-def test_central_rows_is_exact_centrality():
-    """0.1 I is central although its trace / 3 is not 0.1 exactly; a
-    diagonal matrix that is not scalar is not."""
-    d = matrix_ring(3)
-    rows = dense.central_rows(d, [[RingValue.unit(d).scale(0.1)]])
-    assert rows.tolist() == [[[0.1, 0.1, 0.1]]]
-    with pytest.raises(dense.NotCentral):
-        dense.central_rows(d, [[RingValue.mat(d, np.diag([1.0, 1.0, 2.0]))]])
-    p = product_ring(COMPLEX, matrix_ring(2))
-    ok = RingValue.tuple_value(p, [RingValue.scalar(COMPLEX, 2j),
-                                   RingValue.unit(matrix_ring(2))])
-    assert dense.central_rows(p, [[ok]]).tolist() == [[[2j, 1, 1]]]
+def sum_component(f, data, depth=0):
+    """A morphism out of S(f): the identity, a lambda isomorphism, or (at
+    the top level) a direct sum of two of these."""
+    kinds = ["identity", "lambda"] + (["sum"] if depth == 0 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "identity":
+        return identity_morphism(f)
+    if kind == "lambda":
+        return lambda_isomorphism(f, random_lambda(f, data))
+    return direct_sum(f, [sum_component(f, data, depth + 1)
+                          for _ in range(2)])
+
+
+def direct_sum(f, parts):
+    target = DirectSumModel(*(m.target for m in parts))
+    return Morphism(f, target, [tuple(m.images[t] for m in parts)
+                                for t in range(f.group.order)])
+
+
+@pytest.mark.parametrize("ring", list(RINGS))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_direct_sum_verifier_matches_object_loop(ring, data):
+    """Direct sums of 2-3 morphisms out of one source, some nested, with
+    or without one summand's component of one image perturbed."""
+    d = RINGS[ring]
+    f = random_cocycle(d, data)
+    parts = [sum_component(f, data)
+             for _ in range(data.draw(st.integers(2, 3)))]
+    m = direct_sum(f, parts)
+    perturb = data.draw(st.booleans())
+    if perturb:
+        n = f.group.order
+        i = data.draw(st.integers(0, len(parts) - 1))
+        t, u = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+        mod, im = m.target.models[i], list(m.images[t])
+        im[i] = mod.add(im[i], mod.scale_left(random_value(d, data),
+                                              m.images[u][i]))
+        m.images[t] = tuple(im)
+    rep, _ = assert_matches_reference(m)
+    assert rep.ok() is not perturb
+
+
+@pytest.mark.parametrize("wrap", [lambda m: MatrixModel(2, m),
+                                  ComplexifiedModel, QuaternionTensorModel],
+                         ids=["matrix", "complexified", "quaternion"])
+def test_direct_sum_must_be_the_outermost_model(wrap):
+    inner = DirectSumModel(RingModel(REAL), RingModel(REAL))
+    with pytest.raises(ValueError, match="outermost"):
+        wrap(inner)
+
+
+def test_direct_sum_verifier_memory():
+    """The order-64 character map is checked one summand at a time: the
+    block-diagonal form of its 64 summands took 32 MiB."""
+    g = make_subset_group(list(range(1, 7)))
+    m = char_decompose_z2n(trivial_cocycle(g, COMPLEX))
+    tracemalloc.start()
+    try:
+        rep = verify_morphism(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.bijective()
+    assert peak <= 4 * 2 ** 20
 
 
 # -- each model's dense form against its object arithmetic -----------------
 
 def model_classes():
-    """Every AlgebraModel subclass of isolab but HypercomplexModel, whose
-    subclasses give its unit table."""
+    """Every AlgebraModel subclass of isolab with a dense form: all but
+    HypercomplexModel, whose subclasses give its unit table, and
+    DirectSumModel, which the verifier checks one summand at a time."""
     todo, out = [isolab.AlgebraModel], []
     while todo:
         for sub in todo.pop().__subclasses__():
             todo.append(sub)
-            if (sub.__module__ == isolab.__name__
-                    and sub is not isolab.HypercomplexModel):
+            if (sub.__module__ == isolab.__name__ and sub not in (
+                    isolab.HypercomplexModel, isolab.DirectSumModel)):
                 out.append(sub)
     return out
 
@@ -602,18 +659,11 @@ def inner_model(d, data, depth):
     ring or a twisted algebra, so models nest at most three levels."""
     classes = [RingModel, TwistedModel]
     if depth < 1:
-        classes += [MatrixModel, DirectSumModel]
+        classes += [MatrixModel]
         if d.is_real:
             classes += [ComplexifiedModel, QuaternionTensorModel]
     return MODEL_CASES[data.draw(st.sampled_from(classes))](d, data,
                                                              depth + 1)
-
-
-def direct_sum_case(d, data, depth):
-    # summands drawn with repeats, so some sit next to themselves (runs)
-    mods = [inner_model(d, data, depth) for _ in range(2)]
-    return DirectSumModel(*data.draw(st.lists(st.sampled_from(mods),
-                                              min_size=1, max_size=4)))
 
 
 MODEL_CASES = {
@@ -621,7 +671,6 @@ MODEL_CASES = {
     TwistedModel: lambda d, data, depth: TwistedModel(random_cocycle(d, data)),
     MatrixModel: lambda d, data, depth: MatrixModel(
         data.draw(st.integers(1, 3)), inner_model(d, data, depth)),
-    DirectSumModel: direct_sum_case,
     CornerModel: lambda d, data, depth: corner_morphism(d, data).target,
     ComplexifiedModel: lambda d, data, depth: ComplexifiedModel(
         inner_model(d, data, depth)),
@@ -660,8 +709,6 @@ def random_element(model, rng):
     if isinstance(model, MatrixModel):
         return [[random_element(model.inner, rng) for _ in range(model.k)]
                 for _ in range(model.k)]
-    if isinstance(model, DirectSumModel):
-        return tuple(random_element(m, rng) for m in model.models)
     return tuple(random_element(model.inner, rng) for _ in model.table)
 
 
