@@ -242,18 +242,18 @@ def is_projection(x: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
 
 
 def projection_pair(f: SchurFunction, t: int, alpha: RingValue,
-                    tol: float = DEFAULT_TOL, check: bool = True):
+                    tol: float = DEFAULT_TOL):
     """(1/2)(V_1 + alpha V_t) and (1/2)(V_1 - alpha V_t) for t of order 2.
 
-    Each is a projection iff alpha^2 = tilde f(t); with check=True that
-    constraint is enforced up front.
+    Each is a projection iff alpha^2 = tilde f(t), which is enforced up
+    front.
     """
     g = f.group
     if g.op(t, t) != g.identity:
         raise ValueError("projection_pair needs t with t^2 = 1")
     if not alpha.is_unitary(tol) or not alpha.is_central(tol):
         raise ValueError("alpha must be central unitary")
-    if check and not (alpha * alpha).close(f.tilde(t), tol):
+    if not (alpha * alpha).close(f.tilde(t), tol):
         raise ValueError("constraint failure: alpha^2 != tilde f(t)")
     vt = generator(f, t).scale_ring(alpha)
     v1 = unit(f)

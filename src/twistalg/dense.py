@@ -175,11 +175,12 @@ def _complex(re, im):
 def _act(blocks, y):
     """Left multiplication of readouts y (..., D, r) by ring values given
     as dense forms blocks (..., b, b): each group of b rows of y by its
-    value's form."""
+    value's form, the leading axes broadcast."""
     b = blocks.shape[-1]
-    shape = y.shape
-    y = y.reshape(shape[:-2] + (shape[-2] // b, b, shape[-1]))
-    return _matmul(blocks[..., None, :, :], y).reshape(shape)
+    d, r = y.shape[-2:]
+    out = _matmul(blocks[..., None, :, :],
+                  y.reshape(y.shape[:-2] + (d // b, b, r)))
+    return out.reshape(out.shape[:-3] + (d, r))
 
 
 def _max_abs(y) -> float:
@@ -196,27 +197,26 @@ def _max_abs(y) -> float:
 def dense_residuals(f, summands):
     """isolab.object_residuals of a morphism out of S(f), on dense forms.
 
-    summands holds one (model, images) pair per summand of the target
-    (isolab._summands): a map into a direct sum is a unital
-    *-homomorphism exactly when each component is, and each residual is
-    the maximum over the components.  On each, every product
-    image_s image_t is computed only on the columns that hold its slots,
-    for a block of rows s at a time against all t, and compared with
-    f(s,t) image_{st}.
+    summands holds one (model, images, model.readout(images)) triple per
+    summand of the target (isolab._summands); the verifier ranks the same
+    readouts.  A map into a direct sum is a unital *-homomorphism exactly
+    when each component is, and each residual is the maximum over the
+    components.  On each, every product image_s image_t is computed only on
+    the columns that hold its slots, for a block of rows s at a time against
+    all t, and compared with f(s,t) image_{st}.
     """
     g, n = f.group, f.group.order
     blocks = value_blocks(f.descriptor, f.values)           # (n, n, b, b)
     # f(t, t^{-1})^*
     tilde = blocks[np.arange(n), g.inv].conj().swapaxes(-1, -2)
-    res = [_summand_residuals(g, blocks, tilde, tgt, images)
-           for tgt, images in summands]
+    res = [_summand_residuals(g, blocks, tilde, *summand)
+           for summand in summands]
     return tuple(max(r) for r in zip(*res))
 
 
-def _summand_residuals(g, blocks, tilde, tgt, images):
+def _summand_residuals(g, blocks, tilde, tgt, images, y):
     n = g.order
-    y = tgt.readout(images)                             # (n, size, cols)
-    size, cols = y.shape[1:]
+    size, cols = y.shape[1:]                            # y: (n, size, cols)
     unit_res = _max_abs(y[g.identity] - tgt.readout([tgt.unit()])[0])
     # the readouts of every image side by side: (size, n cols)
     right = y.transpose(1, 0, 2).reshape(size, n * cols)

@@ -4,13 +4,14 @@ A model is an algebra we can compute in: a twisted algebra, a corner
 p S(f) p of one, a coefficient ring, k x k matrices over a model, a
 complexification, a quaternion tensor, or a finite direct sum.  A morphism
 from S(f) stores one image per generator and acts E-linearly; the verifier
-measures unit, multiplicativity and star residuals and certifies
-bijectivity by real-linear rank over the flattened coefficient basis,
-against the target's real dimension (for a corner, the real rank of
-p S(f) p).  Over finite coefficient rings it checks products and stars on
-the models' dense forms (each model's dense, readout and star_readout),
-and a map into a direct sum one summand at a time (_summands); over
-Laurent rings it checks them one model operation at a time.
+measures unit, multiplicativity and star residuals.  Over finite
+coefficient rings it reads the images once per summand of the target
+(each model's readout; a direct sum one summand at a time, _summands),
+checks products and stars on the models' dense forms, and certifies
+bijectivity by the real rank of the multiples b image_t over a real basis
+b of E, taken from the same readouts, against the target's real dimension
+(for a corner, the real rank of p S(f) p).  Over Laurent rings it checks
+the residuals one model operation at a time.
 """
 from __future__ import annotations
 
@@ -44,8 +45,9 @@ class AlgebraModel:
     coefficient ring's dense form (b = dense.dense_size), and a ring value
     x acts on each group of b rows of a readout by its dense form: the
     readout of scale_left(x, a) is that of a with each group of b rows
-    multiplied on the left by x's form.  A DirectSumModel has no dense
-    form; the verifier checks a map into it one summand at a time.
+    multiplied on the left by x's form (the verifier's rank rows).  A
+    DirectSumModel has no dense form; the verifier checks a map into it
+    one summand at a time.
     """
 
     base: RingDescriptor
@@ -198,10 +200,9 @@ class CornerModel(TwistedModel):
         except ValueError:
             return None
         p = self.p
-        rows = [self.slots(alg_mul(alg_mul(p, generator(self.f, u)
-                                           .scale_ring(b)), p))
-                for u in range(self.f.group.order) for b in basis]
-        return int(np.linalg.matrix_rank(flat_rows(rows)))
+        elems = [alg_mul(alg_mul(p, generator(self.f, u).scale_ring(b)), p)
+                 for u in range(self.f.group.order) for b in basis]
+        return int(np.linalg.matrix_rank(flat_rows(self.readout(elems))))
 
 
 class MatrixModel(AlgebraModel):
@@ -456,11 +457,13 @@ class QuaternionTensorModel(HypercomplexModel):
 
 # -- flattening and rank ---------------------------------------------------
 
-def flat_rows(slotlists) -> np.ndarray:
-    """One real row vector per slot list (finite coefficient rings): the
-    real coordinates of its slots side by side."""
-    return np.array([np.concatenate([v.real_flat() for v in slots])
-                     for slots in slotlists])
+def flat_rows(y) -> np.ndarray:
+    """One real row per readout of a stack y (N, size, cols): its entries,
+    the real parts and then the imaginary parts side by side."""
+    rows = y.reshape(len(y), -1)
+    if np.iscomplexobj(rows):
+        return np.hstack([rows.real, rows.imag])
+    return rows
 
 
 # -- morphisms -------------------------------------------------------------
@@ -525,16 +528,15 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
         e_dim = None
     if e_dim is None:
         return MorphismReport(*object_residuals(m), -1, -1, None, None, None)
-    from .dense import dense_residuals                  # loaded on first use
-    unit_res, mult_res, star_res = dense_residuals(
-        f, _summands(tgt, m.images))
-    basis = real_basis(f.descriptor)
-    rows = []
-    for t in range(g.order):
-        for b in basis:
-            rows.append(tgt.slots(tgt.scale_left(b, m.images[t])))
-    mat = flat_rows(rows)
-    rank = int(np.linalg.matrix_rank(mat))
+    from .dense import _act, dense_array, dense_residuals   # on first use
+    summands = [(mod, images, mod.readout(images))
+                for mod, images in _summands(tgt, m.images)]
+    unit_res, mult_res, star_res = dense_residuals(f, summands)
+    # the rows b image_t over a real basis b of E, summand by summand
+    basis = dense_array(f.descriptor, real_basis(f.descriptor))
+    rows = np.hstack([flat_rows(_act(basis, y[:, None]).reshape(
+        (-1,) + y.shape[1:])) for _, _, y in summands])
+    rank = int(np.linalg.matrix_rank(rows))
     source_dim = g.order * e_dim
     target_dim = tgt.total_real_dim()
     injective = rank == source_dim
@@ -692,6 +694,8 @@ def klein_complex_pair(alpha, beta, gamma, variant: int = 1, x=None, y=None,
               X_0 + i x X_a - i y X_b + z X_c);
     in both cases z = x y gamma^*.
     """
+    if variant not in (1, 2):
+        raise ValueError("klein_complex_pair needs variant 1 or 2")
     if not alpha.descriptor.is_real:
         raise ValueError("klein_complex_pair needs a real coefficient ring")
     unit = RingValue.unit(alpha.descriptor)

@@ -424,25 +424,6 @@ class RingValue:
             return None
         return RingValue(d, tuple(comps))
 
-    # -- flattening --------------------------------------------------------
-
-    def real_flat(self) -> np.ndarray:
-        d = self.descriptor
-        if d.kind == "complex":
-            return np.array([self.payload.real, self.payload.imag])
-        if d.kind == "real":
-            return np.array([self.payload])
-        if d.kind == "matrix":
-            flat = self.payload.ravel()
-            if d.field == "complex":
-                return np.concatenate([flat.real, flat.imag])
-            return flat.astype(float)
-        if d.kind == "quaternion":
-            return self.payload.astype(float)
-        if d.kind == "product":
-            return np.concatenate([a.real_flat() for a in self.payload])
-        raise ValueError(f"no finite flattening for kind {d.kind}")
-
     # -- misc --------------------------------------------------------------
 
     def __repr__(self):

@@ -32,16 +32,18 @@ def parse_descriptor(obj) -> RingDescriptor:
         raise ConfigError(f"unknown ring descriptor {obj!r}")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("ring descriptor must be a string or a kind dict")
-    kind = obj["kind"]
-    if kind in ("complex", "real", "quaternion"):
-        return parse_descriptor(kind)
-    if kind == "laurent":
-        return laurent(m=int(obj.get("m", 1)),
-                       field=obj.get("field", "complex"))
-    if kind == "matrix":
-        return matrix_ring(int(obj["k"]), field=obj.get("field", "complex"))
-    if kind == "product":
-        return product_ring(*(parse_descriptor(f) for f in obj["factors"]))
+    kind, field = obj["kind"], obj.get("field", "complex")
+    try:
+        if kind in ("complex", "real", "quaternion"):
+            return parse_descriptor(kind)
+        if kind == "laurent":
+            return laurent(m=int(obj.get("m", 1)), field=field)
+        if kind == "matrix":
+            return matrix_ring(int(obj["k"]), field=field)
+        if kind == "product":
+            return product_ring(*map(parse_descriptor, obj["factors"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown ring descriptor kind {kind!r}")
 
 
@@ -147,23 +149,23 @@ def parse_group(obj) -> GroupTable:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("group must be a kind dict")
     kind = obj["kind"]
-    if kind == "cyclic":
-        return make_cyclic(int(obj["n"]))
-    if kind == "product":
-        factors = [parse_group(f) for f in obj["factors"]]
-        if len(factors) < 2:
-            raise ConfigError("product group needs at least two factors")
-        out = factors[0]
-        for f in factors[1:]:
-            out = direct_product(out, f)
-        return out
-    if kind == "subsets":
-        return make_subset_group(obj["labels"])
-    if kind == "table":
-        try:
+    try:
+        if kind == "cyclic":
+            return make_cyclic(int(obj["n"]))
+        if kind == "product":
+            factors = [parse_group(f) for f in obj["factors"]]
+            if len(factors) < 2:
+                raise ConfigError("product group needs at least two factors")
+            out = factors[0]
+            for f in factors[1:]:
+                out = direct_product(out, f)
+            return out
+        if kind == "subsets":
+            return make_subset_group(obj["labels"])
+        if kind == "table":
             return GroupTable(obj["mul"], labels=obj.get("labels"))
-        except ValueError as exc:
-            raise ConfigError(f"bad group table: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown group kind {kind!r}")
 
 

@@ -99,6 +99,30 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert main(["validate", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("cocycle", [
+    {"descriptor": {"kind": "matrix", "k": 0}, "f_alpha": []},
+    {"descriptor": {"kind": "laurent", "m": 0}, "f_alpha": []},
+    {"group": {"kind": "cyclic", "n": 0}, "table": []},
+], ids=["matrix_k0", "laurent_m0", "cyclic_n0"])
+def test_constructor_refusal_in_parse_exits_2(tmp_path, capsys, cocycle):
+    cfg = write(tmp_path, "c.json", {"cocycle": cocycle})
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_iso_klein_complex_pair_unknown_variant_exits_1(tmp_path, capsys):
+    cfg = write(tmp_path, "k.json", {
+        "constructor": "klein_complex_pair", "descriptor": "real",
+        "params": {"alpha": "-1", "beta": "-1", "gamma": "1",
+                   "variant": 3},
+    })
+    code, out = run(capsys, "iso", "--config", cfg)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verified"] is False
+    assert "variant" in payload["error"]
+
+
 def test_bad_flags_exit_2(tmp_path):
     cfg = write(tmp_path, "v.json", TRIVIAL_Z2)
     assert main(["validate", "--config", cfg, "--tol", "-1"]) == 2

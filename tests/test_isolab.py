@@ -26,7 +26,7 @@ from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, QUATERNION, REAL,
                       z2z4_corrected_cocycle, z2z4_decompose)
 from twistalg import isolab
 from twistalg.cocycle import SchurFunction
-from twistalg.isolab import flat_rows, object_residuals
+from twistalg.isolab import object_residuals
 
 L1 = laurent(1)
 
@@ -164,6 +164,8 @@ def test_klein_complex_pair_both_variants():
     # variant 2 needs -beta gamma > 0 and -alpha gamma > 0
     rep = verify_morphism(klein_complex_pair(mu, mu, one, variant=2))
     assert rep.bijective()
+    with pytest.raises(ValueError, match="variant 1 or 2"):
+        klein_complex_pair(mu, mu, one, variant=3)
 
 
 def test_klein_quaternion():
@@ -466,14 +468,51 @@ def build_morphism(name, d, data):
                               variant=variant, x=x, y=y)
 
 
+def real_flat(v):
+    """The real coordinates of a ring value: real and imaginary parts of
+    scalars and matrix entries, the four of a quaternion, each factor's
+    in turn over products."""
+    d = v.descriptor
+    if d.kind == "product":
+        return np.concatenate([real_flat(a) for a in v.payload])
+    flat = np.ravel(v.payload)
+    if d.is_real:
+        return flat.real.astype(float)
+    return np.concatenate([flat.real, flat.imag])
+
+
+def slot_rank(slotlists):
+    """Real rank of the slot lists, one row of their slots' real
+    coordinates each."""
+    return int(np.linalg.matrix_rank(np.array([
+        np.concatenate([real_flat(v) for v in slots])
+        for slots in slotlists])))
+
+
+def singular_value(d):
+    """A matrix unit over M_2(C), (1, 0) over C x M_2(C), 0 otherwise."""
+    if d.kind == "matrix":
+        return RingValue.mat(d, [[1, 0], [0, 0]])
+    if d.kind == "product":
+        return RingValue.tuple_value(d, [RingValue.unit(d.factors[0])] + [
+            RingValue.zero(f) for f in d.factors[1:]])
+    return RingValue.zero(d)
+
+
 def reference_report(m):
-    """The verifier with every residual from the object loop."""
+    """The verifier with every residual from the object loop and every
+    rank from the slots of scale_left multiples."""
     f, tgt = m.source, m.target
-    rows = [tgt.slots(tgt.scale_left(b, m.images[t]))
-            for t in range(f.group.order) for b in real_basis(f.descriptor)]
-    rank = int(np.linalg.matrix_rank(flat_rows(rows)))
+    basis = real_basis(f.descriptor)
+    rank = slot_rank([tgt.slots(tgt.scale_left(b, m.images[t]))
+                      for t in range(f.group.order) for b in basis])
     source_dim = f.group.order * real_dim(f.descriptor)
     target_dim = tgt.total_real_dim()
+    if isinstance(tgt, CornerModel):
+        p = tgt.p
+        target_dim = slot_rank([tgt.slots(alg_mul(alg_mul(
+            p, generator(tgt.f, u).scale_ring(b)), p))
+            for u in range(tgt.f.group.order) for b in basis])
     return MorphismReport(*object_residuals(m), source_dim, rank, target_dim,
                           rank == source_dim, rank == target_dim)
 
@@ -495,13 +534,21 @@ def assert_matches_reference(m):
 def test_dense_verifier_matches_object_loop(ring, name, data):
     d = RINGS[ring]
     m = build_morphism(name, d, data)
-    change = data.draw(st.sampled_from(["none", "image", "source"]))
+    change = data.draw(st.sampled_from(["none", "image", "source",
+                                        "singular"]))
     n = m.source.group.order
-    if change == "image":
+    if change in ("image", "singular"):
         # add r image_u to image_t for a general ring element r
         t, u = (data.draw(st.integers(0, n - 1)) for _ in range(2))
         m.images[t] = m.target.add(m.images[t], m.target.scale_left(
             random_value(d, data), m.images[u]))
+    if change == "singular":
+        # then every image times a matrix unit over M_2(C) or (1, 0) over
+        # C x M_2(C), or image_t times 0 over the other rings
+        ts = range(n) if d.kind in ("matrix", "product") else [t]
+        for t in ts:
+            m.images[t] = m.target.scale_left(singular_value(d),
+                                              m.images[t])
     elif change == "source":
         # a cocycle the images do not satisfy (unless lambda is trivial)
         wrong = cocycle_mul(m.source, coboundary(random_lambda(m.source,
@@ -512,6 +559,20 @@ def test_dense_verifier_matches_object_loop(ring, name, data):
         assert rep.ok()
     elif change == "image":
         assert not rep.ok()
+    elif change == "singular":
+        assert rep.image_rank < rep.source_dim
+
+
+def test_rank_rows_multiply_images_on_the_left():
+    """The multiples b (e11, e21) over a real basis b of M_2(C) span 8 real
+    dimensions, the right multiples (e11 b, e21 b) only 4."""
+    d = matrix_ring(2)
+    e = RingModel(d)
+    m = Morphism(trivial_cocycle(make_cyclic(1), d), DirectSumModel(e, e),
+                 [(RingValue.mat(d, [[1, 0], [0, 0]]),
+                   RingValue.mat(d, [[0, 0], [1, 0]]))])
+    rep, _ = assert_matches_reference(m)
+    assert rep.image_rank == 8
 
 
 def test_dense_verifier_keeps_z2z4_residuals():

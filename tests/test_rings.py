@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalg.dense import value_dense
+from twistalg.dense import readout_array, value_dense
+from twistalg.isolab import flat_rows
 from twistalg.rings import (COMPLEX, QUATERNION, REAL, RingValue, laurent,
                             matrix_ring, product_ring, real_basis, real_dim)
 
@@ -162,7 +163,7 @@ def test_real_basis_and_dim():
     with pytest.raises(ValueError):
         real_dim(L1)
     basis = real_basis(M2)
-    flats = np.stack([b.real_flat() for b in basis])
+    flats = flat_rows(readout_array(M2, basis))
     assert np.linalg.matrix_rank(flats) == 8
 
 
