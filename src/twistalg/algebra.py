@@ -6,17 +6,17 @@ An element is its coefficient family (X_t)_{t in T}; the product is
 
 and the involution is (X^*)_t = tilde f(t) (X_{t^{-1}})^*.  The regular
 representation identifies X with the |T| x |T| matrix whose (s,t) entry is
-f(st^{-1}, t) X_{st^{-1}}; its largest singular value (after replacing each
-coefficient by a faithful dense form: dense.value_dense, or the complex 2 x 2
-form dense.quaternion_complex for quaternions) is the C*-norm.
+f(st^{-1}, t) X_{st^{-1}}; its largest singular value on dense forms
+(dense.regular_dense), or the largest over a grid of torus points over
+Laurent rings, is alg_norm.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .cocycle import SchurFunction
-from .groups import GroupTable
-from .rings import DEFAULT_GRID, DEFAULT_TOL, RingValue
+from .groups import GroupTable, row_blocks
+from .rings import DEFAULT_GRID, DEFAULT_TOL, RingValue, torus_sampler
 
 
 class AlgebraElement:
@@ -161,64 +161,46 @@ class RegularMatrix:
     def entry(self, s: int, t: int) -> RingValue:
         return self.entries[s][t]
 
-    def flatten(self) -> np.ndarray:
-        """Block matrix of the entries' dense forms (finite rings), as a
-        complex array for every ring: norms over real rings then run the
-        same LAPACK SVD as complex ones, so a process that takes both
-        kinds loads one routine, not two (a real one added 1.5-2.4 MB of
-        peak resident memory to a mixed run).  Quaternions take their
-        complex 2 x 2 form, dense.quaternion_complex: the same norm as the
-        real 4 x 4 form, on an array of a quarter of the entries."""
-        from .dense import dense_array, dense_size, quaternion_complex
-        d, n = self.descriptor, self.size
-        if d.kind == "quaternion":
-            b, form = 2, quaternion_complex
-        else:
-            b, form = dense_size(d), lambda row: dense_array(d, row)
-        out = np.empty((n * b, n * b), dtype=complex)
-        for s, row in enumerate(self.entries):
-            out[s * b:(s + 1) * b] = form(row).transpose(
-                1, 0, 2).reshape(b, n * b)
-        return out
-
-    def flatten_at(self, point) -> np.ndarray:
-        """Scalar matrix from Laurent entries evaluated at a torus point."""
-        out = np.empty((self.size, self.size), dtype=complex)
-        for s in range(self.size):
-            for t in range(self.size):
-                out[s, t] = self.entries[s][t].eval_at(point)
-        return out
-
 
 def regular_matrix(x: AlgebraElement) -> RegularMatrix:
     return RegularMatrix(x)
 
 
-def _matrix_norm(m: RegularMatrix, grid: int) -> float:
-    d = m.descriptor
-    if d.kind in ("complex", "real", "matrix", "quaternion"):
-        return float(np.linalg.norm(m.flatten(), 2))
-    if d.kind == "laurent":
-        theta = 2 * np.pi * np.arange(grid) / grid
-        z = np.exp(1j * theta)
-        best = 0.0
-        for flat in np.ndindex(*([grid] * d.m)):
-            point = tuple(z[i] for i in flat)
-            best = max(best, float(np.linalg.norm(m.flatten_at(point), 2)))
-        return best
-    if d.kind == "product":
-        best = 0.0
-        for i, factor in enumerate(d.factors):
-            comp = RegularMatrix.__new__(RegularMatrix)
-            comp.descriptor, comp.size = factor, m.size
-            comp.entries = [[v.payload[i] for v in row] for row in m.entries]
-            best = max(best, _matrix_norm(comp, grid))
-        return best
-    raise ValueError(f"no norm for descriptor kind {d.kind}")
-
-
 def alg_norm(x: AlgebraElement, grid: int = DEFAULT_GRID) -> float:
-    return _matrix_norm(regular_matrix(x), grid)
+    """The C*-norm of x: the largest singular value of its regular
+    representation on dense forms, the largest factor's over products.
+    Over Laurent rings, the maximum over the grid^m torus sample: a lower
+    bound on the C*-norm, the supremum over the whole torus."""
+    f = x.cocycle
+    return _norm(f.group, f.descriptor, f.values, x.coeffs, grid)
+
+
+def _norm(g, d, table, coeffs, grid: int) -> float:
+    """alg_norm of coefficients coeffs over a table of cocycle values, both
+    of ring d, as plain lists."""
+    from .dense import (BLOCK_ENTRIES, dense_array, quaternion_complex,
+                        regular_dense)
+    n = g.order
+    if d.kind == "product":
+        return max(_norm(g, e, [[v.payload[i] for v in row] for row in table],
+                         [c.payload[i] for c in coeffs], grid)
+                   for i, e in enumerate(d.factors))
+    values = [v for row in table for v in row]
+    if d.kind == "laurent":
+        # scalar samples, one block of torus points at a time
+        f_at, x_at = (torus_sampler(d, v, grid) for v in (values, coeffs))
+        forms = ((f_at(k).reshape(-1, n, n, 1, 1), x_at(k)[..., None, None])
+                 for k in row_blocks(grid ** d.m, n * n, BLOCK_ENTRIES))
+    else:
+        # quaternions as complex 2 x 2 forms: a quarter of the 4 x 4 entries
+        form = (quaternion_complex if d.kind == "quaternion"
+                else lambda v: dense_array(d, v))
+        tf = form(values)
+        forms = [(tf.reshape((n, n) + tf.shape[1:]), form(coeffs))]
+    # complex for every ring: a real SVD routine added 1.5-2.4 MB peak RSS
+    mats = (regular_dense(g, tf, xf).astype(complex, copy=False)
+            for tf, xf in forms)
+    return max(float(np.linalg.norm(m, 2, axis=(-2, -1)).max()) for m in mats)
 
 
 def coefficient_positivity(x: AlgebraElement,

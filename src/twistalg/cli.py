@@ -182,7 +182,10 @@ def _build_iso(cfg, tol):
             if root in params:
                 kw[root] = parse_value(d, params[root])
         if name == "klein_complex_pair":
-            kw["variant"] = int(params.get("variant", 1))
+            try:
+                kw["variant"] = int(params.get("variant", 1))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad variant: {exc}") from exc
         return getattr(isolab, name)(a, b, g, **kw)
     if name == "char_decompose_z2n":
         return isolab.char_decompose_z2n(parse_cocycle(cfg["cocycle"], tol),

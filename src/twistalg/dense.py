@@ -5,10 +5,10 @@ Every finite coefficient ring (complex, real, quaternion, k x k matrices
 and products of these) has one faithful *-representation on square arrays,
 value_dense.  Real rings give real arrays.  Each algebra model of
 twistalg.isolab builds its own dense form (dense, readout, star_readout)
-from these ring-level forms and the exact elementwise arithmetic here.
-RegularMatrix.flatten and the models import this module when they first
-need it, so importing twistalg does not load it, and it imports nothing
-from isolab.
+from these ring-level forms and the exact elementwise arithmetic here, and
+algebra.alg_norm shares the twisted model's regular_dense.  All of them
+import this module on first use, so importing twistalg does not load it,
+and it imports nothing from isolab.
 
 Faithful *-representations of a finite-dimensional C*-algebra are
 isometric, so norms taken on these arrays are the C*-norms.  The forms are
@@ -190,6 +190,17 @@ def _max_abs(y) -> float:
     if np.iscomplexobj(y):
         return float(np.hypot(y.real, y.imag).max())
     return float(np.abs(y).max())
+
+
+def regular_dense(g, table, coeffs):
+    """The regular representation of S(f) over group g, on the forms
+    table (..., n, n, b, b) of f(s, u) and coeffs (..., n, b, b) of X_s,
+    leading axes broadcast: (..., n b, n b) arrays whose block (t, u) is
+    f(r, u) X_r, r = t u^{-1}, so block column 1 holds the coefficients."""
+    n, b = g.order, coeffs.shape[-1]
+    r = g.mul[:, g.inv]
+    blocks = _matmul(table[..., r, np.arange(n), :, :], coeffs[..., r, :, :])
+    return blocks.swapaxes(-3, -2).reshape(blocks.shape[:-4] + (n * b,) * 2)
 
 
 # -- the morphism check ----------------------------------------------------

@@ -141,27 +141,22 @@ class TwistedModel(AlgebraModel):
 
     @cached_property
     def _dense_tables(self):
-        """(r, fr, tilde), read from f once, on first use of the dense
-        form: r[t, u] = t u^{-1}, fr[t, u] = f(r, u) and tilde[t] =
-        f(t, t^{-1})^*, as dense forms."""
+        """(table, tilde) as dense forms, read from f on first use:
+        table[s, u] = f(s, u) and tilde[t] = f(t, t^{-1})^*."""
         from .dense import value_blocks
         g = self.f.group
-        idx = np.arange(g.order)
-        blocks = value_blocks(self.base, self.f.values)
-        r = g.mul[:, g.inv]
-        return (r, blocks[r, idx],
-                blocks[idx, g.inv].conj().swapaxes(-1, -2))
+        table = value_blocks(self.base, self.f.values)
+        return (table,
+                table[np.arange(g.order), g.inv].conj().swapaxes(-1, -2))
 
     def dense(self, elems):
-        """The regular representation: block (t, u) is f(r, u) X_r with
-        r = t u^{-1}, so block column 1 is the coefficient vector."""
-        from .dense import _matmul, dense_array
-        r, fr, _ = self._dense_tables
+        """The regular representation, dense.regular_dense."""
+        from .dense import dense_array, regular_dense
+        table, _ = self._dense_tables
         n = self.f.group.order
         xd = dense_array(self.base, [c for x in elems for c in x.coeffs])
-        b = xd.shape[-1]
-        blocks = _matmul(fr, xd.reshape(-1, n, b, b)[:, r])
-        return blocks.transpose(0, 1, 3, 2, 4).reshape(-1, n * b, n * b)
+        return regular_dense(self.f.group, table,
+                             xd.reshape((-1, n) + xd.shape[1:]))
 
     def readout(self, elems):
         from .dense import readout_array
@@ -172,7 +167,7 @@ class TwistedModel(AlgebraModel):
     def star_readout(self, y):
         # (X^*)_t = tilde f(t) (X_{t^{-1}})^*, as alg_star
         from .dense import _matmul, star_readout
-        _, _, tilde = self._dense_tables
+        _, tilde = self._dense_tables
         g = self.f.group
         blocks = y.reshape(len(y), g.order, y.shape[1] // g.order,
                            y.shape[2])[:, g.inv]

@@ -306,6 +306,8 @@ class RingValue:
         return all(a.is_central(tol) for a in self.payload)
 
     def norm(self, grid: int = DEFAULT_GRID) -> float:
+        """The C*-norm; over Laurent rings the maximum over the grid^m
+        torus sample, a lower bound on the supremum over the torus."""
         d = self.descriptor
         if d.kind in ("complex", "real"):
             return abs(self.payload)
@@ -316,30 +318,11 @@ class RingValue:
         if d.kind == "quaternion":
             return float(np.linalg.norm(self.payload))
         if d.kind == "laurent":
-            vals = self.grid_values(grid)
-            return float(np.max(np.abs(vals))) if vals.size else 0.0
+            sample = torus_sampler(d, [self], grid)
+            return float(np.max(np.abs(sample(slice(0, grid ** d.m)))))
         return max(a.norm(grid) for a in self.payload)
 
     # -- laurent helpers ---------------------------------------------------
-
-    def grid_values(self, grid: int = DEFAULT_GRID) -> np.ndarray:
-        """Evaluate a Laurent value at the grid^m uniform torus sample."""
-        d = self.descriptor
-        if d.kind != "laurent":
-            raise ValueError("grid_values needs a laurent value")
-        if not self.payload:
-            return np.zeros((grid,) * d.m)
-        theta = 2 * np.pi * np.arange(grid) / grid
-        z = np.exp(1j * theta)
-        out = np.zeros((grid,) * d.m, dtype=complex)
-        for exps, c in self.payload.items():
-            term = np.full((grid,) * d.m, c, dtype=complex)
-            for axis, e in enumerate(exps):
-                shape = [1] * d.m
-                shape[axis] = grid
-                term = term * (z ** e).reshape(shape)
-            out += term
-        return out
 
     def eval_at(self, point) -> complex:
         """Evaluate a Laurent value at a torus point (tuple of unit scalars)."""
@@ -436,6 +419,31 @@ class RingValue:
 
     def __hash__(self):
         raise TypeError("RingValue is not hashable")
+
+
+def torus_sampler(d: RingDescriptor, values, grid: int):
+    """A function from a slice of flat (C order) indices k into the grid^m
+    uniform torus sample to the (len(k), len(values)) samples of Laurent
+    values of ring d at z_k = (w^{k_1}, ..., w^{k_m}), w = exp(2 pi i / grid).
+    A term c z^e reads c w^{(k . e) mod grid} from a table of the roots of
+    unity, and the j-th terms of all values add in one pass."""
+    size = max((len(v.payload) for v in values), default=0)
+    exps = np.zeros((size, len(values), d.m), dtype=np.int64)
+    coef = np.zeros((size, len(values)), dtype=complex)
+    for i, v in enumerate(values):
+        for j, (e, c) in enumerate(v.payload.items()):
+            exps[j, i], coef[j, i] = [x % grid for x in e], c
+    w = np.exp(1j * (2 * np.pi * np.arange(grid) / grid))
+
+    def sample(points: slice):
+        k = np.stack(np.unravel_index(np.arange(points.start, points.stop),
+                                      (grid,) * d.m), axis=-1)
+        out = np.zeros((len(k), len(values)), dtype=complex)
+        for e, c in zip(exps, coef):
+            out += c * w[(k @ e.T) % grid]
+        return out
+
+    return sample
 
 
 def real_dim(d: RingDescriptor) -> int:

@@ -1,16 +1,21 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalg import (COMPLEX, DEFAULT_TOL, KLEIN_C, QUATERNION, REAL,
-                      AlgebraElement, Lambda, RingDescriptor, RingValue,
-                      alg_mul, alg_norm, alg_star, center_check, coboundary,
-                      coefficient, coefficient_positivity, embed_scalar,
-                      generator, is_projection, klein_table, laurent,
-                      make_cyclic, make_f_alpha, projection_pair,
-                      regular_matrix, restrict_cocycle, restrict_to_subgroup,
-                      trace_functional, trivial_cocycle, unit)
+                      AlgebraElement, GroupTable, Lambda, RingDescriptor,
+                      RingValue, SchurFunction, alg_mul, alg_norm, alg_star,
+                      center_check, coboundary, coefficient,
+                      coefficient_positivity, embed_scalar, generator,
+                      is_projection, klein_table, laurent, make_cyclic,
+                      make_f_alpha, matrix_ring, product_ring,
+                      projection_pair, regular_matrix, restrict_cocycle,
+                      restrict_to_subgroup, trace_functional,
+                      trivial_cocycle, unit)
 
 from twistalg.dense import value_dense
 
@@ -131,7 +136,7 @@ def test_norm_of_generator_and_scalars():
 
 
 def test_quaternion_norm_matches_real_form():
-    """alg_norm flattens quaternions to their complex 2 x 2 form; the norm
+    """alg_norm takes quaternions in their complex 2 x 2 form; the norm
     is that of the real 4 x 4 form value_dense (both are faithful)."""
     minus = RingValue.unit(QUATERNION).scale(-1)
     f = make_f_alpha(4, [minus, RingValue.unit(QUATERNION), minus],
@@ -141,7 +146,6 @@ def test_quaternion_norm_matches_real_form():
                            for c in rng.normal(size=(4, 4))])
     m = regular_matrix(x)
     real = np.block([[value_dense(e) for e in row] for row in m.entries])
-    assert m.flatten().shape == (8, 8)
     assert alg_norm(x) == pytest.approx(np.linalg.norm(real, 2), rel=1e-12)
 
 
@@ -150,6 +154,88 @@ def test_laurent_norm_is_sup_over_torus():
     f = trivial_cocycle(make_cyclic(1), L1)
     a = AlgebraElement(f, [RingValue.poly(L1, {(1,): 1, (0,): 2})])
     assert alg_norm(a, grid=64) == pytest.approx(3.0, abs=1e-12)
+
+
+PERMS = list(itertools.permutations(range(3)))        # identity first
+# the symmetric group S_3, a o b at (a, b): the smallest non-abelian group
+S3 = GroupTable([[PERMS.index(tuple(a[i] for i in b)) for b in PERMS]
+                 for a in PERMS])
+
+
+def random_ring_value(d, rng):
+    """A ring element, neither central nor unitary in general."""
+    if d.kind == "product":
+        return RingValue.tuple_value(
+            d, [random_ring_value(e, rng) for e in d.factors])
+    if d.kind == "laurent":
+        return RingValue.poly(d, {tuple(rng.integers(-2, 3, size=d.m)):
+                                  complex(*rng.normal(size=2))
+                                  for _ in range(rng.integers(1, 4))})
+    if d.kind == "real":
+        return RingValue.scalar(d, rng.normal())
+    if d.kind == "complex":
+        return RingValue.scalar(d, complex(*rng.normal(size=2)))
+    if d.kind == "quaternion":
+        return RingValue.quaternion(rng.normal(size=4))
+    z = rng.normal(size=(2, 2))
+    return RingValue.mat(d, z + 1j * rng.normal(size=(2, 2))
+                         if d.field == "complex" else z)
+
+
+def reference_norm(d, entries, grid):
+    """The norm of a RegularMatrix's entries: one value_dense block per
+    entry over finite rings, a scalar matrix of eval_at values per grid
+    point over Laurent rings, the largest factor's over products."""
+    if d.kind == "product":
+        return max(reference_norm(e, [[v.payload[i] for v in row]
+                                      for row in entries], grid)
+                   for i, e in enumerate(d.factors))
+    if d.kind == "laurent":
+        z = np.exp(1j * (2 * np.pi * np.arange(grid) / grid))
+        return max(np.linalg.norm(np.array(
+            [[v.eval_at(tuple(z[list(k)])) for v in row] for row in entries]),
+            2) for k in np.ndindex(*([grid] * d.m)))
+    dense = np.block([[value_dense(v) for v in row] for row in entries])
+    return float(np.linalg.norm(dense.astype(complex), 2))
+
+
+@pytest.mark.parametrize("d", [
+    COMPLEX, REAL, matrix_ring(2), matrix_ring(2, "real"), QUATERNION,
+    product_ring(COMPLEX, matrix_ring(2)), product_ring(L1, COMPLEX), L1,
+    laurent(2)], ids=str)
+@pytest.mark.parametrize("g", [make_cyclic(5), S3], ids=["Z5", "S3"])
+def test_norm_matches_regular_matrix_reference(d, g):
+    """alg_norm against the norm of regular_matrix(x).entries, on random
+    non-central tables of a non-abelian and an abelian group."""
+    rng = np.random.default_rng(41)
+    n, grid = g.order, 8
+    f = SchurFunction(g, d, [[random_ring_value(d, rng) for _ in range(n)]
+                             for _ in range(n)])
+    x = AlgebraElement(f, [random_ring_value(d, rng) for _ in range(n)])
+    want = reference_norm(d, regular_matrix(x).entries, grid)
+    if d.kind in ("complex", "real"):
+        assert alg_norm(x, grid=grid) == want
+    else:
+        assert alg_norm(x, grid=grid) == pytest.approx(want, rel=1e-12)
+
+
+def test_laurent_norm_memory_is_bounded():
+    """The torus sample is taken a block of points at a time: sampling the
+    table over the whole 64^2 grid at once would hold 16 MiB."""
+    d = laurent(2)
+    rng = np.random.default_rng(43)
+    f = make_f_alpha(16, [RingValue.monomial(
+        d, np.exp(2j * np.pi * rng.random()), rng.integers(-2, 3, size=2))
+        for _ in range(15)], d)
+    x = AlgebraElement(f, [random_ring_value(d, rng) for _ in range(16)])
+    alg_norm(x, grid=2)                     # load dense and LAPACK first
+    tracemalloc.start()
+    try:
+        alg_norm(x, grid=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_coefficient_positivity():
@@ -166,7 +252,6 @@ def test_embed_scalar_central():
     for t in range(4):
         vt = generator(f, t)
         assert alg_mul(x, vt).close(alg_mul(vt, x))
-    from twistalg import matrix_ring
     M2 = matrix_ring(2)
     fm = trivial_cocycle(make_cyclic(2), M2)
     with pytest.raises(ValueError):

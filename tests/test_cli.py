@@ -123,6 +123,19 @@ def test_iso_klein_complex_pair_unknown_variant_exits_1(tmp_path, capsys):
     assert "variant" in payload["error"]
 
 
+def test_iso_klein_complex_pair_malformed_variant_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "k.json", {
+        "constructor": "klein_complex_pair", "descriptor": "real",
+        "params": {"alpha": "-1", "beta": "-1", "gamma": "1",
+                   "variant": "two"},
+    })
+    assert main(["iso", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert "variant" in captured.err
+
+
 def test_bad_flags_exit_2(tmp_path):
     cfg = write(tmp_path, "v.json", TRIVIAL_Z2)
     assert main(["validate", "--config", cfg, "--tol", "-1"]) == 2

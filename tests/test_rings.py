@@ -111,6 +111,9 @@ def test_norms():
     # sup over the torus of |z + 2| is 3
     a = RingValue.poly(L1, {(1,): 1, (0,): 2})
     assert a.norm(grid=64) == pytest.approx(3.0, abs=1e-12)
+    # exponents past int64 are reduced mod the grid, not overflowed
+    huge = RingValue.poly(L1, {(64 * 10 ** 30 + 1,): 1, (0,): 2})
+    assert huge.norm(grid=64) == a.norm(grid=64)
     m = RingValue.mat(M2, [[3, 0], [0, 1]])
     assert m.norm() == pytest.approx(3.0)
     q = RingValue.quaternion([1, 1, 1, 1])
