@@ -16,7 +16,8 @@ from .cocycle import SchurFunction
 from .groups import SubsetGroup, make_subset_group
 from .isolab import (AlgebraModel, ComplexifiedModel, CornerModel,
                      DirectSumModel, MatrixModel, Morphism,
-                     QuaternionTensorModel, TwistedModel)
+                     QuaternionTensorModel, TwistedModel,
+                     extend_generator_images)
 from .rings import DEFAULT_TOL, RingDescriptor, RingValue, real_basis
 
 MAX_LABELS = 8
@@ -124,7 +125,8 @@ def universal_map(spec: CliffordSpec, images, target: AlgebraModel,
                   tol: float = DEFAULT_TOL) -> Morphism:
     """Extend per-label images satisfying the generator relations, and
     commuting with the central coefficients, to all of S(f_rho) by ordered
-    products V_A -> prod_{s in A, ascending} x_s."""
+    products V_A -> prod_{s in A, ascending} x_s: extend_generator_images
+    reaches each V_A first as V_{A - max A} x_{max A}, where f = 1."""
     images = list(images)
     if len(images) != spec.size:
         raise ValueError("one image per label required")
@@ -147,15 +149,8 @@ def universal_map(spec: CliffordSpec, images, target: AlgebraModel,
             if target.diff(comm, target.zero()) > tol:
                 raise ValueError(f"x_{spec.labels[i]} does not commute "
                                  "with the coefficient ring")
-    full = [None] * f.group.order
-    full[0] = one
-    for mask in range(1, f.group.order):
-        acc = one
-        for i in range(spec.size):
-            if mask >> i & 1:
-                acc = target.mul(acc, images[i])
-        full[mask] = acc
-    return Morphism(f, target, full)
+    return extend_generator_images(
+        f, {1 << i: x for i, x in enumerate(images)}, target)
 
 
 # -- projection families ---------------------------------------------------

@@ -157,12 +157,20 @@ def _scalar_entry_checks(rep: ValidationReport, g: GroupTable, coeff,
         rep.add("inverse-symmetry", (int(t), int(g.inv[t])), res[t])
 
 
+def _monomial_residual(lhs, lhs_exps, rhs, rhs_exps):
+    """RingValue.abs_bound of lhs z^a - rhs z^b, elementwise over
+    coefficient arrays and exponent arrays a, b (variables on the last
+    axis): |lhs - rhs| where a = b; elsewhere the difference has two
+    terms and the residual is the larger coefficient."""
+    moved = np.any(lhs_exps != rhs_exps, axis=-1)
+    return np.where(moved, np.maximum(np.abs(lhs), np.abs(rhs)),
+                    np.abs(lhs - rhs))
+
+
 def _monomial_cocycle_check(rep: ValidationReport, mul, coeff, exps,
                             tol: float):
     """f(r,s) f(rs,t) = f(r,st) f(s,t) over all triples of a monomial
-    table, one block of rows r at a time: peak memory O(n^2 * B).  Where
-    the two sides' exponents differ, their difference has two terms, and
-    the residual is the larger coefficient, as RingValue.abs_bound."""
+    table, one block of rows r at a time: peak memory O(n^2 * B)."""
     for rows in row_blocks(len(mul)):
         # lhs[r,s,t] = f(r,s) f(rs,t); rhs[r,s,t] = f(r,st) f(s,t)
         lhs = coeff[mul[rows]]
@@ -170,13 +178,12 @@ def _monomial_cocycle_check(rep: ValidationReport, mul, coeff, exps,
         rhs = coeff[rows][:, mul]
         rhs *= coeff
         if exps.shape[-1]:
-            moved = np.any(exps[rows, :, None] + exps[mul[rows]]
-                           != exps[rows][:, mul] + exps, axis=-1)
-            apart = np.maximum(np.abs(lhs[moved]), np.abs(rhs[moved]))
-        lhs -= rhs
-        res = np.abs(lhs)
-        if exps.shape[-1]:
-            res[moved] = apart
+            res = _monomial_residual(
+                lhs, exps[rows, :, None] + exps[mul[rows]],
+                rhs, exps[rows][:, mul] + exps)
+        else:
+            lhs -= rhs
+            res = np.abs(lhs)
         bad = res > tol
         # np.nonzero is slow on 3-d arrays; flat indices keep row-major order
         for r, s, t in zip(*np.unravel_index(np.flatnonzero(bad), bad.shape)):

@@ -11,7 +11,11 @@ checks products and stars on the models' dense forms, and certifies
 bijectivity by the real rank of the multiples b image_t over a real basis
 b of E, taken from the same readouts, against the target's real dimension
 (for a corner, the real rank of p S(f) p).  Over Laurent rings it checks
-the residuals one model operation at a time.
+the residuals one model operation at a time.  The torus rewrites
+(z2n_torus_rewrite) substitute z -> z^2, so they are not E-linear and
+have their own report; basis elements, their products, stars and images
+are all monomials, so that check runs on coefficient and integer exponent
+arrays, a block of basis pairs at a time.
 """
 from __future__ import annotations
 
@@ -23,8 +27,9 @@ import numpy as np
 
 from .algebra import AlgebraElement, alg_mul, alg_star, generator, regular_matrix
 from .cocycle import (KLEIN_A, KLEIN_B, KLEIN_C, Lambda, SchurFunction,
-                      coboundary, cocycle_mul, klein_table, tensor_cocycle)
-from .groups import direct_product, make_cyclic
+                      _monomial_residual, _monomial_table, coboundary,
+                      cocycle_mul, klein_table, tensor_cocycle)
+from .groups import direct_product, make_cyclic, make_subset_group, row_blocks
 from .rings import (COMPLEX, DEFAULT_TOL, RingDescriptor, RingValue, laurent,
                     real_basis, real_dim)
 
@@ -888,84 +893,62 @@ class SubstitutionReport:
                 and self.injective)
 
 
-def _torus_rewrite_phi(f: SchurFunction, x: AlgebraElement) -> RingValue:
-    """Phi(X) = sum_I lambda_I(z) X_I(z^2), lambda_I = prod_{i in I} z_i."""
-    d = f.descriptor
-    acc = RingValue.zero(d)
-    for mask, c in enumerate(x.coeffs):
-        if c.is_zero(0.0):
-            continue
-        exps = tuple((mask >> i) & 1 for i in range(d.m))
-        lam = RingValue.monomial(d, 1, exps)
-        acc = acc + lam * c.substitute_square()
-    return acc
-
-
 def z2n_torus_rewrite(n: int, degree: int = 4, max_pairs: int = None,
                       seed: int = 0) -> SubstitutionReport:
-    """Exact symbolic verification that X -> sum_I lambda_I(z) X_I(z^2) is
-    an injective *-homomorphism for the cocycle f(I,J) = lambda_{I cap J}
+    """Exact verification that X -> sum_I lambda_I(z) X_I(z^2) is an
+    injective *-homomorphism for the cocycle f(I,J) = lambda_{I cap J}
     on the subsets of {1..n} over Laurent polynomials in n variables.
 
-    Checked on the monomial basis z^e V_I with all |e_i| <= degree; all
-    basis pairs when their number is moderate, otherwise a deterministic
-    sample of max_pairs pairs.
+    Checked on the monomial basis z^e V_I with all |e_i| <= degree (I
+    major, then e in itertools.product order): all basis pairs when
+    max_pairs is None or at least their number, otherwise a deterministic
+    sample of max_pairs pairs.  Basis elements, their products, stars and
+    images are all monomials, Phi(c z^a V_K) = c z^(1_K + 2a) with 1_K the
+    exponent of lambda_K, so the check runs on coefficient and integer
+    exponent arrays, at most 8,192 pairs at a time.
     """
-    from itertools import product as iproduct
-    from .groups import make_subset_group
-
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    if max_pairs is not None and max_pairs < 1:
+        raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
     g = make_subset_group(list(range(1, n + 1)))
     d = laurent(m=n)
-    vals = []
-    for a in range(g.order):
-        row = []
-        for b in range(g.order):
-            exps = tuple(((a & b) >> i) & 1 for i in range(n))
-            row.append(RingValue.monomial(d, 1, exps))
-        vals.append(row)
-    f = SchurFunction(g, d, vals)
+    bits = (np.arange(g.order)[:, None] >> np.arange(n)) & 1
+    fc, fexp = _monomial_table(
+        [[RingValue.monomial(d, 1, bits[a & b]) for b in range(g.order)]
+         for a in range(g.order)], d)
+    side = 2 * degree + 1
+    label = np.repeat(np.arange(g.order), side ** n)
+    e = np.tile(np.indices((side,) * n).reshape(n, -1).T - degree,
+                (g.order, 1))
+    img = bits[label] + 2 * e
+    nb = len(label)
 
-    basis = []
-    for mask in range(g.order):
-        for e in iproduct(range(-degree, degree + 1), repeat=n):
-            x = AlgebraElement.zero(f)
-            x.coeffs[mask] = RingValue.monomial(d, 1, e)
-            basis.append(x)
+    # (z^e V_I)^* = f(I^-1, I)^* z^-e V_(I^-1), against Phi(z^e V_I)^*
+    inv = g.inv[label]
+    star_res = float(_monomial_residual(
+        fc[inv, label].conj(), bits[inv] - 2 * (fexp[inv, label] + e),
+        1.0, -img).max())
+    injective = len(set(map(tuple, img.tolist()))) == nb
 
-    star_res = 0.0
-    images = []
-    for x in basis:
-        lhs = _torus_rewrite_phi(f, alg_star(x))
-        rhs = _torus_rewrite_phi(f, x).star()
-        star_res = max(star_res, (lhs - rhs).abs_bound())
-        images.append(_torus_rewrite_phi(f, x))
+    def mult_residual(i, j):
+        # z^(e_i) V_I z^(e_j) V_J = f(I,J) z^(e_i + e_j) V_IJ
+        s, t = label[i], label[j]
+        lhs = bits[g.mul[s, t]] + 2 * (fexp[s, t] + e[i] + e[j])
+        return float(_monomial_residual(fc[s, t], lhs, 1.0,
+                                        img[i] + img[j]).max())
 
-    # basis images are distinct monomials (parity of exponents separates
-    # the group label from the doubled input exponents)
-    seen = set()
-    injective = True
-    for im in images:
-        mono = im.is_monomial()
-        if mono is None or mono[1] in seen:
-            injective = False
-            break
-        seen.add(mono[1])
-
-    nb = len(basis)
-    all_pairs = nb * nb
-    mult_res = 0.0
-    if max_pairs is None or all_pairs <= max_pairs:
-        pairs = ((i, j) for i in range(nb) for j in range(nb))
-        checked = all_pairs
+    if max_pairs is None or nb * nb <= max_pairs:
+        checked = nb * nb
+        blocks = ((np.arange(rows.start, rows.stop)[:, None], np.arange(nb))
+                  for rows in row_blocks(nb, nb, 1 << 13))
     else:
         rng = np.random.default_rng(seed)
-        pairs = zip(rng.integers(0, nb, max_pairs),
-                    rng.integers(0, nb, max_pairs))
+        ii = rng.integers(0, nb, max_pairs)
+        jj = rng.integers(0, nb, max_pairs)
         checked = max_pairs
-    for i, j in pairs:
-        lhs = _torus_rewrite_phi(f, alg_mul(basis[i], basis[j]))
-        rhs = images[i] * images[j]
-        mult_res = max(mult_res, (lhs - rhs).abs_bound())
+        blocks = ((ii[b], jj[b]) for b in row_blocks(max_pairs, 1, 1 << 13))
+    mult_res = max(mult_residual(i, j) for i, j in blocks)
     return SubstitutionReport(mult_res, star_res, checked, injective)
 
 

@@ -343,14 +343,6 @@ class RingValue:
             return None
         return terms[0][1], terms[0][0]
 
-    def substitute_square(self) -> "RingValue":
-        """z -> z^2 in every variable (exponent doubling)."""
-        d = self.descriptor
-        if d.kind != "laurent":
-            raise ValueError("substitute_square needs a laurent value")
-        return RingValue(d, {tuple(2 * x for x in e): c
-                             for e, c in self.payload.items()})
-
     # -- roots -------------------------------------------------------------
 
     def nth_root(self, n: int):

@@ -503,11 +503,14 @@ def test_criterion_11_order8_instance():
 def test_criterion_12_laurent_rewrites():
     ok = True
     rep = laurent_z2_rewrite(degree=4)
-    ok = ok and rep.ok(0.0)
-    rep = z2n_torus_rewrite(2, degree=4, max_pairs=40000, seed=12)
-    ok = ok and rep.ok(0.0)
-    rep = z2n_torus_rewrite(3, degree=4, max_pairs=4000, seed=12)
-    ok = ok and rep.ok(0.0)
+    ok = ok and rep.ok(0.0) and rep.pairs_checked == 18 ** 2
+    # every pair for two variables at degree 4 and three at degree 2
+    rep = z2n_torus_rewrite(2, degree=4)
+    ok = ok and rep.ok(0.0) and rep.pairs_checked == (4 * 9 ** 2) ** 2
+    rep = z2n_torus_rewrite(3, degree=2)
+    ok = ok and rep.ok(0.0) and rep.pairs_checked == (8 * 5 ** 3) ** 2
+    rep = z2n_torus_rewrite(3, degree=4, max_pairs=10 ** 6, seed=12)
+    ok = ok and rep.ok(0.0) and rep.pairs_checked == 10 ** 6
     announce(12, "exact Laurent substitution rewrites", ok)
     assert ok
 

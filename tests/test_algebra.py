@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalg import (COMPLEX, DEFAULT_TOL, KLEIN_C, QUATERNION, REAL,
-                      AlgebraElement, GroupTable, Lambda, RingDescriptor,
-                      RingValue, SchurFunction, alg_mul, alg_norm, alg_star,
+                      AlgebraElement, Lambda, RingDescriptor, RingValue,
+                      SchurFunction, alg_mul, alg_norm, alg_star,
                       center_check, coboundary, coefficient,
                       coefficient_positivity, embed_scalar, generator,
                       is_projection, klein_table, laurent, make_cyclic,
@@ -20,6 +19,7 @@ from twistalg import (COMPLEX, DEFAULT_TOL, KLEIN_C, QUATERNION, REAL,
 from twistalg.dense import value_dense
 
 from rmat import rmat_adjoint, rmat_mul, rmat_residual
+from small_groups import S3
 
 L1 = laurent(1)
 
@@ -154,12 +154,6 @@ def test_laurent_norm_is_sup_over_torus():
     f = trivial_cocycle(make_cyclic(1), L1)
     a = AlgebraElement(f, [RingValue.poly(L1, {(1,): 1, (0,): 2})])
     assert alg_norm(a, grid=64) == pytest.approx(3.0, abs=1e-12)
-
-
-PERMS = list(itertools.permutations(range(3)))        # identity first
-# the symmetric group S_3, a o b at (a, b): the smallest non-abelian group
-S3 = GroupTable([[PERMS.index(tuple(a[i] for i in b)) for b in PERMS]
-                 for a in PERMS])
 
 
 def random_ring_value(d, rng):

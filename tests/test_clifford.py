@@ -160,6 +160,48 @@ def test_universal_map_names_offending_relation():
         universal_map(cspec([1]), [x], MatrixModel(2, RingModel(COMPLEX)))
 
 
+def ordered_products(m):
+    """V_A -> prod_{s in A, ascending} x_s from the unit, one product per
+    set bit, with x_s = m.images[{s}]: the reference for universal_map's
+    breadth-first images."""
+    tgt, n = m.target, m.source.group.order
+    gens = [m.images[1 << i] for i in range(n.bit_length() - 1)]
+    out = []
+    for mask in range(n):
+        acc = tgt.unit()
+        for i, x in enumerate(gens):
+            if mask >> i & 1:
+                acc = tgt.mul(acc, x)
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(["matrix", "quaternion", "complexify"]),
+       st.sampled_from([0, 2, 4]), st.data())
+def test_universal_map_images_match_ordered_products(kind, size, data):
+    """The periodicity maps' images equal the ordered products exactly,
+    over R and C (quaternion and complexify need R)."""
+    field = "real" if kind != "matrix" else data.draw(
+        st.sampled_from(["real", "complex"]))
+    d = REAL if field == "real" else COMPLEX
+
+    def central_unitary():
+        if field == "real":
+            return RingValue.scalar(d, data.draw(st.sampled_from([-1, 1])))
+        return RingValue.scalar(d, np.exp(1j * data.draw(st.floats(0, 6.3))))
+
+    spec = CliffordSpec(list(range(1, size + 1)),
+                        [central_unitary() for _ in range(size)], d)
+    if kind == "complexify":
+        m = complexify_odd(spec)
+    else:
+        build = extend_two_matrix if kind == "matrix" else extend_two_quaternion
+        m = build(spec, central_unitary(), central_unitary())
+    for got, want in zip(m.images, ordered_products(m)):
+        assert m.target.slots(got) == m.target.slots(want)
+
+
 # -- projection families ---------------------------------------------------
 
 def test_corner_projection():

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,9 @@ from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, QUATERNION, REAL,
                       z2z4_corrected_cocycle, z2z4_decompose)
 from twistalg import isolab
 from twistalg.cocycle import SchurFunction
-from twistalg.isolab import object_residuals
+from twistalg.isolab import SubstitutionReport, object_residuals
+
+from small_groups import S3
 
 L1 = laurent(1)
 
@@ -269,6 +272,86 @@ def test_z2n_torus_rewrite_sampled():
     assert rep.pairs_checked == 400
 
 
+def reference_torus_rewrite(n, degree, max_pairs=None, seed=0):
+    """z2n_torus_rewrite one algebra object at a time: alg_mul and alg_star
+    on the basis z^e V_I, and Phi(X) = sum_I lambda_I(z) X_I(z^2) summed as
+    RingValues, over the same basis order and the same sampled pairs."""
+    g = make_subset_group(list(range(1, n + 1)))
+    d = laurent(m=n)
+
+    def bits(mask):
+        return tuple((mask >> i) & 1 for i in range(n))
+
+    f = SchurFunction(g, d, [[RingValue.monomial(d, 1, bits(a & b))
+                              for b in range(g.order)]
+                             for a in range(g.order)])
+
+    def phi(x):
+        acc = RingValue.zero(d)
+        for mask, c in enumerate(x.coeffs):
+            if not c.is_zero(0.0):
+                squared = RingValue(d, {tuple(2 * k for k in e): v
+                                        for e, v in c.payload.items()})
+                acc = acc + RingValue.monomial(d, 1, bits(mask)) * squared
+        return acc
+
+    basis = []
+    for mask in range(g.order):
+        for e in itertools.product(range(-degree, degree + 1), repeat=n):
+            x = AlgebraElement.zero(f)
+            x.coeffs[mask] = RingValue.monomial(d, 1, e)
+            basis.append(x)
+    images = [phi(x) for x in basis]
+    star_res = max((phi(alg_star(x)) - im.star()).abs_bound()
+                   for x, im in zip(basis, images))
+    monos = [im.is_monomial() for im in images]
+    injective = (None not in monos
+                 and len({mono[1] for mono in monos}) == len(monos))
+    nb = len(basis)
+    if max_pairs is None or nb * nb <= max_pairs:
+        pairs, checked = itertools.product(range(nb), repeat=2), nb * nb
+    else:
+        rng = np.random.default_rng(seed)
+        pairs = zip(rng.integers(0, nb, max_pairs),
+                    rng.integers(0, nb, max_pairs))
+        checked = max_pairs
+    mult_res = max((phi(alg_mul(basis[i], basis[j]))
+                    - images[i] * images[j]).abs_bound() for i, j in pairs)
+    return SubstitutionReport(mult_res, star_res, checked, injective)
+
+
+@pytest.mark.parametrize("max_pairs, seed",
+                         [(None, 0), (50, 0), (50, 1), (50, 2)])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_torus_rewrite_matches_object_reference(n, degree, max_pairs, seed):
+    rep = z2n_torus_rewrite(n, degree=degree, max_pairs=max_pairs, seed=seed)
+    ref = reference_torus_rewrite(n, degree, max_pairs, seed)
+    assert rep == ref
+    assert rep.injective is True
+    assert rep.ok(0.0)
+
+
+def test_torus_rewrite_memory_is_bounded():
+    """10^6 pairs in blocks of 8,192: one block of all pairs would hold
+    24 MB of exponents per array."""
+    tracemalloc.start()
+    try:
+        rep = z2n_torus_rewrite(3, degree=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok(0.0) and rep.pairs_checked == 10 ** 6
+    assert peak <= 1.5 * 2 ** 20
+
+
+def test_torus_rewrite_refuses_empty_checks():
+    with pytest.raises(ValueError, match="degree"):
+        z2n_torus_rewrite(1, degree=-1)
+    with pytest.raises(ValueError, match="max_pairs"):
+        z2n_torus_rewrite(2, degree=1, max_pairs=0)
+
+
 # -- the order-8 instance --------------------------------------------------
 
 def test_z2z4_printed_table_is_not_a_cocycle():
@@ -399,9 +482,13 @@ def random_value(d, data):
 
 
 def random_cocycle(d, data):
-    """A coboundary on Z/n or a Clifford cocycle times one."""
-    if data.draw(st.booleans()):
+    """A coboundary on Z/n or on the non-abelian S_3, or a Clifford cocycle
+    times one."""
+    base = data.draw(st.sampled_from(["cyclic", "S3", "clifford"]))
+    if base == "cyclic":
         base = trivial_cocycle(make_cyclic(data.draw(st.integers(1, 6))), d)
+    elif base == "S3":
+        base = trivial_cocycle(S3, d)
     else:
         base = clifford_cocycle(random_spec(d, data, data.draw(
             st.integers(0, 3))))
