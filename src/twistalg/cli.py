@@ -78,8 +78,7 @@ def cmd_validate(args) -> int:
 
 def cmd_mul(args) -> int:
     cfg = _load_config(args)
-    f = parse_cocycle(cfg["cocycle"], args.tol)
-    _require_valid_cli(f, args.tol)
+    f = _valid_cocycle(cfg["cocycle"], args.tol)
     x = parse_element(f, cfg["x"])
     y = parse_element(f, cfg["y"])
     _emit({"result": element_to_json(algebra.alg_mul(x, y))}, args)
@@ -88,8 +87,7 @@ def cmd_mul(args) -> int:
 
 def cmd_star(args) -> int:
     cfg = _load_config(args)
-    f = parse_cocycle(cfg["cocycle"], args.tol)
-    _require_valid_cli(f, args.tol)
+    f = _valid_cocycle(cfg["cocycle"], args.tol)
     x = parse_element(f, cfg["x"])
     _emit({"result": element_to_json(algebra.alg_star(x))}, args)
     return EXIT_OK
@@ -97,8 +95,7 @@ def cmd_star(args) -> int:
 
 def cmd_norm(args) -> int:
     cfg = _load_config(args)
-    f = parse_cocycle(cfg["cocycle"], args.tol)
-    _require_valid_cli(f, args.tol)
+    f = _valid_cocycle(cfg["cocycle"], args.tol)
     x = parse_element(f, cfg["x"])
     _emit({"norm": _fmt12(algebra.alg_norm(x, grid=args.grid))}, args)
     return EXIT_OK
@@ -258,10 +255,12 @@ def cmd_clifford(args) -> int:
     return EXIT_OK if ok else EXIT_DOMAIN
 
 
-def _require_valid_cli(f, tol):
-    rep = cocycle.validate(f, tol=tol)
-    if not rep.ok:
-        raise ValueError(f"invalid cocycle: {rep}")
+def _valid_cocycle(obj, tol):
+    """parse_cocycle; tables that no constructor validated are validated."""
+    f = parse_cocycle(obj, tol)
+    if "table" in obj or not ("f_alpha" in obj or "klein_table" in obj):
+        cocycle._require_valid(f, "the cocycle config", tol)
+    return f
 
 
 # -- entry point -----------------------------------------------------------

@@ -37,26 +37,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _monomial_table(values, descriptor):
-    """Extract (coeff, exponent) arrays when every entry is a unimodular
-    monomial (scalars count, with empty exponent vector); else None."""
-    n = len(values)
-    if descriptor.kind in ("complex", "real"):
-        coeff = np.array([[complex(v.payload) for v in row] for row in values])
-        return coeff, np.zeros((n, n, 0), dtype=np.int64)
-    if descriptor.kind == "laurent":
-        coeff = np.empty((n, n), dtype=complex)
-        exps = np.empty((n, n, descriptor.m), dtype=np.int64)
-        for s in range(n):
-            for t in range(n):
-                mono = values[s][t].is_monomial(0.0)
-                if mono is None:
-                    return None
-                coeff[s, t], exps[s, t] = mono[0], mono[1]
-        return coeff, exps
-    return None
-
-
 class SchurFunction:
     def __init__(self, group: GroupTable, descriptor: RingDescriptor, values):
         if len(values) != group.order or any(len(r) != group.order for r in values):
@@ -86,26 +66,113 @@ class SchurFunction:
 
 
 def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Exhaustive check of all Schur-function invariants.
-
-    Violations are reported as data; nothing raises.  Scalar (complex and
-    real) tables are checked as whole arrays.  The cocycle identity over
-    all triples is vectorized, in blocks of rows, when every table entry
-    is a unimodular monomial (which covers scalar tables), and falls back
-    to a direct loop otherwise.  Both paths report the same violations in
-    the same order.
-    """
-    rep = ValidationReport()
-    mono = _monomial_table(f.values, f.descriptor)
-    if f.descriptor.kind in ("complex", "real"):
-        _scalar_entry_checks(rep, f.group, mono[0], tol)
-    else:
+    """Exhaustive check of all Schur-function invariants, reported as data:
+    on whole arrays for tables with an array form (_array_table), else (a
+    Laurent table with a non-monomial entry) one value at a time."""
+    rep, table = ValidationReport(), _array_table(f.values, f.descriptor)
+    if table is None:
         _entry_checks(rep, f, tol)
-    if mono is not None:
-        _monomial_cocycle_check(rep, f.group.mul, *mono, tol)
-    else:
         _cocycle_check(rep, f, tol)
+    else:
+        _array_entry_checks(rep, f, *table, tol)
+        _array_cocycle_check(rep, f.group.mul, *table, tol)
     return rep
+
+
+def _array_table(values, d: RingDescriptor):
+    """(forms (n, n, b, b), exps (n, n, m), readout columns, a slice if all)
+    of a table: dense.value_blocks over finite rings (m = 0), coefficients c
+    and exponents e over Laurent tables of monomials c z^e; else None."""
+    n = len(values)
+    if d.kind != "laurent":
+        from .dense import readout_columns, value_blocks
+        forms, cols = value_blocks(d, values), readout_columns(d)
+        return forms, np.zeros((n, n, 0), dtype=np.int64), (
+            cols if len(cols) < forms.shape[-1] else slice(None))
+    monos = [v.is_monomial(0.0) for row in values for v in row]
+    if None in monos:
+        return None
+    return (np.array([c for c, _ in monos], dtype=complex).reshape(n, n, 1, 1),
+            np.array([e for _, e in monos], dtype=np.int64).reshape(n, n, -1),
+            slice(None))
+
+
+def _times(a, y):
+    """a y for forms a (..., b, b), readouts y: a * y if b = 1."""
+    from .dense import _matmul
+    return a * y if a.shape[-1] == 1 else _matmul(a, y)
+
+
+def _residual(lhs, lhs_exps, rhs, rhs_exps):
+    """RingValue.abs_bound of lhs z^a - rhs z^b over readouts (..., b, r)
+    and exponents (..., m): max |lhs - rhs| where a = b; elsewhere (b = 1)
+    the larger coefficient of the two terms.  lhs may be overwritten."""
+    res = np.abs(np.subtract(lhs, rhs,
+                             out=None if lhs_exps.shape[-1] else lhs))
+    if lhs_exps.shape[-1]:
+        moved = np.any(lhs_exps != rhs_exps, axis=-1)[..., None, None]
+        res = np.where(moved, np.maximum(np.abs(lhs), np.abs(rhs)), res)
+    return res[..., 0, 0] if res.shape[-2:] == (1, 1) else res.max((-2, -1))
+
+
+def _array_entry_checks(rep: ValidationReport, f: SchurFunction, forms, exps,
+                        cols, tol: float):
+    """_entry_checks on the array form of a table: same order, same
+    residuals; NaN fails.  The unit check (Python's abs, not numpy's array
+    abs) and centrality of forms larger than 1 x 1 take one value at a time."""
+    g, b, e = f.group, forms.shape[-1], f.group.identity
+    unit = RingValue.unit(f.descriptor)
+    if not f.values[e][e].close(unit, tol):
+        rep.add("unit", (e, e), (f.values[e][e] - unit).abs_bound())
+    y, one, no = forms[..., cols], np.eye(b)[:, cols], exps[e, e] * 0
+    res = _residual(np.stack([y[:, e], y[e, :]], axis=1),
+                    np.stack([exps[:, e], exps[e, :]], axis=1), one, no)
+    for t, side in zip(*np.nonzero(~(res <= tol))):
+        rep.add("normalization", (int(t), e) if side == 0 else (e, int(t)),
+                res[t, side])
+    # v v^* and v^* v: the form of v^* is the adjoint of the form of v
+    adj = forms.conj().swapaxes(-1, -2)
+    res = _residual(_times(forms, adj[..., cols]), no, one, no)
+    bad = ~(res <= tol) | ~(_residual(_times(adj, y), no, one, no) <= tol)
+    central = (np.ones(bad.shape, dtype=bool) if b == 1 else
+               np.array([[v.is_central(tol) for v in r] for r in f.values]))
+    for s, t in zip(*np.nonzero(bad | ~central)):
+        if bad[s, t]:
+            rep.add("unitary", (int(s), int(t)), res[s, t])
+        if not central[s, t]:
+            rep.add("central", (int(s), int(t)), 1.0)
+    i = np.arange(g.order)
+    res = _residual(y[i, g.inv], exps[i, g.inv], y[g.inv, i], exps[g.inv, i])
+    for t in np.nonzero(~(res <= tol))[0]:
+        rep.add("inverse-symmetry", (int(t), int(g.inv[t])), res[t])
+
+
+def _array_cocycle_check(rep: ValidationReport, mul, forms, exps, cols,
+                         tol: float):
+    """f(r,s) f(rs,t) = f(r,st) f(s,t) over all triples, one block of rows
+    r at a time: at most dense.BLOCK_ENTRIES form entries a block if b > 1."""
+    from .dense import BLOCK_ENTRIES
+    n, b = len(mul), forms.shape[-1]
+    y = forms[..., cols]
+    for rows in row_blocks(n, n * n * b * b, BLOCK_ENTRIES if b > 1 else None):
+        # lhs[r,s,t] = f(r,s) f(rs,t); rhs[r,s,t] = f(r,st) f(s,t)
+        if b == 1:      # numpy's complex a * b may round unlike b * a
+            lhs = y[mul[rows]]
+            lhs *= forms[rows, :, None]
+            rhs = forms[rows][:, mul]
+            rhs *= y
+        else:
+            lhs = _times(forms[rows, :, None], y[mul[rows]])
+            rhs = _times(forms[rows][:, mul], y)
+        no = not exps.shape[-1]     # no variables: skip the exponent gathers
+        res = _residual(
+            lhs, exps[0, 0] if no else exps[rows, :, None] + exps[mul[rows]],
+            rhs, exps[0, 0] if no else exps[rows][:, mul] + exps)
+        bad = res > tol
+        # np.nonzero is slow on 3-d arrays; flat indices keep row-major order
+        for r, s, t in zip(*np.unravel_index(np.flatnonzero(bad), bad.shape)):
+            rep.add("cocycle", (rows.start + int(r), int(s), int(t)),
+                    res[r, s, t])
 
 
 def _entry_checks(rep: ValidationReport, f: SchurFunction, tol: float):
@@ -133,62 +200,6 @@ def _entry_checks(rep: ValidationReport, f: SchurFunction, tol: float):
         d = f.values[t][ti] - f.values[ti][t]
         if not d.is_zero(tol):
             rep.add("inverse-symmetry", (t, ti), d.abs_bound())
-
-
-def _scalar_entry_checks(rep: ValidationReport, g: GroupTable, coeff,
-                         tol: float):
-    """`_entry_checks` on the (n, n) coefficient array of a scalar table:
-    same order, same residuals.  Scalars are always central.  A residual
-    fails unless it is <= tol, so NaN entries are reported as well."""
-    e = g.identity
-    res = abs(coeff[e, e] - 1)
-    if not res <= tol:
-        rep.add("unit", (e, e), res)
-    res = np.abs(np.stack([coeff[:, e], coeff[e, :]], axis=1) - 1)
-    for t, side in zip(*np.nonzero(~(res <= tol))):
-        rep.add("normalization", (int(t), e) if side == 0 else (e, int(t)),
-                res[t, side])
-    res = np.abs(coeff * coeff.conj() - 1)
-    for s, t in zip(*np.nonzero(~(res <= tol))):
-        rep.add("unitary", (int(s), int(t)), res[s, t])
-    idx = np.arange(g.order)
-    res = np.abs(coeff[idx, g.inv] - coeff[g.inv, idx])
-    for t in np.nonzero(~(res <= tol))[0]:
-        rep.add("inverse-symmetry", (int(t), int(g.inv[t])), res[t])
-
-
-def _monomial_residual(lhs, lhs_exps, rhs, rhs_exps):
-    """RingValue.abs_bound of lhs z^a - rhs z^b, elementwise over
-    coefficient arrays and exponent arrays a, b (variables on the last
-    axis): |lhs - rhs| where a = b; elsewhere the difference has two
-    terms and the residual is the larger coefficient."""
-    moved = np.any(lhs_exps != rhs_exps, axis=-1)
-    return np.where(moved, np.maximum(np.abs(lhs), np.abs(rhs)),
-                    np.abs(lhs - rhs))
-
-
-def _monomial_cocycle_check(rep: ValidationReport, mul, coeff, exps,
-                            tol: float):
-    """f(r,s) f(rs,t) = f(r,st) f(s,t) over all triples of a monomial
-    table, one block of rows r at a time: peak memory O(n^2 * B)."""
-    for rows in row_blocks(len(mul)):
-        # lhs[r,s,t] = f(r,s) f(rs,t); rhs[r,s,t] = f(r,st) f(s,t)
-        lhs = coeff[mul[rows]]
-        lhs *= coeff[rows, :, None]
-        rhs = coeff[rows][:, mul]
-        rhs *= coeff
-        if exps.shape[-1]:
-            res = _monomial_residual(
-                lhs, exps[rows, :, None] + exps[mul[rows]],
-                rhs, exps[rows][:, mul] + exps)
-        else:
-            lhs -= rhs
-            res = np.abs(lhs)
-        bad = res > tol
-        # np.nonzero is slow on 3-d arrays; flat indices keep row-major order
-        for r, s, t in zip(*np.unravel_index(np.flatnonzero(bad), bad.shape)):
-            rep.add("cocycle", (rows.start + int(r), int(s), int(t)),
-                    res[r, s, t])
 
 
 def _cocycle_check(rep: ValidationReport, f: SchurFunction, tol: float):

@@ -5,10 +5,11 @@ Every finite coefficient ring (complex, real, quaternion, k x k matrices
 and products of these) has one faithful *-representation on square arrays,
 value_dense.  Real rings give real arrays.  Each algebra model of
 twistalg.isolab builds its own dense form (dense, readout, star_readout)
-from these ring-level forms and the exact elementwise arithmetic here, and
-algebra.alg_norm shares the twisted model's regular_dense.  All of them
-import this module on first use, so importing twistalg does not load it,
-and it imports nothing from isolab.
+from these ring-level forms and the exact elementwise arithmetic here,
+algebra.alg_norm shares the twisted model's regular_dense, and
+cocycle.validate checks tables over finite rings on their value_blocks.
+All of them import this module on first use, so importing twistalg does
+not load it, and it imports nothing from isolab.
 
 Faithful *-representations of a finite-dimensional C*-algebra are
 isometric, so norms taken on these arrays are the C*-norms.  The forms are

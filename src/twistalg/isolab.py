@@ -27,8 +27,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, alg_mul, alg_star, generator, regular_matrix
 from .cocycle import (KLEIN_A, KLEIN_B, KLEIN_C, Lambda, SchurFunction,
-                      _monomial_residual, _monomial_table, coboundary,
-                      cocycle_mul, klein_table, tensor_cocycle)
+                      _array_table, _residual, coboundary, cocycle_mul,
+                      klein_table, tensor_cocycle)
 from .groups import direct_product, make_cyclic, make_subset_group, row_blocks
 from .rings import (COMPLEX, DEFAULT_TOL, RingDescriptor, RingValue, laurent,
                     real_basis, real_dim)
@@ -914,7 +914,7 @@ def z2n_torus_rewrite(n: int, degree: int = 4, max_pairs: int = None,
     g = make_subset_group(list(range(1, n + 1)))
     d = laurent(m=n)
     bits = (np.arange(g.order)[:, None] >> np.arange(n)) & 1
-    fc, fexp = _monomial_table(
+    fc, fexp, _ = _array_table(
         [[RingValue.monomial(d, 1, bits[a & b]) for b in range(g.order)]
          for a in range(g.order)], d)
     side = 2 * degree + 1
@@ -926,7 +926,7 @@ def z2n_torus_rewrite(n: int, degree: int = 4, max_pairs: int = None,
 
     # (z^e V_I)^* = f(I^-1, I)^* z^-e V_(I^-1), against Phi(z^e V_I)^*
     inv = g.inv[label]
-    star_res = float(_monomial_residual(
+    star_res = float(_residual(
         fc[inv, label].conj(), bits[inv] - 2 * (fexp[inv, label] + e),
         1.0, -img).max())
     injective = len(set(map(tuple, img.tolist()))) == nb
@@ -935,8 +935,7 @@ def z2n_torus_rewrite(n: int, degree: int = 4, max_pairs: int = None,
         # z^(e_i) V_I z^(e_j) V_J = f(I,J) z^(e_i + e_j) V_IJ
         s, t = label[i], label[j]
         lhs = bits[g.mul[s, t]] + 2 * (fexp[s, t] + e[i] + e[j])
-        return float(_monomial_residual(fc[s, t], lhs, 1.0,
-                                        img[i] + img[j]).max())
+        return float(_residual(fc[s, t], lhs, 1.0, img[i] + img[j]).max())
 
     if max_pairs is None or nb * nb <= max_pairs:
         checked = nb * nb

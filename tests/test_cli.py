@@ -158,6 +158,30 @@ def test_mul_and_star(tmp_path, capsys):
     assert json.loads(out)["result"]["coeffs"] == {"1": "0-1i"}
 
 
+@pytest.mark.parametrize("cocycle, code", [
+    ({"descriptor": "complex", "f_alpha": ["i"]}, 0),
+    ({"descriptor": "complex", "group": {"kind": "cyclic", "n": 2},
+      "table": [["1", "1"], ["1", "i"]]}, 0),
+    ({"descriptor": "complex", "group": {"kind": "cyclic", "n": 2},
+      "table": [["1", "1"], ["1", "0.5"]]}, 1),
+])
+def test_star_validates_the_cocycle_once(tmp_path, capsys, monkeypatch,
+                                         cocycle, code):
+    # f_alpha validates its own table; a table is validated by the CLI
+    import twistalg.cocycle
+    validate, calls = twistalg.cocycle.validate, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(twistalg.cocycle, "validate", counted)
+    cfg = write(tmp_path, "s.json", {"cocycle": cocycle,
+                                     "x": {"coeffs": {"1": "1"}}})
+    assert run(capsys, "star", "--config", cfg)[0] == code
+    assert len(calls) == 1
+
+
 def test_norm(tmp_path, capsys):
     cfg = write(tmp_path, "n.json", {
         "cocycle": TRIVIAL_Z2["cocycle"],

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, REAL, Lambda,
-                      RingValue, SchurFunction, coboundary, cocycle_inverse,
-                      cocycle_mul, cyclic_power_value, direct_product,
-                      equivalent_cyclic, hat, klein_table, laurent,
-                      make_cyclic, make_f_alpha, matrix_ring, tensor_cocycle,
-                      trivial_cocycle, validate, winding,
-                      z_coboundary_witness)
+import twistalg.cocycle as cocycle
+from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, QUATERNION, REAL,
+                      Lambda, RingValue, SchurFunction, coboundary,
+                      cocycle_inverse, cocycle_mul, cyclic_power_value,
+                      direct_product, equivalent_cyclic, hat, klein_table,
+                      laurent, make_cyclic, make_f_alpha, matrix_ring,
+                      product_ring, tensor_cocycle, trivial_cocycle, validate,
+                      winding, z_coboundary_witness)
 from twistalg.cocycle import (ValidationReport, _cocycle_check,
                               _entry_checks)
 
@@ -336,14 +337,6 @@ def test_coboundary_cocycle_identity_random(n, data):
 
 # -- fast paths against reference paths -----------------------------------
 
-def _as_matrix1(f):
-    """The same table over 1 x 1 matrices, which validate checks one
-    RingValue at a time (the object path)."""
-    d = matrix_ring(1, "complex" if f.descriptor == COMPLEX else "real")
-    vals = [[RingValue.mat(d, [[v.payload]]) for v in row] for row in f.values]
-    return SchurFunction(f.group, d, vals)
-
-
 _GROUPS = [(n,) for n in range(1, 9)] + [(2, 2), (2, 3), (3, 3)]
 
 
@@ -408,7 +401,7 @@ def _same_report(fast, ref):
     assert [(c, w) for c, w, _ in fast.violations] == \
         [(c, w) for c, w, _ in ref.violations]
     for (_, _, a), (_, _, b) in zip(fast.violations, ref.violations):
-        assert abs(a - b) <= 1e-12
+        assert abs(a - b) <= 1e-15 * max(1.0, abs(b))
 
 
 def _object_report(f, tol=1e-9):
@@ -423,9 +416,112 @@ def _object_report(f, tol=1e-9):
 @given(st.sampled_from([COMPLEX, REAL, L1, L2]), st.data())
 def test_scalar_validate_matches_object_path(d, data):
     f = _corrupted_coboundary(data, d)
-    ref = (_object_report(f) if d.kind == "laurent"
-           else validate(_as_matrix1(f)))
-    _same_report(validate(f), ref)
+    _same_report(validate(f), _object_report(f))
+
+
+M2R = matrix_ring(2, "real")
+_FINITE = [QUATERNION, M2, M2R, product_ring(COMPLEX, M2),
+           product_ring(REAL, QUATERNION)]
+
+
+def _central_unitary(data, d):
+    """A sign over real rings, a phase otherwise; each factor of a
+    product draws its own."""
+    if d.kind == "product":
+        return RingValue.tuple_value(
+            d, [_central_unitary(data, x) for x in d.factors])
+    if d.is_real:
+        return RingValue.scalar(d, data.draw(st.sampled_from([-1.0, 1.0])))
+    return phase(data.draw(st.floats(0, 6.28)), d)
+
+
+def _rotation(data, d):
+    """A unitary that is not central: a rotation in a coordinate plane of
+    H, or of the plane of M_2; scalar factors of a product get 1."""
+    theta = data.draw(st.floats(0.3, 2.8))
+    c, s = np.cos(theta), np.sin(theta)
+    if d.kind == "quaternion":
+        coords = [c, 0.0, 0.0, 0.0]
+        coords[data.draw(st.integers(1, 3))] = s
+        return RingValue.quaternion(coords)
+    if d.kind == "matrix":
+        return RingValue.mat(d, [[c, -s], [s, c]])
+    if d.kind == "product":
+        return RingValue.tuple_value(d, [
+            _rotation(data, x) if x.kind in ("quaternion", "matrix")
+            else RingValue.unit(x) for x in d.factors])
+    raise ValueError(d)
+
+
+def _corrupted_block_table(data, d):
+    """A random coboundary table over a finite non-scalar ring with 0-4
+    corrupted entries: unit, normalization, unitarity, centrality and
+    cocycle breaks."""
+    g = _group(data.draw(st.sampled_from(_GROUPS)))
+    n = g.order
+    lam = [RingValue.unit(d)] + [_central_unitary(data, d)
+                                 for _ in range(n - 1)]
+    f = coboundary(Lambda(g, d, lam))
+    twist = RingValue.scalar(d, -1.0 if d.is_real else
+                             np.exp(1j * data.draw(st.floats(0.1, 6.18))))
+    kinds = ["unit", "unitary", "central"] + (["normalization", "cocycle"]
+                                              if n > 1 else [])
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(kinds))
+        s, t = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+        if kind == "unit":
+            s = t = 0
+            c = twist
+        elif kind == "unitary":
+            c = RingValue.scalar(d, 1 + data.draw(st.floats(0.01, 0.5)))
+        elif kind == "central":
+            c = _rotation(data, d)
+        elif kind == "normalization":
+            s, t = ((max(s, 1), 0) if data.draw(st.booleans())
+                    else (0, max(t, 1)))
+            c = twist
+        else:
+            s, t = max(s, 1), max(t, 1)
+            c = twist
+        f.values[s][t] = f.values[s][t] * c
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FINITE), st.data())
+def test_block_validate_matches_object_path(d, data):
+    f = _corrupted_block_table(data, d)
+    _same_report(validate(f), _object_report(f))
+
+
+def test_unitarity_checks_both_products():
+    # v = [[1, b], [0, c]] with b^2 + c^2 = 1: v v^* - 1 has largest entry
+    # |b c| <= tol, but v^* v - 1 has |b| > tol
+    b = 0.1005
+    f = trivial_cocycle(make_cyclic(2), M2)
+    f.values[1][1] = RingValue.mat(M2, [[1, b], [0, np.sqrt(1 - b * b)]])
+    rep = validate(f, 0.1)
+    assert ("unitary", (1, 1)) in [(c, w) for c, w, _ in rep.violations]
+    _same_report(rep, _object_report(f, 0.1))
+
+
+def test_only_non_monomial_laurent_tables_take_the_object_loop(monkeypatch):
+    def refuse(rep, f, tol):
+        raise AssertionError(f"object loop over {f.descriptor}")
+
+    monkeypatch.setattr(cocycle, "_entry_checks", refuse)
+    monkeypatch.setattr(cocycle, "_cocycle_check", refuse)
+    g = direct_product(make_cyclic(2), make_cyclic(2))
+    rings = [COMPLEX, REAL, matrix_ring(1), product_ring(COMPLEX), L2,
+             matrix_ring(3), matrix_ring(3, "real")] + _FINITE
+    for d in rings:
+        f = trivial_cocycle(g, d)
+        f.values[1][2] = f.values[1][2].scale(2)
+        assert ("unitary", (1, 2), 3.0) in validate(f).violations
+    f = trivial_cocycle(g, L2)
+    f.values[1][2] = RingValue.poly(L2, {(0, 0): 1, (1, 0): 1})
+    with pytest.raises(AssertionError, match="object loop"):
+        validate(f)
 
 
 def test_laurent_validate_residuals_match_object_path():
@@ -517,14 +613,23 @@ def test_make_f_alpha_matches_closed_formula_laurent(n, m, data):
 # -- bounded memory ---------------------------------------------------------
 
 def test_scalar_validate_memory_is_bounded():
-    # all-triples arrays for n = 256 would take about 940 MB
+    # all-triples arrays for n = 256 would take about 940 MB; over rings of
+    # b x b forms a row block holds at most dense.BLOCK_ENTRIES form entries
+    # (5.4 MB for C x M_2 at order 32 without that cap), and the entry
+    # checks take the whole table at once
     rng = np.random.default_rng(256)
-    f = make_f_alpha(256, [phase(t) for t in rng.uniform(0, 6.28, 255)])
-    tracemalloc.start()
-    try:
-        rep = validate(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.ok
-    assert peak <= 128 * 2 ** 20
+    cases = [
+        (make_f_alpha(256, [phase(t) for t in rng.uniform(0, 6.28, 255)]),
+         128),
+        (trivial_cocycle(make_cyclic(32), product_ring(COMPLEX, M2)), 2),
+        (trivial_cocycle(make_cyclic(64), QUATERNION), 4),
+    ]
+    for f, bound_mib in cases:
+        tracemalloc.start()
+        try:
+            rep = validate(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak <= bound_mib * 2 ** 20, f.descriptor
