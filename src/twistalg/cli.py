@@ -11,10 +11,10 @@ import json
 import sys
 
 from . import algebra, clifford, cocycle, isolab
-from .rings import DEFAULT_GRID, DEFAULT_TOL, RingValue
+from .rings import DEFAULT_GRID, DEFAULT_TOL
 from .serialize import (ConfigError, cocycle_to_json, element_to_json,
                         parse_cocycle, parse_descriptor, parse_element,
-                        parse_value, value_to_json)
+                        parse_value, validated_on_parse, value_to_json)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -62,7 +62,9 @@ def _load_config(args) -> dict:
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
     f = parse_cocycle(cfg["cocycle"], args.tol)
-    report = cocycle.validate(f, tol=args.tol)
+    # a constructor that validated its table raised if it was invalid
+    report = (cocycle.ValidationReport() if validated_on_parse(cfg["cocycle"])
+              else cocycle.validate(f, tol=args.tol))
     payload = {
         "valid": report.ok,
         "violation_count": len(report.violations),
@@ -223,23 +225,22 @@ def cmd_clifford(args) -> int:
     f = clifford.clifford_cocycle(spec)
     payload = {"cocycle": cocycle_to_json(f)}
 
-    # the generator relations, checked as universal_map checks images
-    gens = [algebra.generator(f, 1 << i) for i in range(spec.size)]
-    worst = max((r for _, r in clifford.relation_residuals(
-        spec, gens, isolab.TwistedModel(f))), default=0.0)
-    ok = worst <= args.tol
-    payload["relations"] = {"anticommute": ok, "squares": ok,
-                            "residual": _fmt12(worst)}
+    # the generator relations, read off the table: V_s^2 = f(s,s) V_0,
+    # V_s^* = f(s,s)^* V_s and V_s V_r + V_r V_s = (f(s,r) + f(r,s)) V_sr
+    gens = [1 << i for i in range(spec.size)]
+    squares = max(((f.values[s][s] - rho).abs_bound()
+                   for s, rho in zip(gens, spec.values)), default=0.0)
+    anti = max(((f.values[s][r] + f.values[r][s]).abs_bound()
+                for i, s in enumerate(gens) for r in gens[:i]), default=0.0)
+    rel = {"anticommute": anti <= args.tol, "squares": squares <= args.tol}
+    payload["relations"] = dict(rel, residual=_fmt12(max(squares, anti)))
+    ok = all(rel.values())
 
     per = cfg.get("periodicity")
     if per:
         op = per.get("op")
-        if op == "extend_two_matrix":
-            m = clifford.extend_two_matrix(
-                spec, parse_value(d, per["alpha1"]),
-                parse_value(d, per["alpha2"]), tol=args.tol)
-        elif op == "extend_two_quaternion":
-            m = clifford.extend_two_quaternion(
+        if op in ("extend_two_matrix", "extend_two_quaternion"):
+            m = getattr(clifford, op)(
                 spec, parse_value(d, per["alpha1"]),
                 parse_value(d, per["alpha2"]), tol=args.tol)
         elif op == "complexify_odd":
@@ -258,7 +259,7 @@ def cmd_clifford(args) -> int:
 def _valid_cocycle(obj, tol):
     """parse_cocycle; tables that no constructor validated are validated."""
     f = parse_cocycle(obj, tol)
-    if "table" in obj or not ("f_alpha" in obj or "klein_table" in obj):
+    if not validated_on_parse(obj):
         cocycle._require_valid(f, "the cocycle config", tol)
     return f
 
@@ -292,6 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _trim_heap() -> None:
+    """Hand the heap pages a command freed back to the OS: glibc keeps them
+    resident, and where later large arrays land among them depends on the
+    calls before, so repeated calls to main would hold a size set by their
+    order."""
+    if sys.platform == "linux":
+        import ctypes
+        getattr(ctypes.CDLL(None), "malloc_trim", int)(0)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -313,6 +324,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
+    finally:
+        _trim_heap()
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraElement, alg_mul, coefficient, generator,
-                      is_projection, unit)
+from .algebra import (AlgebraElement, alg_mul, generator, is_projection,
+                      unit)
 from .cocycle import SchurFunction
 from .groups import SubsetGroup, make_subset_group
 from .isolab import (AlgebraModel, ComplexifiedModel, CornerModel,
@@ -32,15 +32,6 @@ def transposition_sign(a, b) -> int:
     tau = 0
     for x in a:
         tau += sum(1 for y in b if y < x)
-    return -1 if tau % 2 else 1
-
-
-def _mask_sign(amask: int, bmask: int) -> int:
-    # merging a before b counts, for each x in a, elements of b below x
-    tau = 0
-    for pos_a in range(amask.bit_length()):
-        if amask >> pos_a & 1:
-            tau += (bmask & ((1 << pos_a) - 1)).bit_count()
     return -1 if tau % 2 else 1
 
 
@@ -84,23 +75,19 @@ class CliffordSpec:
 
 
 def clifford_cocycle(spec: CliffordSpec) -> SchurFunction:
-    n = 1 << spec.size
-    unit_v = RingValue.unit(spec.descriptor)
-    vals = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            v = unit_v
-            inter = a & b
-            i = 0
-            while inter >> i:
-                if inter >> i & 1:
-                    v = v * spec.values[i]
-                i += 1
-            if _mask_sign(a, b) < 0:
-                v = -v
-            row.append(v)
-        vals.append(row)
+    """f_rho from one product per subset (its prefix times its top rho, so
+    factors multiply in ascending order) and one integer array of parities."""
+    k, n = spec.size, 1 << spec.size
+    prods = [RingValue.unit(spec.descriptor)]
+    for rho in spec.values:
+        prods += [p * rho for p in prods]        # the masks with top bit rho's
+    negs = [-p for p in prods]
+    # tau(a, b) = sum_{x in a} #{y in b : y < x}
+    bits = (np.arange(n)[:, None] >> np.arange(k)) & 1
+    odd = (bits @ (np.cumsum(bits, axis=1) - bits).T) % 2
+    inter = np.arange(n)[:, None] & np.arange(n)
+    vals = [[(negs if o else prods)[m] for o, m in zip(orow, mrow)]
+            for orow, mrow in zip(odd.tolist(), inter.tolist())]
     return SchurFunction(spec.group, spec.descriptor, vals)
 
 
@@ -331,14 +318,17 @@ class IsometryPair:
         cols = self._columns[1 if sign > 0 else -1]
         d = self.base_f.descriptor
         right = cols[self.base_f.group.identity]
+        g, fy = y.cocycle.group, y.cocycle.values
         out = AlgebraElement.zero(self.base_f)
         for a, col in enumerate(cols):
             acc = RingValue.zero(d)
             for i, th_ia in col:
-                # (regular(y) . theta)[i][identity]
+                # (regular(y) . theta)[i][identity]; regular(y)[i][j] is
+                # f(r, j) y_r with r = i j^{-1}
                 mt = RingValue.zero(d)
                 for j, th_j in right:
-                    mt = mt + coefficient(y, i, j) * th_j
+                    r = g.op(i, g.inverse(j))
+                    mt = mt + fy[r][j] * y.coeffs[r] * th_j
                 acc = acc + th_ia.star() * mt
             out.coeffs[a] = acc
         return out

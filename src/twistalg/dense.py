@@ -132,6 +132,14 @@ def value_blocks(d: RingDescriptor, values) -> np.ndarray:
         len(values), -1, b, b)
 
 
+def cocycle_blocks(f):
+    """The dense forms (table, tilde) of a Schur function f over a finite
+    ring: table[s, u] = f(s, u) and tilde[t] = f(t, t^{-1})^*."""
+    table = value_blocks(f.descriptor, f.values)
+    tilde = table[np.arange(f.group.order), f.group.inv]
+    return table, tilde.conj().swapaxes(-1, -2)
+
+
 def star_readout(d: RingDescriptor, y: np.ndarray) -> np.ndarray:
     """Readouts (..., b, r) of values to the readouts of their stars."""
     if d.kind == "complex":
@@ -217,11 +225,8 @@ def dense_residuals(f, summands):
     the columns that hold its slots, for a block of rows s at a time against
     all t, and compared with f(s,t) image_{st}.
     """
-    g, n = f.group, f.group.order
-    blocks = value_blocks(f.descriptor, f.values)           # (n, n, b, b)
-    # f(t, t^{-1})^*
-    tilde = blocks[np.arange(n), g.inv].conj().swapaxes(-1, -2)
-    res = [_summand_residuals(g, blocks, tilde, *summand)
+    blocks, tilde = cocycle_blocks(f)
+    res = [_summand_residuals(f.group, blocks, tilde, *summand)
            for summand in summands]
     return tuple(max(r) for r in zip(*res))
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, alg_mul, alg_star, generator, regular_matrix
+from .algebra import AlgebraElement, alg_mul, alg_star, generator
 from .cocycle import (KLEIN_A, KLEIN_B, KLEIN_C, Lambda, SchurFunction,
                       _array_table, _residual, coboundary, cocycle_mul,
                       klein_table, tensor_cocycle)
@@ -146,13 +146,9 @@ class TwistedModel(AlgebraModel):
 
     @cached_property
     def _dense_tables(self):
-        """(table, tilde) as dense forms, read from f on first use:
-        table[s, u] = f(s, u) and tilde[t] = f(t, t^{-1})^*."""
-        from .dense import value_blocks
-        g = self.f.group
-        table = value_blocks(self.base, self.f.values)
-        return (table,
-                table[np.arange(g.order), g.inv].conj().swapaxes(-1, -2))
+        """dense.cocycle_blocks(f), read on first use."""
+        from .dense import cocycle_blocks
+        return cocycle_blocks(self.f)
 
     def dense(self, elems):
         """The regular representation, dense.regular_dense."""
@@ -856,26 +852,22 @@ def cyclic_decompose(f: SchurFunction, alphas, beta: RingValue = None,
 
 def tensor_structure_check(f: SchurFunction, g: SchurFunction,
                            tol: float = DEFAULT_TOL):
-    """Entrywise Kronecker identity of regular matrices: for every
-    generator pair, matrix(V^h_{(t,s)}) equals matrix(V^f_t) (x)
-    matrix(V^g_s).  Returns (h, max residual)."""
+    """(h = f (x) g, worst).  matrix(V^h_{(t,s)}) = matrix(V^f_t) (x)
+    matrix(V^g_s) exactly when h's group is the row-major product ((t,s) at
+    t |T_g| + s; else worst is inf) and h((t1,s1),(t2,s2)) equals
+    f(t1,t2) (x) g(s1,s2), whose largest residual is worst."""
     from .cocycle import _tensor_descriptor
     h = tensor_cocycle(f, g, tol=tol)
     _, comb = _tensor_descriptor(f.descriptor, g.descriptor)
-    ns = g.group.order
-    worst = 0.0
-    for t in range(f.group.order):
-        mf = regular_matrix(generator(f, t))
-        for s in range(g.group.order):
-            mg = regular_matrix(generator(g, s))
-            mh = regular_matrix(generator(h, t * ns + s))
-            for p1 in range(f.group.order):
-                for p2 in range(ns):
-                    for q1 in range(f.group.order):
-                        for q2 in range(ns):
-                            want = comb(mf.entries[p1][q1], mg.entries[p2][q2])
-                            got = mh.entries[p1 * ns + p2][q1 * ns + q2]
-                            worst = max(worst, (want - got).abs_bound())
+    t, s = np.divmod(np.arange(h.group.order), g.group.order)
+    layout = (f.group.mul[np.ix_(t, t)] * g.group.order
+              + g.group.mul[np.ix_(s, s)])
+    if not np.array_equal(h.group.mul, layout):
+        return h, float("inf")
+    t, s = t.tolist(), s.tolist()
+    worst = max((hv - comb(f.values[t1][t2], g.values[s1][s2])).abs_bound()
+                for t1, s1, row in zip(t, s, h.values)
+                for t2, s2, hv in zip(t, s, row))
     return h, worst
 
 
@@ -960,22 +952,24 @@ def laurent_z2_rewrite(degree: int = 4, max_pairs: int = None,
 
 # -- the Z/2 x Z/4 instance ------------------------------------------------
 
+def _z2z4_table(descriptor: RingDescriptor, negative) -> SchurFunction:
+    """The order-8 sign table on Z/2 x Z/4 with f((j,p),(k,q)) = -1
+    exactly where negative(j, p, k) holds, else 1."""
+    g = direct_product(make_cyclic(2), make_cyclic(4))
+    unit = RingValue.unit(descriptor)
+    vals = [[-unit if negative(*divmod(s, 4), t // 4) else unit
+             for t in range(8)] for s in range(8)]
+    return SchurFunction(g, descriptor, vals)
+
+
 def z2z4_cocycle(descriptor: RingDescriptor = COMPLEX) -> SchurFunction:
     """The displayed order-8 table on Z/2 x Z/4 with parameters
     alpha = beta = gamma = 1, delta = -1: f((j,p),(k,q)) = -1 exactly when
     k = 1 and the row is one of (0,1), (0,2), (0,3), (1,0).  Note that this
     table violates the cocycle identity (see z2z4_corrected_cocycle for the
     multiplicative repair); it is kept verbatim for the record."""
-    g = direct_product(make_cyclic(2), make_cyclic(4))
-    unit = RingValue.unit(descriptor)
-    vals = [[unit for _ in range(8)] for _ in range(8)]
-    for s in range(8):
-        j, p = divmod(s, 4)
-        for t in range(8):
-            k, q = divmod(t, 4)
-            if k == 1 and ((j == 0 and p != 0) or (j, p) == (1, 0)):
-                vals[s][t] = -unit
-    return SchurFunction(g, descriptor, vals)
+    return _z2z4_table(descriptor, lambda j, p, k: k == 1 and (
+        (j == 0 and p != 0) or (j, p) == (1, 0)))
 
 
 def z2z4_corrected_cocycle(descriptor: RingDescriptor = COMPLEX
@@ -984,17 +978,7 @@ def z2z4_corrected_cocycle(descriptor: RingDescriptor = COMPLEX
     sign pattern of z2z4_cocycle with the non-multiplicative condition
     "p != 0" replaced by "p odd", which restores the cocycle identity.
     The resulting algebra splits as two copies of the 2 x 2 matrices."""
-    g = direct_product(make_cyclic(2), make_cyclic(4))
-    unit = RingValue.unit(descriptor)
-    vals = []
-    for s in range(8):
-        j, p = divmod(s, 4)
-        row = []
-        for t in range(8):
-            k, q = divmod(t, 4)
-            row.append(-unit if ((j + p) * k) % 2 else unit)
-        vals.append(row)
-    return SchurFunction(g, descriptor, vals)
+    return _z2z4_table(descriptor, lambda j, p, k: (j + p) * k % 2)
 
 
 def z2z4_decompose(tol: float = DEFAULT_TOL) -> Morphism:

@@ -176,6 +176,12 @@ def group_to_json(g: GroupTable):
 
 # -- cocycles --------------------------------------------------------------
 
+def validated_on_parse(obj) -> bool:
+    """Whether parse_cocycle(obj, tol) validated its table at tol: f_alpha
+    and klein_table do, unless obj holds a table (which it reads first)."""
+    return "table" not in obj and ("f_alpha" in obj or "klein_table" in obj)
+
+
 def parse_cocycle(obj, tol: float = DEFAULT_TOL) -> SchurFunction:
     """A cocycle from a table or a named constructor; tol reaches every
     check the constructor makes."""

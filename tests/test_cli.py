@@ -182,6 +182,45 @@ def test_star_validates_the_cocycle_once(tmp_path, capsys, monkeypatch,
     assert len(calls) == 1
 
 
+def _validate_report_text(f, tol):
+    """The validate report as printed from a fresh cocycle.validate call."""
+    from twistalg.cocycle import validate
+    rep = validate(f, tol)
+    payload = {"valid": rep.ok, "violation_count": len(rep.violations),
+               "violations": [{"check": c, "where": [str(w) for w in where],
+                               "residual": f"{r:.12g}"}
+                              for c, where, r in rep.violations[:50]]}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("cocycle, code", [
+    ({"descriptor": "complex", "f_alpha": ["i", "-1", "-i"]}, 0),
+    ({"descriptor": "real", "klein_table": {
+        "alpha": "1", "beta": "-1", "gamma": "1", "eps": "-1"}}, 0),
+    ({"descriptor": "complex", "clifford_rho": ["1", "-1", "i"]}, 0),
+    ({"descriptor": "complex", "group": {"kind": "cyclic", "n": 2},
+      "table": [["1", "1"], ["1", "i"]]}, 0),
+    ({"descriptor": "complex", "group": {"kind": "cyclic", "n": 2},
+      "table": [["1", "1"], ["1", "0.5"]]}, 1),
+])
+def test_validate_validates_the_cocycle_once(tmp_path, capsys, monkeypatch,
+                                             cocycle, code):
+    # f_alpha and klein_table validate their own table; cmd_validate reports
+    # it without validating again
+    import twistalg.cocycle
+    want = _validate_report_text(parse_cocycle(cocycle), 1e-9)
+    validate, calls = twistalg.cocycle.validate, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(twistalg.cocycle, "validate", counted)
+    cfg = write(tmp_path, "v.json", {"cocycle": cocycle})
+    assert run(capsys, "validate", "--config", cfg) == (code, want)
+    assert len(calls) == 1
+
+
 def test_norm(tmp_path, capsys):
     cfg = write(tmp_path, "n.json", {
         "cocycle": TRIVIAL_Z2["cocycle"],
@@ -322,6 +361,31 @@ def test_clifford_subcommand(tmp_path, capsys):
     assert len(payload["cocycle"]["table"]) == 4
 
 
+@pytest.mark.parametrize("entry, squares, anticommute", [
+    ((1, 2), True, False),       # V_1 V_2 = -V_2 V_1 broken
+    ((2, 2), False, True),       # V_2^2 = rho(2) broken
+])
+def test_clifford_relations_are_read_off_the_table(
+        tmp_path, capsys, monkeypatch, entry, squares, anticommute):
+    # a table with one sign flipped fails exactly the relation it breaks
+    import twistalg.clifford
+    build = twistalg.clifford.clifford_cocycle
+
+    def flipped(spec):
+        f = build(spec)
+        a, b = entry
+        f.values[a][b] = -f.values[a][b]
+        return f
+
+    monkeypatch.setattr(twistalg.clifford, "clifford_cocycle", flipped)
+    cfg = write(tmp_path, "cf.json", {"descriptor": "complex",
+                                      "rho": ["1", "-1"]})
+    code, out = run(capsys, "clifford", "--config", cfg)
+    assert code == 1
+    assert json.loads(out)["relations"] == {
+        "anticommute": anticommute, "squares": squares, "residual": "2"}
+
+
 def test_clifford_periodicity(tmp_path, capsys):
     cfg = write(tmp_path, "cp.json", {
         "descriptor": "complex",
@@ -343,6 +407,32 @@ def test_output_is_byte_deterministic(tmp_path, capsys):
     assert out1 == out2
     assert out1 == json.dumps(json.loads(out1), sort_keys=True,
                               indent=2) + "\n"
+
+
+def test_main_trims_the_heap_after_every_command(tmp_path, capsys,
+                                                 monkeypatch):
+    # successful and failing commands both hand freed heap pages back
+    import ctypes
+    import twistalg.cli
+    trims = []
+
+    class Libc:
+        def __init__(self, name):
+            assert name is None
+
+        def malloc_trim(self, pad):
+            trims.append(pad)
+
+    monkeypatch.setattr(twistalg.cli.sys, "platform", "linux")
+    monkeypatch.setattr(ctypes, "CDLL", Libc)
+    cfg = write(tmp_path, "v.json", TRIVIAL_Z2)
+    assert run(capsys, "validate", "--config", cfg)[0] == 0
+    assert run(capsys, "validate", "--config", str(tmp_path / "no.json"))[0] == 2
+    assert trims == [0, 0]
+    # a C library without malloc_trim is no error
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert run(capsys, "validate", "--config", cfg)[0] == 0
+    assert trims == [0, 0]
 
 
 def test_out_flag_and_table_format(tmp_path, capsys):

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalg import (COMPLEX, REAL, AlgebraElement, CliffordSpec,
+from twistalg import (COMPLEX, QUATERNION, REAL, AlgebraElement, CliffordSpec,
                       MatrixModel, Morphism, QuaternionTensorModel, RingValue,
                       TwistedModel, alg_mul, alg_star, clifford_cocycle,
                       complexify_odd, corner_projection,
                       extend_even_projection, extend_two_matrix,
                       extend_two_quaternion, generator, is_projection,
-                      laurent, matrix_corner_elements, projection_family,
-                      regular_matrix, split_odd, transposition_sign, unit,
-                      universal_map, validate, verify_morphism)
+                      laurent, matrix_corner_elements, matrix_ring,
+                      product_ring, projection_family, regular_matrix,
+                      split_odd, transposition_sign, unit, universal_map,
+                      validate, verify_morphism)
 from twistalg.isolab import RingModel
 
 from rmat import rmat_adjoint, rmat_mul, rmat_residual
@@ -69,6 +70,67 @@ def test_clifford_cocycle_validates_larger():
     rng = np.random.default_rng(0)
     spec = cspec(np.exp(1j * rng.uniform(0, 6.28, 5)))
     assert validate(clifford_cocycle(spec)).ok
+
+
+def reference_clifford_cocycle(spec):
+    """The per-pair definition: the product of rho over A cap B in
+    ascending order, negated when merging A before B takes an odd number
+    of transpositions."""
+    n = 1 << spec.size
+    vals = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            v = RingValue.unit(spec.descriptor)
+            tau = 0
+            for i in range(spec.size):
+                if (a & b) >> i & 1:
+                    v = v * spec.values[i]
+                if a >> i & 1:
+                    tau += bin(b & ((1 << i) - 1)).count("1")
+            row.append(-v if tau % 2 else v)
+        vals.append(row)
+    return vals
+
+
+def payload_bits(v):
+    """The payload of a ring value, bit for bit."""
+    p = v.payload
+    if isinstance(p, tuple):
+        return tuple(payload_bits(c) for c in p)
+    if isinstance(p, dict):
+        return sorted((e, np.complex128(c).tobytes()) for e, c in p.items())
+    p = np.asarray(p)
+    return p.dtype.str, p.shape, p.tobytes()
+
+
+def central_phase(d, rng):
+    """A central unitary: a sign over real rings, a phase times 1 (times a
+    monomial z^e over Laurent rings) otherwise, per factor over products."""
+    if d.kind == "product":
+        return RingValue.tuple_value(
+            d, [central_phase(f, rng) for f in d.factors])
+    if d.is_real:
+        return RingValue.unit(d).scale(rng.choice([-1.0, 1.0]))
+    c = np.exp(1j * rng.uniform(0, 6.3))
+    if d.kind == "laurent":
+        return RingValue.monomial(d, c, rng.integers(-3, 4, d.m))
+    return RingValue.unit(d).scale(c)
+
+
+@pytest.mark.parametrize("d", [
+    COMPLEX, REAL, QUATERNION, laurent(2), matrix_ring(2),
+    product_ring(COMPLEX, matrix_ring(2))],
+    ids=["complex", "real", "quaternion", "laurent", "m2c", "c_x_m2c"])
+def test_clifford_cocycle_matches_per_pair_products(d):
+    rng = np.random.default_rng(7)
+    for size in range(7):
+        spec = CliffordSpec(list(range(1, size + 1)),
+                            [central_phase(d, rng) for _ in range(size)], d)
+        got = clifford_cocycle(spec).values
+        want = reference_clifford_cocycle(spec)
+        assert [[payload_bits(v) for v in row] for row in got] == [
+            [payload_bits(v) for v in row] for row in want]
 
 
 def test_generator_relations():

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,8 @@ from twistalg import (COMPLEX, KLEIN_A, KLEIN_B, KLEIN_C, QUATERNION, REAL,
                       lambda_isomorphism, laurent, laurent_z2_rewrite,
                       make_cyclic, make_f_alpha, make_subset_group,
                       matrix_ring, product_ring, real_basis, real_dim,
-                      split_odd, tensor_structure_check, trivial_cocycle,
+                      regular_matrix, split_odd, tensor_cocycle,
+                      tensor_structure_check, trivial_cocycle,
                       validate, verify_morphism, z2_complexify, z2_split,
                       z2n_torus_rewrite, z2z4_cocycle,
                       z2z4_corrected_cocycle, z2z4_decompose)
@@ -258,6 +260,94 @@ def test_tensor_structure_check():
     h, worst = tensor_structure_check(f, g)
     assert worst < 1e-12
     assert validate(h).ok
+
+
+def reference_tensor_structure(f, g, tol=1e-9):
+    """Entrywise Kronecker identity of regular matrices: for every
+    generator pair, matrix(V^h_{(t,s)}) against matrix(V^f_t) (x)
+    matrix(V^g_s).  Returns (h, max residual)."""
+    from twistalg.cocycle import _tensor_descriptor
+    h = tensor_cocycle(f, g, tol=tol)
+    _, comb = _tensor_descriptor(f.descriptor, g.descriptor)
+    nf, ns = f.group.order, g.group.order
+    worst = 0.0
+    for t in range(nf):
+        mf = regular_matrix(generator(f, t))
+        for s in range(ns):
+            mg = regular_matrix(generator(g, s))
+            mh = regular_matrix(generator(h, t * ns + s))
+            for p1, p2, q1, q2 in itertools.product(range(nf), range(ns),
+                                                    range(nf), range(ns)):
+                want = comb(mf.entries[p1][q1], mg.entries[p2][q2])
+                got = mh.entries[p1 * ns + p2][q1 * ns + q2]
+                worst = max(worst, (want - got).abs_bound())
+    return h, worst
+
+
+def sc(*zs):
+    return [RingValue.scalar(COMPLEX, z) for z in zs]
+
+
+def _m2_table(n, phases):
+    """A cocycle on Z/n over M_2(C) with central values, from f_alpha."""
+    d = matrix_ring(2)
+    return make_f_alpha(n, [RingValue.unit(d).scale(np.exp(1j * a))
+                            for a in phases], d)
+
+
+def _laurent_table():
+    d = laurent(1)
+    return make_f_alpha(3, [RingValue.monomial(d, 1j, (1,)),
+                            RingValue.monomial(d, -1, (-2,))], d)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (make_f_alpha(2, sc(-1)), make_f_alpha(2, sc(1j))),
+    lambda: (make_f_alpha(2, sc(1j)), make_f_alpha(4, sc(1j, -1, -1j))),
+    lambda: (klein_table(*sc(1, -1, 1, -1)), make_f_alpha(2, sc(1j))),
+    lambda: (_m2_table(2, [0.3]), _m2_table(3, [1.1, -0.4])),
+    lambda: (_laurent_table(), make_f_alpha(2, [phase(0.7)])),
+], ids=["z2_z2", "z2_z4", "klein_z2", "m2_m2", "laurent_scalar"])
+def test_tensor_structure_check_matches_regular_matrices(pair):
+    f, g = pair()
+    h, worst = tensor_structure_check(f, g)
+    h_ref, worst_ref = reference_tensor_structure(f, g)
+    assert worst == worst_ref == 0.0
+    assert h.descriptor == h_ref.descriptor
+    assert np.array_equal(h.group.mul, h_ref.group.mul)
+    assert all((a - b).abs_bound() == 0.0
+               for ra, rb in zip(h.values, h_ref.values)
+               for a, b in zip(ra, rb))
+
+
+def test_tensor_structure_check_fast_at_order_64():
+    f = make_f_alpha(8, [phase(0.1 * i) for i in range(7)])
+    t0 = time.perf_counter()
+    _, worst = tensor_structure_check(f, f)
+    assert time.perf_counter() - t0 < 0.5
+    assert worst == 0.0
+
+
+def test_tensor_structure_check_residuals_fail(monkeypatch):
+    # a wrong entry of h, or h on a group that is not the row-major
+    # product, is reported
+    f, g = make_f_alpha(2, sc(1j)), make_f_alpha(2, sc(-1))
+    real = isolab.tensor_cocycle
+
+    def wrong_entry(f, g, tol):
+        h = real(f, g, tol=tol)
+        h.values[1][3] = h.values[1][3].scale(-1)
+        return h
+
+    monkeypatch.setattr(isolab, "tensor_cocycle", wrong_entry)
+    assert tensor_structure_check(f, g)[1] == 2.0
+
+    def swapped(f, g, tol):
+        return real(g, f, tol=tol)
+
+    monkeypatch.setattr(isolab, "tensor_cocycle", swapped)
+    assert tensor_structure_check(make_f_alpha(3, sc(1, 1)), g)[1] == (
+        float("inf"))
 
 
 def test_laurent_z2_rewrite_exact():
