@@ -173,12 +173,14 @@ def alg_norm(x: AlgebraElement, grid: int = DEFAULT_GRID) -> float:
     Over Laurent rings, the maximum over the grid^m torus sample: a lower
     bound on the C*-norm, the supremum over the whole torus."""
     f = x.cocycle
-    return _norm(f.group, f.descriptor, f.values, x.coeffs, grid)
+    table = f.values if f._scalars is None else f._scalars
+    return _norm(f.group, f.descriptor, table, x.coeffs, grid)
 
 
 def _norm(g, d, table, coeffs, grid: int) -> float:
     """alg_norm of coefficients coeffs over a table of cocycle values, both
-    of ring d, as plain lists."""
+    of ring d: coeffs as a list, the table as a list of lists or (over C
+    and R) as the (n, n) array of its scalars."""
     from .dense import (BLOCK_ENTRIES, dense_array, quaternion_complex,
                         regular_dense)
     n = g.order
@@ -186,9 +188,9 @@ def _norm(g, d, table, coeffs, grid: int) -> float:
         return max(_norm(g, e, [[v.payload[i] for v in row] for row in table],
                          [c.payload[i] for c in coeffs], grid)
                    for i, e in enumerate(d.factors))
-    values = [v for row in table for v in row]
     if d.kind == "laurent":
         # scalar samples, one block of torus points at a time
+        values = [v for row in table for v in row]
         f_at, x_at = (torus_sampler(d, v, grid) for v in (values, coeffs))
         forms = ((f_at(k).reshape(-1, n, n, 1, 1), x_at(k)[..., None, None])
                  for k in row_blocks(grid ** d.m, n * n, BLOCK_ENTRIES))
@@ -196,7 +198,8 @@ def _norm(g, d, table, coeffs, grid: int) -> float:
         # quaternions as complex 2 x 2 forms: a quarter of the 4 x 4 entries
         form = (quaternion_complex if d.kind == "quaternion"
                 else lambda v: dense_array(d, v))
-        tf = form(values)
+        tf = (table.reshape(-1, 1, 1) if isinstance(table, np.ndarray)
+              else form([v for row in table for v in row]))
         forms = [(tf.reshape((n, n) + tf.shape[1:]), form(coeffs))]
     # complex for every ring: a real SVD routine added 1.5-2.4 MB peak RSS
     mats = (regular_dense(g, tf, xf).astype(complex, copy=False)

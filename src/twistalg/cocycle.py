@@ -38,7 +38,23 @@ class ValidationReport:
 
 
 class SchurFunction:
+    """A table of values f(s, t), given as n lists of n RingValues or, over
+    C and R, as an (n, n) array of the scalars.  An array is the table until
+    values is first read, which builds the lists; from then on they are."""
+
     def __init__(self, group: GroupTable, descriptor: RingDescriptor, values):
+        self.group = group
+        self.descriptor = descriptor
+        self._scalars = self._values = None
+        if isinstance(values, np.ndarray):
+            if values.shape != (group.order, group.order):
+                raise ValueError("value table shape mismatch")
+            dtype = float if descriptor.is_real else complex
+            if (descriptor.kind not in ("complex", "real")
+                    or values.dtype != dtype):
+                raise ValueError("value descriptor mismatch")
+            self._scalars = values
+            return
         if len(values) != group.order or any(len(r) != group.order for r in values):
             raise ValueError("value table shape mismatch")
         for row in values:
@@ -46,16 +62,32 @@ class SchurFunction:
                 if (v.descriptor is not descriptor
                         and v.descriptor != descriptor):
                     raise ValueError("value descriptor mismatch")
-        self.group = group
-        self.descriptor = descriptor
-        self.values = [list(row) for row in values]
+        self._values = [list(row) for row in values]
+
+    @property
+    def values(self) -> list:
+        if self._values is None:
+            d = self.descriptor
+            self._values = [[RingValue(d, c) for c in row]
+                            for row in self._scalars.tolist()]
+            self._scalars = None
+        return self._values
+
+    def _blocks(self) -> np.ndarray:
+        """dense.value_blocks of the table (finite rings only)."""
+        if self._scalars is not None:
+            return self._scalars[:, :, None, None]
+        from .dense import value_blocks
+        return value_blocks(self.descriptor, self.values)
 
     def value(self, s: int, t: int) -> RingValue:
+        if self._scalars is not None:
+            return RingValue(self.descriptor, self._scalars[s, t].item())
         return self.values[s][t]
 
     def tilde(self, t: int) -> RingValue:
         """f(t, t^{-1})^*."""
-        return self.values[t][self.group.inverse(t)].star()
+        return self.value(t, self.group.inverse(t)).star()
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         return validate(self, tol)
@@ -69,7 +101,7 @@ def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Exhaustive check of all Schur-function invariants, reported as data:
     on whole arrays for tables with an array form (_array_table), else (a
     Laurent table with a non-monomial entry) one value at a time."""
-    rep, table = ValidationReport(), _array_table(f.values, f.descriptor)
+    rep, table = ValidationReport(), _array_table(f)
     if table is None:
         _entry_checks(rep, f, tol)
         _cocycle_check(rep, f, tol)
@@ -79,17 +111,17 @@ def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
     return rep
 
 
-def _array_table(values, d: RingDescriptor):
+def _array_table(f: SchurFunction):
     """(forms (n, n, b, b), exps (n, n, m), readout columns, a slice if all)
     of a table: dense.value_blocks over finite rings (m = 0), coefficients c
     and exponents e over Laurent tables of monomials c z^e; else None."""
-    n = len(values)
+    n, d = f.group.order, f.descriptor
     if d.kind != "laurent":
-        from .dense import readout_columns, value_blocks
-        forms, cols = value_blocks(d, values), readout_columns(d)
+        from .dense import readout_columns
+        forms, cols = f._blocks(), readout_columns(d)
         return forms, np.zeros((n, n, 0), dtype=np.int64), (
             cols if len(cols) < forms.shape[-1] else slice(None))
-    monos = [v.is_monomial(0.0) for row in values for v in row]
+    monos = [v.is_monomial(0.0) for row in f.values for v in row]
     if None in monos:
         return None
     return (np.array([c for c, _ in monos], dtype=complex).reshape(n, n, 1, 1),
@@ -121,9 +153,9 @@ def _array_entry_checks(rep: ValidationReport, f: SchurFunction, forms, exps,
     residuals; NaN fails.  The unit check (Python's abs, not numpy's array
     abs) and centrality of forms larger than 1 x 1 take one value at a time."""
     g, b, e = f.group, forms.shape[-1], f.group.identity
-    unit = RingValue.unit(f.descriptor)
-    if not f.values[e][e].close(unit, tol):
-        rep.add("unit", (e, e), (f.values[e][e] - unit).abs_bound())
+    unit, v = RingValue.unit(f.descriptor), f.value(e, e)
+    if not v.close(unit, tol):
+        rep.add("unit", (e, e), (v - unit).abs_bound())
     y, one, no = forms[..., cols], np.eye(b)[:, cols], exps[e, e] * 0
     res = _residual(np.stack([y[:, e], y[e, :]], axis=1),
                     np.stack([exps[:, e], exps[e, :]], axis=1), one, no)
@@ -147,6 +179,13 @@ def _array_entry_checks(rep: ValidationReport, f: SchurFunction, forms, exps,
         rep.add("inverse-symmetry", (int(t), int(g.inv[t])), res[t])
 
 
+def _at_products(a, mul):
+    """a[:, mul], gathered from the flat table: np.take is about twice as
+    fast as the 2-d fancy index."""
+    return np.take(a, mul.ravel(), axis=1).reshape(
+        a.shape[:1] + mul.shape + a.shape[2:])
+
+
 def _array_cocycle_check(rep: ValidationReport, mul, forms, exps, cols,
                          tol: float):
     """f(r,s) f(rs,t) = f(r,st) f(s,t) over all triples, one block of rows
@@ -159,15 +198,15 @@ def _array_cocycle_check(rep: ValidationReport, mul, forms, exps, cols,
         if b == 1:      # numpy's complex a * b may round unlike b * a
             lhs = y[mul[rows]]
             lhs *= forms[rows, :, None]
-            rhs = forms[rows][:, mul]
+            rhs = _at_products(forms[rows], mul)
             rhs *= y
         else:
             lhs = _times(forms[rows, :, None], y[mul[rows]])
-            rhs = _times(forms[rows][:, mul], y)
+            rhs = _times(_at_products(forms[rows], mul), y)
         no = not exps.shape[-1]     # no variables: skip the exponent gathers
         res = _residual(
             lhs, exps[0, 0] if no else exps[rows, :, None] + exps[mul[rows]],
-            rhs, exps[0, 0] if no else exps[rows][:, mul] + exps)
+            rhs, exps[0, 0] if no else _at_products(exps[rows], mul) + exps)
         bad = res > tol
         # np.nonzero is slow on 3-d arrays; flat indices keep row-major order
         for r, s, t in zip(*np.unravel_index(np.flatnonzero(bad), bad.shape)):
@@ -338,20 +377,48 @@ def make_f_alpha(n: int, alphas, descriptor: RingDescriptor = None,
     # ext[j] = alpha_j for j in 1..n-1 and ext[0] = alpha_n = 1, so indices
     # in 1..n are taken mod n
     ext = [unit] + alphas
-    stars = [a.star() for a in ext]
     # every value is central, so the two products of f(p,q) grow one factor
     # each from f(p,q-1): f(p,q) = f(p,q-1) alpha_{p+q-1} alpha_{q-1}^*
     g = make_cyclic(n)
-    vals = []
-    for p in range(n):
-        pp = p if p >= 1 else n
-        v = unit
-        row = [v]
-        for q in range(1, n):
-            v = v * ext[(pp + q - 1) % n] * stars[q - 1]
-            row.append(v)
-        vals.append(row)
+    if descriptor.kind in ("complex", "real"):
+        vals = _scalar_f_alpha(np.array(
+            [a.payload for a in ext],
+            dtype=float if descriptor.is_real else complex))
+    else:
+        stars = [a.star() for a in ext]
+        vals = []
+        for p in range(n):
+            pp = p if p >= 1 else n
+            v = unit
+            row = [v]
+            for q in range(1, n):
+                v = v * ext[(pp + q - 1) % n] * stars[q - 1]
+                row.append(v)
+            vals.append(row)
     return _require_valid(SchurFunction(g, descriptor, vals), "make_f_alpha", tol)
+
+
+def _scalar_f_alpha(ext: np.ndarray) -> np.ndarray:
+    """make_f_alpha's (n, n) table over C or R from ext = (1, alpha_1, ...,
+    alpha_{n-1}), one column q at a time for every row p, rounded as the
+    object loop rounds: each complex product as four real ones, since
+    numpy's complex multiply may fuse them (FMA)."""
+    n = len(ext)
+    step = ext[(np.arange(n)[:, None] + np.arange(n - 1)) % n]  # alpha_{p+q-1}
+    star = ext[:-1].conjugate()                                # alpha_{q-1}^*
+    if not np.iscomplexobj(ext):
+        out = np.ones((n, n))
+        for q in range(1, n):
+            out[:, q] = out[:, q - 1] * step[:, q - 1] * star[q - 1]
+        return out
+    re, im = np.ones((n, n)), np.zeros((n, n))
+    for q in range(1, n):
+        a, b = step[:, q - 1], star[q - 1]
+        x, y = re[:, q - 1], im[:, q - 1]
+        x, y = x * a.real - y * a.imag, x * a.imag + y * a.real
+        re[:, q], im[:, q] = x * b.real - y * b.imag, x * b.imag + y * b.real
+    from .dense import _complex
+    return _complex(re, im)
 
 
 # Klein four-group element indices under direct_product(Z/2, Z/2),
@@ -465,7 +532,7 @@ def equivalent_cyclic(alphas, betas, descriptor: RingDescriptor = None,
     prod = unit
     for a, b in zip(alphas, betas):
         prod = prod * a * b.star()
-    gamma = prod.nth_root(n)
+    gamma = prod.nth_root(n, tol)
     if gamma is None:
         return None
     values = []
@@ -480,13 +547,14 @@ def equivalent_cyclic(alphas, betas, descriptor: RingDescriptor = None,
     return Lambda(make_cyclic(n), descriptor, values, tol=tol)
 
 
-def winding(u: RingValue, variable: int = 0) -> int:
-    """Exponent of the chosen torus variable in a unimodular monomial."""
-    mono = u.is_monomial()
+def winding(u: RingValue, variable: int = 0, tol: float = DEFAULT_TOL) -> int:
+    """Exponent of the chosen torus variable in a monomial unimodular
+    within tol."""
+    mono = u.is_monomial(tol)
     if mono is None:
         raise ValueError("winding number needs a Laurent monomial")
     c, exps = mono
-    if abs(abs(c) - 1) > 1e-7:
+    if abs(abs(c) - 1) > tol:
         raise ValueError("winding number needs a unimodular monomial")
     return int(exps[variable])
 

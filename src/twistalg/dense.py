@@ -135,7 +135,7 @@ def value_blocks(d: RingDescriptor, values) -> np.ndarray:
 def cocycle_blocks(f):
     """The dense forms (table, tilde) of a Schur function f over a finite
     ring: table[s, u] = f(s, u) and tilde[t] = f(t, t^{-1})^*."""
-    table = value_blocks(f.descriptor, f.values)
+    table = f._blocks()
     tilde = table[np.arange(f.group.order), f.group.inv]
     return table, tilde.conj().swapaxes(-1, -2)
 

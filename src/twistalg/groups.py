@@ -27,6 +27,23 @@ def row_blocks(n: int, row_size: int = None, budget: int = None):
 
 class GroupTable:
     def __init__(self, mul, labels=None):
+        """The group with multiplication table mul, proved a group by
+        check(): the path of every table read from a config."""
+        self._fill(mul, labels)
+        self.inv = self._compute_inv()
+        self.check()
+
+    @classmethod
+    def _by_construction(cls, mul, inv, labels) -> "GroupTable":
+        """A group built by a rule that makes it one (cyclic, subsets,
+        direct products), with its inverse table: check()'s O(n^3)
+        associativity proof is skipped."""
+        g = cls.__new__(cls)
+        g._fill(mul, labels)
+        g.inv = inv
+        return g
+
+    def _fill(self, mul, labels):
         mul = np.asarray(mul, dtype=np.int64)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("mul must be a square table")
@@ -41,8 +58,6 @@ class GroupTable:
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("label count mismatch")
-        self.inv = self._compute_inv()
-        self.check()
 
     def _compute_inv(self):
         inv = np.full(self.order, -1, dtype=np.int64)
@@ -93,7 +108,7 @@ def make_cyclic(n: int) -> GroupTable:
         raise ValueError("cyclic group needs n >= 1")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return GroupTable(mul, labels=[str(i) for i in range(n)])
+    return GroupTable._by_construction(mul, -idx % n, None)
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
@@ -105,8 +120,9 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     ga = g.mul[:, None, :, None] * nh
     hb = h.mul[None, :, None, :]
     mul = (ga + hb).reshape(ng * nh, ng * nh)
+    inv = (g.inv[:, None] * nh + h.inv[None, :]).reshape(-1)
     labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
-    out = GroupTable(mul, labels=labels)
+    out = GroupTable._by_construction(mul, inv, labels)
     out.factor_orders = (ng, nh)
     return out
 
@@ -129,8 +145,8 @@ class SubsetGroup(GroupTable):
         self.base_set = base_set
         idx = np.arange(2 ** n)
         mul = idx[:, None] ^ idx[None, :]
-        labels = [self._mask_label(m) for m in range(2 ** n)]
-        super().__init__(mul, labels=labels)
+        self._fill(mul, [self._mask_label(m) for m in range(2 ** n)])
+        self.inv = idx                  # every subset is its own inverse
 
     def _mask_label(self, mask: int) -> str:
         items = [str(self.base_set[i]) for i in range(len(self.base_set))

@@ -27,10 +27,10 @@ import numpy as np
 
 from .algebra import AlgebraElement, alg_mul, alg_star, generator
 from .cocycle import (KLEIN_A, KLEIN_B, KLEIN_C, Lambda, SchurFunction,
-                      _array_table, _residual, coboundary, cocycle_mul,
-                      klein_table, tensor_cocycle)
+                      _residual, coboundary, cocycle_mul, klein_table,
+                      tensor_cocycle)
 from .groups import direct_product, make_cyclic, make_subset_group, row_blocks
-from .rings import (COMPLEX, DEFAULT_TOL, RingDescriptor, RingValue, laurent,
+from .rings import (COMPLEX, DEFAULT_TOL, RingDescriptor, RingValue,
                     real_basis, real_dim)
 
 
@@ -613,7 +613,7 @@ def z2_split(f: SchurFunction, x: RingValue = None,
         raise ValueError("z2_split needs a group of order 2")
     c = f.values[1][1]
     if x is None:
-        x = c.nth_root(2)
+        x = c.nth_root(2, tol)
         if x is None:
             raise ValueError("no central unitary square root of f(1,1)")
     if not (x * x).close(c, tol):
@@ -644,11 +644,11 @@ def z2_complexify(f: SchurFunction, tol: float = DEFAULT_TOL) -> Morphism:
 def _klein_roots(alpha, beta, gamma, x, y, sq_a, sq_b, tol):
     """Resolve roots x, y with x^2 = sq_a, y^2 = sq_b."""
     if x is None:
-        x = sq_a.nth_root(2)
+        x = sq_a.nth_root(2, tol)
         if x is None:
             raise ValueError("no central unitary root for x")
     if y is None:
-        y = sq_b.nth_root(2)
+        y = sq_b.nth_root(2, tol)
         if y is None:
             raise ValueError("no central unitary root for y")
     if not (x * x).close(sq_a, tol):
@@ -751,7 +751,7 @@ def klein_matrix(alpha, beta, gamma, x=None, y=None,
     unit = RingValue.unit(alpha.descriptor)
     f = klein_table(alpha, beta, gamma, -unit, tol=tol)
     if x is None:
-        x = (beta * gamma).nth_root(2)
+        x = (beta * gamma).nth_root(2, tol)
         if x is None:
             raise ValueError("no central unitary root for x")
     if not (x * x).close(beta * gamma, tol):
@@ -820,7 +820,7 @@ def cyclic_decompose(f: SchurFunction, alphas, beta: RingValue = None,
     for a in alphas:
         prod = prod * a
     if beta is None:
-        beta = prod.nth_root(n)
+        beta = prod.nth_root(n, tol)
         if beta is None:
             raise ValueError("no central unitary n-th root of prod alpha")
     bn = unit
@@ -899,16 +899,17 @@ def z2n_torus_rewrite(n: int, degree: int = 4, max_pairs: int = None,
     exponent of lambda_K, so the check runs on coefficient and integer
     exponent arrays, at most 8,192 pairs at a time.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if max_pairs is not None and max_pairs < 1:
         raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
     g = make_subset_group(list(range(1, n + 1)))
-    d = laurent(m=n)
     bits = (np.arange(g.order)[:, None] >> np.arange(n)) & 1
-    fc, fexp, _ = _array_table(
-        [[RingValue.monomial(d, 1, bits[a & b]) for b in range(g.order)]
-         for a in range(g.order)], d)
+    # the table f(I, J) = z^(1_{I & J}) as coefficients and exponents
+    fc = np.ones((g.order, g.order, 1, 1), dtype=complex)
+    fexp = bits[np.arange(g.order)[:, None] & np.arange(g.order)]
     side = 2 * degree + 1
     label = np.repeat(np.arange(g.order), side ** n)
     e = np.tile(np.indices((side,) * n).reshape(n, -1).T - degree,

@@ -345,56 +345,57 @@ class RingValue:
 
     # -- roots -------------------------------------------------------------
 
-    def nth_root(self, n: int):
+    def nth_root(self, n: int, tol: float = DEFAULT_TOL):
         """A unitary y with y^n = self, or None.
 
         Principal branch for scalar phases; Laurent roots only for unimodular
         monomials, by exponent division plus coefficient phase halving.
+        A modulus or a central part counts as exact within tol.
         """
         d = self.descriptor
         if n == 1:
             return self
         if d.kind == "complex":
             c = self.payload
-            if abs(abs(c) - 1) > 1e-7:
+            if abs(abs(c) - 1) > tol:
                 return None
             return RingValue(d, cmath.exp(1j * cmath.phase(c) / n))
         if d.kind == "real":
             c = self.payload
-            if abs(c - 1) < 1e-7:
+            if abs(c - 1) < tol:
                 return RingValue(d, 1.0)
-            if abs(c + 1) < 1e-7 and n % 2 == 1:
+            if abs(c + 1) < tol and n % 2 == 1:
                 return RingValue(d, -1.0)
             return None
         if d.kind == "laurent":
-            mono = self.is_monomial()
+            mono = self.is_monomial(tol)
             if mono is None:
                 return None
             c, exps = mono
-            if abs(abs(c) - 1) > 1e-7:
+            if abs(abs(c) - 1) > tol:
                 return None
             if any(e % n for e in exps):
                 return None
             root = cmath.exp(1j * cmath.phase(c) / n)
             return RingValue.monomial(d, root, tuple(e // n for e in exps))
         if d.kind == "matrix":
-            if not self.is_central(1e-7):
+            if not self.is_central(tol):
                 return None
             c = complex(np.trace(self.payload)) / d.k
             r = RingValue.scalar(COMPLEX if d.field == "complex" else REAL, 1)
             base = RingValue(COMPLEX if d.field == "complex" else REAL,
-                             r.payload * c).nth_root(n)
+                             r.payload * c).nth_root(n, tol)
             if base is None:
                 return None
             return RingValue.unit(d).scale(base.payload)
         if d.kind == "quaternion":
-            if not self.is_central(1e-7):
+            if not self.is_central(tol):
                 return None
-            base = RingValue(REAL, float(self.payload[0])).nth_root(n)
+            base = RingValue(REAL, float(self.payload[0])).nth_root(n, tol)
             if base is None:
                 return None
             return RingValue.quaternion([base.payload, 0, 0, 0])
-        comps = [a.nth_root(n) for a in self.payload]
+        comps = [a.nth_root(n, tol) for a in self.payload]
         if any(c is None for c in comps):
             return None
         return RingValue(d, tuple(comps))

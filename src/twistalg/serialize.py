@@ -7,6 +7,8 @@ cocycles are either explicit tables or named constructor shorthands.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .cocycle import SchurFunction, klein_table, make_f_alpha
 from .groups import GroupTable, direct_product, make_cyclic, make_subset_group
 from .rings import (COMPLEX, DEFAULT_TOL, REAL, RingDescriptor, RingValue,
@@ -63,16 +65,21 @@ def descriptor_to_json(d: RingDescriptor):
 # -- scalars ---------------------------------------------------------------
 
 def parse_scalar(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
+    """A number, an "a+bi" string or an [re, im] pair; JSON true and false
+    are no scalars."""
     if isinstance(obj, str):
         s = obj.strip().replace(" ", "").replace("i", "j")
         try:
             return complex(s)
         except ValueError as exc:
             raise ConfigError(f"bad scalar literal {obj!r}") from exc
+    if isinstance(obj, bool) or (isinstance(obj, list)
+                                 and any(isinstance(x, bool) for x in obj)):
+        raise ConfigError(f"bad scalar literal {obj!r}")
+    if isinstance(obj, (int, float)):
+        return complex(obj)
+    if isinstance(obj, list) and len(obj) == 2:
+        return complex(float(obj[0]), float(obj[1]))
     raise ConfigError(f"bad scalar literal {obj!r}")
 
 
@@ -193,6 +200,8 @@ def parse_cocycle(obj, tol: float = DEFAULT_TOL) -> SchurFunction:
         table = obj["table"]
         if len(table) != g.order or any(len(r) != g.order for r in table):
             raise ConfigError("cocycle table shape mismatch")
+        if d.kind in ("complex", "real"):
+            return SchurFunction(g, d, _scalar_table(d, table))
         vals = [[parse_value(d, e) for e in row] for row in table]
         return SchurFunction(g, d, vals)
     if "f_alpha" in obj:
@@ -213,6 +222,20 @@ def parse_cocycle(obj, tol: float = DEFAULT_TOL) -> SchurFunction:
         labels = obj.get("labels", list(range(1, len(values) + 1)))
         return clifford_cocycle(CliffordSpec(labels, values, d, tol))
     raise ConfigError("cocycle needs a table or a named constructor")
+
+
+def _scalar_table(d: RingDescriptor, table) -> np.ndarray:
+    """The (n, n) array of a table over C or R, parsed entry by entry in
+    row-major order, so the first bad entry raises parse_value's error."""
+    real, flat = d.is_real, []
+    for row in table:
+        for e in row:
+            c = parse_scalar(e)
+            if c.imag and real:
+                RingValue.scalar(d, c)      # refuses a complex scalar
+            flat.append(c)
+    out = np.array(flat, dtype=complex).reshape(len(table), len(table))
+    return out.real.copy() if real else out
 
 
 def cocycle_to_json(f: SchurFunction):

@@ -273,6 +273,49 @@ def test_classify_laurent_two_classes(tmp_path, capsys):
     assert members == [[0, 2], [1, 3]]
 
 
+def test_classify_passes_tol_to_the_root(tmp_path, capsys):
+    # prod alpha has modulus 1 + 1e-8: no unitary cube root at tol 1e-9
+    cfg = write(tmp_path, "c.json", {
+        "descriptor": "complex", "alphas": [["1.00000001", "1"], ["1", "1"]]})
+    code, out = run(capsys, "classify", "--config", cfg)
+    assert (code, json.loads(out)["class_count"]) == (0, 2)
+    code, out = run(capsys, "classify", "--config", cfg, "--tol", "1e-6")
+    assert (code, json.loads(out)["class_count"]) == (0, 1)
+
+
+@pytest.mark.parametrize("payload", [
+    {"cocycle": {"descriptor": "complex", "group": {"kind": "cyclic", "n": 2},
+                 "table": [["1", "1"], ["1", True]]}},
+    {"cocycle": {"descriptor": "real", "group": {"kind": "cyclic", "n": 2},
+                 "table": [[True, "1"], ["1", "1"]]}},
+    {"cocycle": {"descriptor": "real", "f_alpha": [False]}},
+    {"cocycle": {"descriptor": "complex", "f_alpha": [[True, 0]]}},
+    {"cocycle": {"descriptor": "complex", "f_alpha": ["1"]},
+     "x": {"coeffs": {"1": True}}},
+    {"cocycle": {"descriptor": {"kind": "matrix", "k": 1},
+                 "f_alpha": [[[True]]]}},
+], ids=["complex_table", "real_table", "f_alpha", "pair", "element",
+        "matrix_entry"])
+def test_json_booleans_are_no_scalars(tmp_path, capsys, payload):
+    cfg = write(tmp_path, "b.json", payload)
+    command = "star" if "x" in payload else "validate"
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: bad scalar literal")
+
+
+def test_non_associative_table_config_exits_2(tmp_path, capsys):
+    loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    cfg = write(tmp_path, "t.json", {"cocycle": {
+        "descriptor": "complex", "group": {"kind": "table", "mul": loop5},
+        "table": [["1"] * 5 for _ in range(5)]}})
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: mul is not associative\n")
+
+
 def test_classify_rejects_matrix_ring(tmp_path):
     cfg = write(tmp_path, "cm.json", {
         "descriptor": {"kind": "matrix", "k": 2},

@@ -311,6 +311,18 @@ def test_winding():
         winding(RingValue.monomial(L1, 2, (1,)))
 
 
+def test_winding_and_equivalence_take_the_callers_tol():
+    # |c| - 1 = 1e-8: refused at tol 1e-9, accepted at tol 1e-6
+    z = RingValue.monomial(L1, 1 + 1e-8, (3,))
+    with pytest.raises(ValueError, match="unimodular"):
+        winding(z, tol=1e-9)
+    assert winding(z, tol=1e-6) == 3
+    one, c = RingValue.unit(COMPLEX), phase(0.3).scale(1 + 1e-8)
+    assert equivalent_cyclic([c, one], [one, one], tol=1e-9) is None
+    lam = equivalent_cyclic([c, one], [one, one], tol=1e-6)
+    assert lam is not None and lam.group.order == 3
+
+
 def test_tensor_values_oracle():
     f = make_f_alpha(2, [phase(0.7)])
     g = make_f_alpha(2, [phase(-0.3)])

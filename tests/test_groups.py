@@ -69,10 +69,12 @@ def test_row_blocks_cover_every_row_once():
 
 
 def test_group_check_memory_is_bounded():
-    # (n, n, n) int64 arrays for n = 256 would take about 286 MB
+    # (n, n, n) int64 arrays for n = 256 would take about 286 MB; a table
+    # given as such is checked, unlike make_cyclic's
+    mul = make_cyclic(256).mul
     tracemalloc.start()
     try:
-        g = make_cyclic(256)
+        g = GroupTable(mul)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -140,3 +142,32 @@ def test_cyclic_group_laws_random(n, data):
     c = data.draw(st.integers(0, n - 1))
     assert g.op(g.op(a, b), c) == g.op(a, g.op(b, c))
     assert g.op(g.inverse(a), a) == g.identity
+
+
+def _constructed_groups():
+    yield from (make_cyclic(n) for n in range(1, 65))
+    yield from (make_subset_group(list("abcdef")[:k]) for k in range(7))
+    small = [make_cyclic(n) for n in (1, 2, 3, 4, 6)] + [
+        make_subset_group(list("ab")), make_subset_group(list("abc"))]
+    for g in small:
+        for h in small:
+            yield direct_product(g, h)
+    yield direct_product(direct_product(make_cyclic(2), make_cyclic(3)),
+                         make_subset_group([1, 2]))
+    yield direct_product(make_cyclic(64), make_subset_group(list("ab")))
+
+
+def test_constructed_groups_pass_the_check():
+    for g in _constructed_groups():
+        g.check()
+        assert np.array_equal(g.inv, g._compute_inv()), g
+
+
+def test_constructed_groups_skip_the_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(GroupTable, "check", lambda self: calls.append(self))
+    for g in _constructed_groups():
+        pass
+    assert calls == []
+    GroupTable(make_cyclic(3).mul)
+    assert len(calls) == 1

@@ -145,6 +145,15 @@ def test_z2_split_laurent_obstruction():
         z2_split(f)
 
 
+def test_z2_split_takes_the_callers_tol():
+    # |f(1,1)| - 1 = 1e-8: no square root at tol 1e-9, one at tol 1e-6
+    c = phase(0.8).scale(1 + 1e-8)
+    f = make_f_alpha(2, [c], tol=1e-6)
+    with pytest.raises(ValueError, match="square root"):
+        z2_split(f, tol=1e-9)
+    assert verify_morphism(z2_split(f, tol=1e-6), tol=1e-6).ok(1e-6)
+
+
 def test_z2_complexify():
     f = make_f_alpha(2, [rone(-1.0)], REAL)
     rep = verify_morphism(z2_complexify(f))

@@ -157,6 +157,20 @@ def test_nth_root_matrix_central_only():
     assert RingValue.mat(M2, [[0, 1], [1, 0]]).nth_root(2) is None
 
 
+@pytest.mark.parametrize("value", [
+    sc(1 + 1e-8), RingValue.scalar(REAL, 1 + 1e-8),
+    RingValue.monomial(L1, 1 + 1e-8, (2,)),
+    RingValue.mat(M2, (1 + 1e-8) * np.eye(2)),
+    RingValue.quaternion([1 + 1e-8, 0, 0, 0]),
+], ids=["complex", "real", "laurent", "matrix", "quaternion"])
+def test_nth_root_takes_the_callers_tol(value):
+    # |c| - 1 = 1e-8: refused at tol 1e-9 (the default), accepted at 1e-6
+    assert value.nth_root(2, tol=1e-9) is None
+    assert value.nth_root(2) is None
+    r = value.nth_root(2, tol=1e-6)
+    assert r is not None and (r * r).close(value, 1e-6)
+
+
 def test_real_basis_and_dim():
     assert real_dim(COMPLEX) == 2
     assert real_dim(REAL) == 1
