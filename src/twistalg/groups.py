@@ -26,6 +26,8 @@ def row_blocks(n: int, row_size: int = None, budget: int = None):
 
 
 class GroupTable:
+    _gens = None        # a generating set, if known from construction
+
     def __init__(self, mul, labels=None):
         """The group with multiplication table mul, proved a group by
         check(): the path of every table read from a config."""
@@ -34,13 +36,14 @@ class GroupTable:
         self.check()
 
     @classmethod
-    def _by_construction(cls, mul, inv, labels) -> "GroupTable":
+    def _by_construction(cls, mul, inv, labels, gens) -> "GroupTable":
         """A group built by a rule that makes it one (cyclic, subsets,
-        direct products), with its inverse table: check()'s O(n^3)
-        associativity proof is skipped."""
+        direct products), with its inverse table and a generating set:
+        check()'s O(n^3) associativity proof is skipped."""
         g = cls.__new__(cls)
         g._fill(mul, labels)
         g.inv = inv
+        g._gens = gens
         return g
 
     def _fill(self, mul, labels):
@@ -83,6 +86,32 @@ class GroupTable:
             if np.any(ab_c != a_bc):
                 raise ValueError("mul is not associative")
 
+    @property
+    def generators(self) -> list:
+        """Elements whose products give the whole group: the construction's
+        generators, else a greedy set (each element in index order that the
+        earlier ones do not generate), found once."""
+        if self._gens is None:
+            gens, reached = [], self._generated([])
+            for t in range(self.order):
+                if not reached[t]:
+                    gens.append(t)
+                    reached = self._generated(gens)
+            self._gens = gens
+        return self._gens
+
+    def _generated(self, gens) -> np.ndarray:
+        """Mask of the products of gens (the identity is the empty one),
+        grown breadth first."""
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        frontier = np.array([self.identity])
+        while len(frontier):
+            before = reached.copy()
+            reached[self.mul[frontier][:, gens]] = True
+            frontier = np.flatnonzero(reached & ~before)
+        return reached
+
     def op(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
@@ -108,7 +137,8 @@ def make_cyclic(n: int) -> GroupTable:
         raise ValueError("cyclic group needs n >= 1")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
-    return GroupTable._by_construction(mul, -idx % n, None)
+    gens = [1] if n > 1 else []
+    return GroupTable._by_construction(mul, -idx % n, None, gens)
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
@@ -122,7 +152,8 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     mul = (ga + hb).reshape(ng * nh, ng * nh)
     inv = (g.inv[:, None] * nh + h.inv[None, :]).reshape(-1)
     labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
-    out = GroupTable._by_construction(mul, inv, labels)
+    gens = [a * nh for a in g.generators] + list(h.generators)
+    out = GroupTable._by_construction(mul, inv, labels, gens)
     out.factor_orders = (ng, nh)
     return out
 
@@ -147,6 +178,7 @@ class SubsetGroup(GroupTable):
         mul = idx[:, None] ^ idx[None, :]
         self._fill(mul, [self._mask_label(m) for m in range(2 ** n)])
         self.inv = idx                  # every subset is its own inverse
+        self._gens = [1 << i for i in range(n)]
 
     def _mask_label(self, mask: int) -> str:
         items = [str(self.base_set[i]) for i in range(len(self.base_set))

@@ -66,9 +66,12 @@ def descriptor_to_json(d: RingDescriptor):
 
 def parse_scalar(obj) -> complex:
     """A number, an "a+bi" string or an [re, im] pair; JSON true and false
-    are no scalars."""
+    are no scalars.  Only a trailing i is the imaginary unit, so "inf" and
+    "-inf" are read."""
     if isinstance(obj, str):
-        s = obj.strip().replace(" ", "").replace("i", "j")
+        s = obj.strip().replace(" ", "")
+        if s.endswith("i"):
+            s = s[:-1] + "j"
         try:
             return complex(s)
         except ValueError as exc:

@@ -305,6 +305,32 @@ def test_json_booleans_are_no_scalars(tmp_path, capsys, payload):
     assert captured.err.startswith("config error: bad scalar literal")
 
 
+@pytest.mark.parametrize("literal,value", [
+    ("inf", complex(float("inf"), 0)), ("-inf", complex(float("-inf"), 0)),
+    ("1-infi", complex(1, float("-inf"))), ("nan", None)])
+def test_infinite_literals_are_read_and_fail_unitarity(tmp_path, capsys,
+                                                       literal, value):
+    """Only a trailing i is the imaginary unit: "inf" is read like "nan",
+    in a table (one array) and as an f_alpha parameter (one value), and
+    either way it is no unitary."""
+    from twistalg.serialize import parse_scalar
+    c = parse_scalar(literal)
+    assert c == value if value is not None else c != c
+    table = {"descriptor": "complex", "group": {"kind": "cyclic", "n": 2},
+             "table": [["1", "1"], ["1", literal]]}
+    cfg = write(tmp_path, "t.json", {"cocycle": table})
+    code, out = run(capsys, "validate", "--config", cfg)
+    assert code == 1
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert report["violations"][0]["check"] == "unitary"
+    assert report["violations"][0]["where"] == ["1", "1"]
+    cfg = write(tmp_path, "a.json", {"cocycle": {"descriptor": "complex",
+                                                 "f_alpha": [literal]}})
+    assert main(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: alpha_1 is not unitary\n"
+
+
 def test_non_associative_table_config_exits_2(tmp_path, capsys):
     loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
