@@ -99,11 +99,12 @@ class SchurFunction:
 
 
 def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Exhaustive check of all Schur-function invariants, reported as data:
-    on whole arrays for tables with an array form (_array_table), else (a
-    Laurent table with a non-monomial entry) one value at a time.  A table
-    whose other checks pass may have its cocycle identity proved from the
-    rows of a generating set (_certified); it then has no violation."""
+    """Check of all Schur-function invariants on every entry and triple,
+    reported as data: on whole arrays for tables with an array form
+    (_array_table), else (a Laurent table with a non-monomial entry) one
+    value at a time.  A table whose other checks pass may have its cocycle
+    identity proved from the rows of a generating set (_certified); it
+    then has no violation."""
     rep, table = ValidationReport(), _array_table(f)
     if table is None:
         _entry_checks(rep, f, tol)
@@ -276,11 +277,13 @@ def _certified(g: GroupTable, forms, exps, cols, tol: float) -> bool:
     rows = np.array([g.identity] + g.generators)
     if 2 * len(rows) > n:
         return False
-    y, res = forms[..., cols], []       # the largest residual of each row
-    for block in row_blocks(len(rows), n * n):      # in cache, as the full
-        res.extend(_residual(*_cocycle_sides(       # check's blocks
+    # the largest residual of each row, in blocks of rows that stay in
+    # cache, as in the full check
+    y, res = forms[..., cols], []
+    for block in row_blocks(len(rows), n * n):
+        res.extend(_residual(*_cocycle_sides(
             g.mul, forms, y, exps, rows[block])).max(axis=(1, 2)))
-    rho = float(max(res[1:]))
+    rho = float(np.max(res[1:]))
     if not (res[0] <= tol and rho <= tol):
         return False
     eta = (rho / (1 - e) ** 2 + 2 * e * (1 + big_t)) / (1 - big_t)

@@ -66,14 +66,16 @@ def descriptor_to_json(d: RingDescriptor):
 
 def parse_scalar(obj) -> complex:
     """A number, an "a+bi" string or an [re, im] pair; JSON true and false
-    are no scalars.  Only a trailing i is the imaginary unit, so "inf" and
-    "-inf" are read."""
+    are no scalars.  A string is read with each i as j, and where that
+    gives no number (the i of "inf") with only a trailing i as j."""
     if isinstance(obj, str):
         s = obj.strip().replace(" ", "")
-        if s.endswith("i"):
-            s = s[:-1] + "j"
-        try:
-            return complex(s)
+        try:                # the common case, in one call
+            return complex(s.replace("i", "j"))
+        except ValueError:
+            pass
+        try:                # "inf", "-inf", "1-infi"
+            return complex(s[:-1] + "j" if s.endswith("i") else s)
         except ValueError as exc:
             raise ConfigError(f"bad scalar literal {obj!r}") from exc
     if isinstance(obj, bool) or (isinstance(obj, list)

@@ -331,6 +331,15 @@ def test_infinite_literals_are_read_and_fail_unitarity(tmp_path, capsys,
     assert capsys.readouterr().err == "error: alpha_1 is not unitary\n"
 
 
+def test_literals_are_read_with_every_i_as_j_first():
+    """Only where that gives no number is a trailing i alone the unit."""
+    from twistalg.serialize import ConfigError, parse_scalar
+    assert parse_scalar(" (1 + 2i) ") == 1 + 2j
+    assert parse_scalar("inf-2i") == complex(float("inf"), -2)
+    with pytest.raises(ConfigError):
+        parse_scalar("1ii")
+
+
 def test_non_associative_table_config_exits_2(tmp_path, capsys):
     loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
