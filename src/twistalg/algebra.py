@@ -120,6 +120,8 @@ def embed_scalar(f: SchurFunction, x: RingValue,
 def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     x._need_same(y)
     f, g = x.cocycle, x.cocycle.group
+    if f._scalars is not None:
+        return _scalar_mul(x, y)
     support = [s for s in range(g.order) if not x.coeffs[s].is_zero(0.0)]
     out = [RingValue.zero(f.descriptor) for _ in range(g.order)]
     for s in support:
@@ -136,9 +138,63 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 def alg_star(x: AlgebraElement) -> AlgebraElement:
     f, g = x.cocycle, x.cocycle.group
+    if f._scalars is not None:
+        return _scalar_star(x)
     coeffs = [f.tilde(t) * x.coeffs[g.inverse(t)].star()
               for t in range(g.order)]
     return AlgebraElement(f, coeffs)
+
+
+# -- scalar tables held as arrays ------------------------------------------
+# alg_mul and alg_star over C and R on f._scalars, rounded as the object
+# loops round: the same products and sums in the same order, each complex
+# product as Python's four real ones (numpy's complex multiply may fuse
+# them, FMA).  As in Python, inf and NaN coefficients raise no warning.
+
+def _coeff_array(x: AlgebraElement) -> np.ndarray:
+    return np.array([c.payload for c in x.coeffs],
+                    dtype=x.cocycle._scalars.dtype)
+
+
+def _from_scalars(f: SchurFunction, a: np.ndarray) -> AlgebraElement:
+    d = f.descriptor
+    return AlgebraElement(f, [RingValue(d, c) for c in a.tolist()])
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b entrywise, as Python multiplies each pair of numbers."""
+    if a.dtype != complex:
+        return a * b
+    from .dense import _complex
+    return _complex(a.real * b.real - a.imag * b.imag,
+                    a.real * b.imag + a.imag * b.real)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _scalar_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """alg_mul on the rows s of the support of x: terms f(s, u) X_s Y_u with
+    u = s^{-1} t, those with Y_u = 0 left out, summed over s in ascending
+    order from zero."""
+    f, g = x.cocycle, x.cocycle.group
+    xs, ys = _coeff_array(x), _coeff_array(y)
+    support = np.flatnonzero(xs != 0)
+    u = g.mul[g.inv[support]]                          # (|supp x|, n)
+    fu = np.take(f._scalars, support[:, None] * g.order + u)   # f(s, u)
+    yu = ys[u]
+    terms = _products(_products(fu, xs[support, None]), yu)
+    terms[yu == 0] = 0
+    out = np.zeros(g.order, dtype=xs.dtype)
+    for row in terms:
+        out += row
+    return _from_scalars(f, out)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _scalar_star(x: AlgebraElement) -> AlgebraElement:
+    """alg_star on the array: tilde f(t) (X_{t^{-1}})^*."""
+    f, inv = x.cocycle, x.cocycle.group.inv
+    tilde = f._scalars[np.arange(len(inv)), inv].conj()
+    return _from_scalars(f, _products(tilde, _coeff_array(x)[inv].conj()))
 
 
 def coefficient(x: AlgebraElement, s: int, t: int) -> RingValue:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -293,20 +294,33 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call to main: building
+    takes about 30 times as long as parsing one command line."""
+    return build_parser()
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, looked up once; a no-op where there is none."""
+    if sys.platform != "linux":
+        return int
+    import ctypes
+    return getattr(ctypes.CDLL(None), "malloc_trim", int)
+
+
 def _trim_heap() -> None:
     """Hand the heap pages a command freed back to the OS: glibc keeps them
     resident, and where later large arrays land among them depends on the
     calls before, so repeated calls to main would hold a size set by their
     order."""
-    if sys.platform == "linux":
-        import ctypes
-        getattr(ctypes.CDLL(None), "malloc_trim", int)(0)
+    _malloc_trim()(0)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     if args.tol <= 0 or args.grid <= 0:

@@ -7,6 +7,8 @@ cocycles are either explicit tables or named constructor shorthands.
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .cocycle import SchurFunction, klein_table, make_f_alpha
@@ -230,17 +232,35 @@ def parse_cocycle(obj, tol: float = DEFAULT_TOL) -> SchurFunction:
 
 
 def _scalar_table(d: RingDescriptor, table) -> np.ndarray:
-    """The (n, n) array of a table over C or R, parsed entry by entry in
-    row-major order, so the first bad entry raises parse_value's error."""
-    real, flat = d.is_real, []
-    for row in table:
-        for e in row:
-            c = parse_scalar(e)
-            if c.imag and real:
-                RingValue.scalar(d, c)      # refuses a complex scalar
-            flat.append(c)
-    out = np.array(flat, dtype=complex).reshape(len(table), len(table))
-    return out.real.copy() if real else out
+    """The (n, n) array of a table over C or R, read one row at a time.  A
+    row of strings is read in one pass: joined by line breaks, spaces
+    dropped, each i read as j, split again and read by complex(), which
+    reads what parse_scalar's first attempt reads.  A row that holds a
+    non-string, a literal with a line break, a literal complex() refuses
+    or (over R) a value with an imaginary part is read entry by entry, as
+    parse_value reads it; so every value is parse_scalar's, and the first
+    bad entry in row-major order raises parse_value's error."""
+    real, n = d.is_real, len(table)
+    out = np.empty((n, n), dtype=float if real else complex)
+    for i, row in enumerate(table):
+        try:
+            pieces = ("\n".join(row).replace(" ", "").replace("i", "j")
+                      .split("\n"))
+            vals = (np.fromiter(map(complex, pieces), complex, n)
+                    if len(pieces) == n else None)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or (real and vals.imag.any()):
+            vals = np.array([_table_scalar(d, e) for e in row], dtype=complex)
+        out[i] = vals.real if real else vals
+    return out
+
+
+def _table_scalar(d: RingDescriptor, e) -> complex:
+    c = parse_scalar(e)
+    if c.imag and d.is_real:
+        RingValue.scalar(d, c)      # refuses a complex scalar
+    return c
 
 
 def cocycle_to_json(f: SchurFunction):
@@ -262,8 +282,22 @@ def parse_element(f: SchurFunction, obj):
     for label, val in obj["coeffs"].items():
         if str(label) not in labels:
             raise ConfigError(f"unknown group element label {label!r}")
-        x.coeffs[labels[str(label)]] = parse_value(f.descriptor, val)
+        v = parse_value(f.descriptor, val)
+        if not _finite(v):
+            raise ConfigError(f"non-finite coefficient at {label!r}")
+        x.coeffs[labels[str(label)]] = v
     return x
+
+
+def _finite(v: RingValue) -> bool:
+    """Whether no number in v is NaN or infinite."""
+    d, p = v.descriptor, v.payload
+    if d.kind in ("complex", "real"):
+        return cmath.isfinite(p)
+    if d.kind == "product":
+        return all(map(_finite, p))
+    return bool(np.isfinite(list(p.values()) if d.kind == "laurent"
+                            else p).all())
 
 
 def element_to_json(x):

@@ -503,14 +503,89 @@ def test_main_trims_the_heap_after_every_command(tmp_path, capsys,
 
     monkeypatch.setattr(twistalg.cli.sys, "platform", "linux")
     monkeypatch.setattr(ctypes, "CDLL", Libc)
+    # the C library is looked up once per process: forget the real one
+    twistalg.cli._malloc_trim.cache_clear()
     cfg = write(tmp_path, "v.json", TRIVIAL_Z2)
     assert run(capsys, "validate", "--config", cfg)[0] == 0
     assert run(capsys, "validate", "--config", str(tmp_path / "no.json"))[0] == 2
     assert trims == [0, 0]
     # a C library without malloc_trim is no error
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    twistalg.cli._malloc_trim.cache_clear()
     assert run(capsys, "validate", "--config", cfg)[0] == 0
     assert trims == [0, 0]
+    twistalg.cli._malloc_trim.cache_clear()
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    """The parser is built on the first call to main and reused: a usage
+    error and --help leave it fit for the next command, and every output
+    and exit code is that of a parser built afresh for each call."""
+    import twistalg.cli as cli
+    cfg = write(tmp_path, "v.json", TRIVIAL_Z2)
+    calls = [["validate", "--config", cfg], ["validate"], ["--help"],
+             ["mul", "--help"], ["star", "--config", cfg, "--format", "x"],
+             ["validate", "--config", cfg, "--format", "table"]]
+
+    def outcomes():
+        out = []
+        for argv in calls:
+            code = main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    build, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    got = outcomes()
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", build)       # afresh for each call
+    assert got == outcomes()
+    assert [code for code, _, _ in got] == [0, 2, 0, 0, 2, 0]
+    assert got[1][2].startswith("usage: twistalg validate")
+    assert got[2][1].startswith("usage: twistalg")
+    assert "valid" in got[5][1] and got[0][1] != got[5][1]
+
+
+@pytest.mark.parametrize("command", ["mul", "star", "norm"])
+@pytest.mark.parametrize("literal", ["inf", "nan", [1, "nan"], "-infi"])
+def test_non_finite_coefficients_exit_2(tmp_path, capsys, command, literal):
+    # a table may hold inf (it then fails unitarity, exit 1); an element
+    # may not: its products would print "inf-nani"
+    payload = {"cocycle": {"descriptor": "complex", "f_alpha": ["i"]},
+               "x": {"coeffs": {"0": "1", "1": literal}},
+               "y": {"coeffs": {"1": "1"}}}
+    cfg = write(tmp_path, "x.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: non-finite coefficient at '1'\n"
+    if command == "mul":        # in y as well
+        payload["x"], payload["y"] = payload["y"], payload["x"]
+        cfg = write(tmp_path, "y.json", payload)
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: non-finite")
+
+
+@pytest.mark.parametrize("ring, value", [
+    ({"kind": "matrix", "k": 2}, [["1", "0"], ["0", "nan"]]),
+    ("quaternion", [1, 0, "inf", 0]),
+    ({"kind": "laurent", "m": 1}, [[[1], "1"], [[2], "-inf"]]),
+    ({"kind": "product", "factors": ["real", "complex"]}, ["1", "nan"]),
+], ids=["matrix", "quaternion", "laurent", "product"])
+def test_non_finite_coefficients_exit_2_over_every_ring(tmp_path, capsys,
+                                                       ring, value):
+    payload = {"cocycle": {"descriptor": ring, "f_alpha": []},
+               "x": {"coeffs": {"0": value}}}
+    cfg = write(tmp_path, "x.json", payload)
+    assert main(["star", "--config", cfg]) == 2
+    assert capsys.readouterr().err == \
+        "config error: non-finite coefficient at '0'\n"
 
 
 def test_out_flag_and_table_format(tmp_path, capsys):

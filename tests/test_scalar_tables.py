@@ -71,11 +71,20 @@ def cli_code(tmp_path, obj):
 
 # -- the array parse ----------------------------------------------------------
 
+# whitespace, digit and grouping forms: some the row pass reads, some send
+# their row to the entry loop (a line break; \x1c, which str.strip strips
+# and complex() keeps); the i of inf and any non-string do the same
+ODD_STRINGS = ["1\n", "\n-1", "\t1", "1\t", "\r1\r", "\xa01", "1\u2003",
+               "\u3000-1 ", "\x1c1", "1_0", "(1)", "-nan", "\u0661"]
 COMPLEX_LITERALS = ["1", "-0", "0.6+0.8i", "0.6-0.8j", " 0.6 + 0.8 i ",
                     "i", "-i", "j", "1e-3-2.5e1i", "+1-0i", "nan", "-1e308",
-                    3, -1.5, 0, 2.25, [0.6, 0.8], ["0.6", "-0.8"], [-0.0, 0]]
+                    "inf", "-infi", "1-infi", "nan+nani", "(1+2i)",
+                    "1_0+2_5i", "\u30000.6+0.8i\xa0", "\t0.6-0.8i\n",
+                    3, -1.5, 0, 2.25, [0.6, 0.8], ["0.6", "-0.8"], [-0.0, 0],
+                    ] + ODD_STRINGS
 REAL_LITERALS = ["1", "-1", "-0", "0.5", " 2 ", "1e-3", "1+1e-15i",
-                 "1-0i", 3, -1.5, 0, [0.5, 0], ["-0.25", "0"], "nan"]
+                 "1-0i", 3, -1.5, 0, [0.5, 0], ["-0.25", "0"], "nan", "inf",
+                 "-inf", "(-1-0i)", "1+0i\n"] + ODD_STRINGS
 
 
 @pytest.mark.parametrize("ring, literals", [("complex", COMPLEX_LITERALS),
@@ -83,8 +92,11 @@ REAL_LITERALS = ["1", "-1", "-0", "0.5", " 2 ", "1e-3", "1+1e-15i",
 def test_array_parse_matches_the_parse_value_loop(ring, literals):
     rng = np.random.default_rng(7)
     n = 6
-    for _ in range(5):
-        table = [[literals[i] for i in rng.integers(len(literals), size=n)]
+    strings = [e for e in literals if isinstance(e, str)]
+    for k in range(40):
+        # every fourth table holds strings only: most rows take the row pass
+        pool = strings if k % 4 else literals
+        table = [[pool[i] for i in rng.integers(len(pool), size=n)]
                  for _ in range(n)]
         obj = {"descriptor": ring, "group": {"kind": "cyclic", "n": n},
                "table": table}
@@ -104,9 +116,27 @@ def test_array_parse_matches_the_parse_value_loop(ring, literals):
     ("real", {(1, 1): "1+", (2, 0): "0.6+0.8i"}, 2),    # malformed comes first
     ("real", {(3, 3): [0, 1]}, 1),
     ("real", {(0, 2): "1+1e-15i", (1, 0): "zz"}, 2),    # tiny imaginary part
+    ("complex", {(1, 0): "0.6\n+0.8i", (1, 3): "1+"}, 2),  # break inside
+    ("complex", {(2, 1): "1\t+2i"}, 2),
+    ("complex", {(0, 3): "1 +\xa02i"}, 2),
+    ("complex", {(1, 1): 2.5, (1, 2): True, (1, 3): "1+"}, 2),
+    ("complex", {(2, 0): [1, "0.5"], (2, 1): "x", (2, 3): False}, 2),
+    ("real", {(1, 1): "-infi", (1, 2): "1+"}, 1),      # complex comes first
+    ("real", {(1, 1): "1\n+", (1, 2): "-infi"}, 2),    # malformed comes first
+    ("real", {(1, 0): "1\n+2i", (1, 3): "(1"}, 2),     # malformed, no pass
+    ("real", {(0, 1): "2", (2, 1): "0.5i", (3, 0): "1+"}, 1),
+    ("real", {(0, 1): "2", (2, 1): "1+", (3, 0): "0.5i"}, 2),
+    # a NaN imaginary part is no complex scalar (abs(nan) > eps is False)
+    ("real", {(2, 2): 3, (2, 3): "nan+nani", (3, 3): [1, True]}, 2),
+    ("real", {(1, 2): [1, 2], (3, 3): True}, 1),
 ], ids=["truncated", "word_then_null", "bad_pair_part", "dict_then_truncated",
         "short_pair", "bool", "real_complex_first", "real_malformed_first",
-        "real_complex_pair", "real_tiny_imag"])
+        "real_complex_pair", "real_tiny_imag", "break_inside_literal",
+        "tab_inside_literal", "unicode_space_inside", "number_then_bool",
+        "pair_word_bool", "real_infi_first", "real_malformed_break_first",
+        "real_break_then_paren", "real_complex_row_before_malformed",
+        "real_malformed_row_before_complex", "real_nan_imag_then_bool",
+        "real_pair_before_bool"])
 def test_array_parse_raises_the_first_error_of_the_loop(
         tmp_path, capsys, ring, entries, code):
     table = [["1"] * 4 for _ in range(4)]
