@@ -17,8 +17,8 @@ from .groups import SubsetGroup, make_subset_group
 from .isolab import (AlgebraModel, ComplexifiedModel, CornerModel,
                      DirectSumModel, MatrixModel, Morphism,
                      QuaternionTensorModel, TwistedModel,
-                     extend_generator_images)
-from .rings import DEFAULT_TOL, RingDescriptor, RingValue, real_basis
+                     extend_generator_images, row_residuals)
+from .rings import DEFAULT_TOL, RingDescriptor, RingValue
 
 MAX_LABELS = 8
 MAX_PERIODICITY = 3       # number of adjoined generator pairs / base n
@@ -91,53 +91,26 @@ def clifford_cocycle(spec: CliffordSpec) -> SchurFunction:
     return SchurFunction(spec.group, spec.descriptor, vals)
 
 
-def relation_residuals(spec: CliffordSpec, images, target: AlgebraModel):
-    """(message, residual) for each generator relation of S(f_rho) on
-    per-label images x_s in target, label by label: x_s^2 = rho(s),
-    x_s^* = rho(s)^* x_s, and x_s x_r + x_r x_s = 0 for each earlier r."""
-    one = target.unit()
-    for i, x in enumerate(images):
-        lbl, rho = spec.labels[i], spec.values[i]
-        yield (f"x_{lbl}^2 != rho({lbl})",
-               target.diff(target.mul(x, x), target.scale_left(rho, one)))
-        yield (f"x_{lbl}* != rho*({lbl}) x_s",
-               target.diff(target.star(x), target.scale_left(rho.star(), x)))
-        for j, y in enumerate(images[:i]):
-            anti = target.add(target.mul(x, y), target.mul(y, x))
-            yield (f"x_{lbl} and x_{spec.labels[j]} do not anticommute",
-                   target.diff(anti, target.zero()))
-
-
 def universal_map(spec: CliffordSpec, images, target: AlgebraModel,
                   tol: float = DEFAULT_TOL) -> Morphism:
-    """Extend per-label images satisfying the generator relations, and
-    commuting with the central coefficients, to all of S(f_rho) by ordered
-    products V_A -> prod_{s in A, ascending} x_s: extend_generator_images
-    reaches each V_A first as V_{A - max A} x_{max A}, where f = 1."""
+    """Extend per-label images to all of S(f_rho) by ordered products
+    V_A -> prod_{s in A, ascending} x_s (extend_generator_images reaches V_A
+    first as V_{A - max A} x_{max A}, where f = 1), and refuse the extension
+    unless the verifier's residuals on each generator's row, which hold the
+    generator relations, are within tol: product, commutation with E, star."""
     images = list(images)
     if len(images) != spec.size:
         raise ValueError("one image per label required")
-    f = clifford_cocycle(spec)
-    for message, residual in relation_residuals(spec, images, target):
-        if residual > tol:
-            raise ValueError(message)
-    one = target.unit()
-    try:
-        basis = real_basis(spec.descriptor)
-    except ValueError:
-        basis = []
-    for b in basis:
-        if not b.is_central(tol):
-            continue
-        scal = target.scale_left(b, one)
-        for i, x in enumerate(images):
-            comm = target.add(target.mul(scal, x),
-                              target.neg(target.mul(x, scal)))
-            if target.diff(comm, target.zero()) > tol:
-                raise ValueError(f"x_{spec.labels[i]} does not commute "
-                                 "with the coefficient ring")
-    return extend_generator_images(
-        f, {1 << i: x for i, x in enumerate(images)}, target)
+    m = extend_generator_images(
+        clifford_cocycle(spec), {1 << i: x for i, x in enumerate(images)},
+        target)
+    _, res = row_residuals(m, [1 << i for i in range(spec.size)])
+    for lbl, row in zip(spec.labels, res):
+        for check, r in zip(("product", "commutation with E", "star"), row):
+            if not r <= tol:
+                raise ValueError(f"x_{lbl} fails the {check} check "
+                                 f"(residual {r:.3g})")
+    return m
 
 
 # -- projection families ---------------------------------------------------

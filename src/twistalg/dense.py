@@ -192,13 +192,12 @@ def _act(blocks, y):
     return out.reshape(out.shape[:-3] + (d, r))
 
 
-def _max_abs(y) -> float:
-    """Max |entry|, with Python's abs (hypot) for complex entries."""
-    if y.size == 0:
-        return 0.0
-    if np.iscomplexobj(y):
-        return float(np.hypot(y.real, y.imag).max())
-    return float(np.abs(y).max())
+def _row_max(y) -> np.ndarray:
+    """Max |entry| of each y[i] (0 if empty), with Python's abs (hypot) for
+    complex entries."""
+    y = y.reshape(len(y), -1)
+    a = np.hypot(y.real, y.imag) if np.iscomplexobj(y) else np.abs(y)
+    return a.max(axis=1, initial=0.0)
 
 
 def regular_dense(g, table, coeffs):
@@ -214,34 +213,39 @@ def regular_dense(g, table, coeffs):
 
 # -- the morphism check ----------------------------------------------------
 
-def dense_residuals(f, summands):
-    """isolab.object_residuals of a morphism out of S(f), on dense forms.
-
-    summands holds one (model, images, model.readout(images)) triple per
+def dense_residuals(f, summands, basis, rows=None):
+    """isolab.row_residuals of a morphism out of S(f), on dense forms, over
+    rows (default: every group element); basis holds the dense forms of a
+    real basis of E.  summands holds one (model, images, readouts) triple per
     summand of the target (isolab._summands); the verifier ranks the same
     readouts.  A map into a direct sum is a unital *-homomorphism exactly
-    when each component is, and each residual is the maximum over the
-    components.  On each, every product image_s image_t is computed only on
-    the columns that hold its slots, for a block of rows s at a time against
-    all t, and compared with f(s,t) image_{st}.
-    """
+    when each component is, so each residual is the maximum over them.  On
+    each, image_s is multiplied, a block of rows s at a time, by the
+    readouts of every image_t and of every b 1, side by side."""
+    rows = np.arange(f.group.order) if rows is None else np.array(rows, int)
     blocks, tilde = cocycle_blocks(f)
-    res = [_summand_residuals(f.group, blocks, tilde, *summand)
+    res = [_summand_residuals(f.group, blocks, tilde, basis, rows, *summand)
            for summand in summands]
-    return tuple(max(r) for r in zip(*res))
+    return (max(unit_res for unit_res, _ in res),
+            np.maximum.reduce([r for _, r in res]))
 
 
-def _summand_residuals(g, blocks, tilde, tgt, images, y):
-    n = g.order
+def _summand_residuals(g, blocks, tilde, basis, rows, tgt, images, y):
+    n, nb = g.order, len(basis)
     size, cols = y.shape[1:]                            # y: (n, size, cols)
-    unit_res = _max_abs(y[g.identity] - tgt.readout([tgt.unit()])[0])
-    # the readouts of every image side by side: (size, n cols)
-    right = y.transpose(1, 0, 2).reshape(size, n * cols)
-    mult_res = 0.0
-    for blk in row_blocks(n, n * size * cols + size * size, BLOCK_ENTRIES):
-        lhs = _matmul(tgt.dense(images[blk]), right)
-        lhs = lhs.reshape(-1, size, n, cols).transpose(0, 2, 1, 3)
-        rhs = _act(blocks[blk], y[g.mul[blk]])
-        mult_res = max(mult_res, _max_abs(lhs - rhs))
-    star_res = _max_abs(tgt.star_readout(y) - _act(tilde, y[g.inv]))
-    return unit_res, mult_res, star_res
+    one = tgt.readout([tgt.unit()])[0]
+    unit_res = float(_row_max(y[[g.identity]] - one)[0])
+    # the readouts of every image and of every b 1: (size, (n + nb) cols)
+    right = np.concatenate([y, _act(basis, one)]).transpose(1, 0, 2).reshape(
+        size, (n + nb) * cols)
+    out = np.empty((len(rows), 3))          # product, commutation, star
+    for blk in row_blocks(len(rows), (n + nb) * size * cols + size * size,
+                          BLOCK_ENTRIES):
+        s = rows[blk]
+        lhs = _matmul(tgt.dense([images[i] for i in s]), right)
+        lhs = lhs.reshape(-1, size, n + nb, cols).transpose(0, 2, 1, 3)
+        out[blk, 0] = _row_max(lhs[:, :n] - _act(blocks[s], y[g.mul[s]]))
+        out[blk, 1] = _row_max(lhs[:, n:] - _act(basis, y[s][:, None]))
+        out[blk, 2] = _row_max(tgt.star_readout(y[s])
+                               - _act(tilde[s], y[g.inv[s]]))
+    return unit_res, out

@@ -4,23 +4,23 @@ A model is an algebra we can compute in: a twisted algebra, a corner
 p S(f) p of one, a coefficient ring, k x k matrices over a model, a
 complexification, a quaternion tensor, or a finite direct sum.  A morphism
 from S(f) stores one image per generator and acts E-linearly; the verifier
-measures unit, multiplicativity and star residuals.  Over finite
-coefficient rings it reads the images once per summand of the target
-(each model's readout; a direct sum one summand at a time, _summands),
-checks products and stars on the models' dense forms, and certifies
-bijectivity by the real rank of the multiples b image_t over a real basis
-b of E, taken from the same readouts, against the target's real dimension
-(for a corner, the real rank of p S(f) p).  Over Laurent rings it checks
-the residuals one model operation at a time.  The torus rewrites
+measures unit, multiplicativity and star residuals, and, since every V_s
+commutes with E, counts |image_s (b 1) - b image_s| over a real basis b of
+E as a multiplicativity residual.  Over finite coefficient rings it reads
+the images once per summand of the target (each model's readout; a direct
+sum one summand at a time, _summands), checks on the models' dense forms,
+and certifies bijectivity by the real rank of the multiples b image_t,
+taken from the same readouts, against the target's real dimension (for a
+corner, the real rank of p S(f) p).  Over Laurent rings it checks one model
+operation at a time.  clifford.universal_map refuses through the same
+check, on the generators' rows (row_residuals).  The torus rewrites
 (z2n_torus_rewrite) substitute z -> z^2, so they are not E-linear and
-have their own report; basis elements, their products, stars and images
-are all monomials, so that check runs on coefficient and integer exponent
-arrays, a block of basis pairs at a time.
+have their own report, on coefficient and integer exponent arrays.
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,12 +64,9 @@ class AlgebraModel:
         return max((x - y).abs_bound()
                    for x, y in zip(self.slots(a), self.slots(b)))
 
-    def nslots(self) -> int:
-        return len(self.slots(self.unit()))
-
     def total_real_dim(self):
         try:
-            return self.nslots() * real_dim(self.base)
+            return len(self.slots(self.unit())) * real_dim(self.base)
         except ValueError:
             return None
 
@@ -298,9 +295,6 @@ class DirectSumModel(AlgebraModel):
     def add(self, a, b):
         return self._map("add", a, b)
 
-    def neg(self, a):
-        return self._map("neg", a)
-
     def mul(self, a, b):
         return self._map("mul", a, b)
 
@@ -484,16 +478,7 @@ class MorphismReport:
                 and self.surjective is True)
 
     def to_dict(self):
-        return {
-            "unit_residual": self.unit_residual,
-            "mult_residual": self.mult_residual,
-            "star_residual": self.star_residual,
-            "source_dim": self.source_dim,
-            "image_rank": self.image_rank,
-            "target_dim": self.target_dim,
-            "injective": self.injective,
-            "surjective": self.surjective,
-        }
+        return asdict(self)
 
 
 class Morphism:
@@ -517,48 +502,81 @@ class Morphism:
 
 
 def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
-    f, g, tgt = m.source, m.source.group, m.target
-    try:
-        e_dim = real_dim(f.descriptor)
-    except ValueError:
-        e_dim = None
-    if e_dim is None:
+    """Unit, multiplicativity and star residuals, and over finite
+    coefficient rings the rank certificate.  mult_residual covers the pairs
+    (V_s, V_t) and (V_s, b V_1) over a real basis b of E: S(f) acts on
+    E (x) l^2(T) with E on the coefficients, so every V_s commutes with E,
+    and a map whose images do not is no *-homomorphism."""
+    readouts = _readouts(m)
+    if readouts is None:
         return MorphismReport(*object_residuals(m), -1, -1, None, None, None)
-    from .dense import _act, dense_array, dense_residuals   # on first use
-    summands = [(mod, images, mod.readout(images))
-                for mod, images in _summands(tgt, m.images)]
-    unit_res, mult_res, star_res = dense_residuals(f, summands)
+    from .dense import _act, dense_residuals               # on first use
+    summands, basis = readouts
+    unit_res, res = dense_residuals(m.source, summands, basis)
     # the rows b image_t over a real basis b of E, summand by summand
-    basis = dense_array(f.descriptor, real_basis(f.descriptor))
     rows = np.hstack([flat_rows(_act(basis, y[:, None]).reshape(
         (-1,) + y.shape[1:])) for _, _, y in summands])
     rank = int(np.linalg.matrix_rank(rows))
-    source_dim = g.order * e_dim
-    target_dim = tgt.total_real_dim()
-    injective = rank == source_dim
-    surjective = None if target_dim is None else rank == target_dim
-    return MorphismReport(unit_res, mult_res, star_res, source_dim, rank,
-                          target_dim, injective, surjective)
+    source_dim = m.source.group.order * len(basis)
+    target_dim = m.target.total_real_dim()
+    return MorphismReport(unit_res, float(res[:, :2].max()),
+                          float(res[:, 2].max()), source_dim, rank,
+                          target_dim, rank == source_dim,
+                          None if target_dim is None else rank == target_dim)
+
+
+def _readouts(m: Morphism):
+    """(summands, dense forms of a real basis of E) for dense.dense_residuals,
+    or None where E has no finite real basis."""
+    try:
+        basis = real_basis(m.source.descriptor)
+    except ValueError:
+        return None
+    from .dense import dense_array
+    return ([(mod, images, mod.readout(images))
+             for mod, images in _summands(m.target, m.images)],
+            dense_array(m.source.descriptor, basis))
+
+
+def row_residuals(m: Morphism, rows):
+    """(unit residual, res), res[i] the residuals (product, commutation,
+    star) of image_s, s = rows[i]: the largest |image_s image_t - f(s,t)
+    image_{st}| over t, the largest |image_s (b 1) - b image_s| over a real
+    basis b of E, and |image_s^* - tilde f(s) image_{s^-1}|.  On dense forms
+    over finite rings; one model operation at a time over Laurent rings,
+    which are commutative and act centrally, with no commutation term."""
+    readouts = _readouts(m)
+    if readouts is None:
+        return _object_rows(m, rows)
+    from .dense import dense_residuals
+    return dense_residuals(m.source, *readouts, rows)
 
 
 def object_residuals(m: Morphism):
-    """(unit, product, star) residuals, one model operation at a time:
-    the check over rings with no finite real dimension, and the reference
-    that dense.dense_residuals reproduces."""
+    """(unit, product and commutation, star) residuals, one model operation
+    at a time: the check over rings with no finite real dimension, and the
+    reference that dense.dense_residuals reproduces."""
+    unit_res, res = _object_rows(m, range(m.source.group.order))
+    return unit_res, float(res[:, :2].max()), float(res[:, 2].max())
+
+
+def _object_rows(m: Morphism, rows):
     f, g, tgt = m.source, m.source.group, m.target
-    unit_res = tgt.diff(m.images[g.identity], tgt.unit())
-    mult_res = 0.0
-    for s in range(g.order):
-        for t in range(g.order):
-            lhs = tgt.mul(m.images[s], m.images[t])
-            rhs = tgt.scale_left(f.values[s][t], m.images[g.op(s, t)])
-            mult_res = max(mult_res, tgt.diff(lhs, rhs))
-    star_res = 0.0
-    for t in range(g.order):
-        lhs = tgt.star(m.images[t])
-        rhs = tgt.scale_left(f.tilde(t), m.images[g.inverse(t)])
-        star_res = max(star_res, tgt.diff(lhs, rhs))
-    return unit_res, mult_res, star_res
+    try:
+        scalars = [(b, tgt.scale_left(b, tgt.unit()))
+                   for b in real_basis(f.descriptor)]
+    except ValueError:
+        scalars = []
+    out = np.zeros((len(rows), 3))
+    for i, s in enumerate(rows):
+        x = m.images[s]
+        out[i, 0] = max(tgt.diff(tgt.mul(x, m.images[t]), tgt.scale_left(
+            f.values[s][t], m.images[g.op(s, t)])) for t in range(g.order))
+        out[i, 1] = max((tgt.diff(tgt.mul(x, b1), tgt.scale_left(b, x))
+                         for b, b1 in scalars), default=0.0)
+        out[i, 2] = tgt.diff(tgt.star(x), tgt.scale_left(
+            f.tilde(s), m.images[g.inverse(s)]))
+    return tgt.diff(m.images[g.identity], tgt.unit()), out
 
 
 def identity_morphism(f: SchurFunction) -> Morphism:

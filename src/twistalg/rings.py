@@ -133,7 +133,7 @@ class RingValue:
         if d.kind == "complex":
             return RingValue(d, complex(c))
         if d.kind == "real":
-            if abs(complex(c).imag) > _COEFF_EPS:
+            if not abs(complex(c).imag) <= _COEFF_EPS:     # NaN too
                 raise ValueError("complex scalar in a real ring")
             return RingValue(d, float(complex(c).real))
         return RingValue.unit(d).scale(c)
@@ -157,11 +157,14 @@ class RingValue:
     def mat(d: RingDescriptor, rows) -> "RingValue":
         if d.kind != "matrix":
             raise ValueError("mat needs a matrix descriptor")
-        dt = complex if d.field == "complex" else float
-        a = np.array(rows, dtype=dt)
+        a = np.array(rows, dtype=complex)
         if a.shape != (d.k, d.k):
             raise ValueError("matrix shape mismatch")
-        return RingValue(d, a)
+        if d.field == "complex":
+            return RingValue(d, a)
+        if not (abs(a.imag) <= _COEFF_EPS).all():       # NaN too
+            raise ValueError("complex scalar in a real ring")
+        return RingValue(d, a.real.copy())
 
     @staticmethod
     def quaternion(coords) -> "RingValue":
@@ -240,7 +243,7 @@ class RingValue:
         d = self.descriptor
         c = complex(c)
         if d.is_real:
-            if abs(c.imag) > _COEFF_EPS:
+            if not abs(c.imag) <= _COEFF_EPS:              # NaN too
                 raise ValueError("complex scale factor in a real ring")
             c = c.real
         if d.kind in ("complex", "real"):

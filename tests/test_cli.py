@@ -331,6 +331,35 @@ def test_infinite_literals_are_read_and_fail_unitarity(tmp_path, capsys,
     assert capsys.readouterr().err == "error: alpha_1 is not unitary\n"
 
 
+REAL_Z2 = {"descriptor": "real", "group": {"kind": "cyclic", "n": 2}}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("validate", {"cocycle": dict(REAL_Z2, table=[["1", "1"],
+                                                  ["1", "1+nani"]])}),
+    ("validate", {"cocycle": dict(REAL_Z2, table=[["1", "1"],
+                                                  ["1", [1, "nan"]]])}),
+    ("validate", {"cocycle": {"descriptor": "real", "f_alpha": ["1+nani"]}}),
+    ("mul", {"cocycle": {"descriptor": "real", "f_alpha": ["1"]},
+             "x": {"coeffs": {"1": "2+nani"}}, "y": {"coeffs": {"0": "3"}}}),
+    ("validate", {"cocycle": {
+        "descriptor": {"kind": "matrix", "k": 1, "field": "real"},
+        "group": {"kind": "cyclic", "n": 2},
+        "table": [[[["1"]], [["1"]]], [[["1"]], [["0.5i"]]]]}}),
+    ("validate", {"cocycle": {
+        "descriptor": {"kind": "matrix", "k": 1, "field": "real"},
+        "f_alpha": [[["1+nani"]]]}}),
+], ids=["table", "table_pair", "f_alpha", "mul", "matrix", "matrix_nan"])
+def test_complex_literals_in_real_rings_exit_1(tmp_path, capsys, command,
+                                               payload):
+    """A NaN imaginary part is no real number either."""
+    cfg = write(tmp_path, "r.json", payload)
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: complex scalar in a real ring\n"
+
+
 def test_literals_are_read_with_every_i_as_j_first():
     """Only where that gives no number is a trailing i alone the unit."""
     from twistalg.serialize import ConfigError, parse_scalar
@@ -409,6 +438,45 @@ def test_iso_klein_quaternion(tmp_path, capsys):
     code, out = run(capsys, "iso", "--config", cfg)
     assert code == 0
     assert json.loads(out)["verified"] is True
+
+
+I_H, ONE_H = [0, 1, 0, 0], [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("config", [
+    # S(f) = H (x) C = M_2(C) is simple, H + H is not
+    {"constructor": "z2_split", "params": {"x": I_H},
+     "cocycle": {"descriptor": "quaternion",
+                 "group": {"kind": "cyclic", "n": 2},
+                 "table": [[ONE_H, ONE_H], [ONE_H, [-1, 0, 0, 0]]]}},
+    {"constructor": "klein_quaternion", "descriptor": "quaternion",
+     "params": {"alpha": ONE_H, "beta": ONE_H, "gamma": ONE_H, "x": I_H,
+                "y": ONE_H}},
+], ids=["z2_split", "klein_quaternion"])
+def test_iso_refuses_images_that_do_not_commute_with_e(tmp_path, capsys,
+                                                       config):
+    """x = i is a unitary square root of f(1,1) = -1 over H, but the image
+    i V_1 of V_1 does not commute with j 1: |i j - j i| = 2."""
+    cfg = write(tmp_path, "nc.json", config)
+    code, out = run(capsys, "iso", "--config", cfg)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verified"] is False
+    assert payload["report"]["mult_residual"] == "2"
+    assert payload["report"]["star_residual"] == "0"
+
+
+def test_clifford_refuses_images_that_do_not_commute_with_e(tmp_path,
+                                                           capsys):
+    cfg = write(tmp_path, "nc.json", {
+        "descriptor": "quaternion", "rho": [],
+        "periodicity": {"op": "extend_two_matrix", "alpha1": [0, 0, 1, 0],
+                        "alpha2": ONE_H}})
+    assert main(["clifford", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: x_1 fails the commutation with E check (residual 2)\n")
 
 
 def test_iso_cyclic_decompose(tmp_path, capsys):

@@ -16,7 +16,7 @@ from twistalg import (COMPLEX, QUATERNION, REAL, AlgebraElement, CliffordSpec,
                       product_ring, projection_family, regular_matrix,
                       split_odd, transposition_sign, unit, universal_map,
                       validate, verify_morphism)
-from twistalg.isolab import RingModel
+from twistalg.isolab import ComplexifiedModel, RingModel
 
 from rmat import rmat_adjoint, rmat_mul, rmat_residual
 
@@ -210,16 +210,51 @@ def test_universal_map_names_offending_relation():
     spec = cspec([1, 1])
     f = clifford_cocycle(spec)
     target = TwistedModel(f)
-    with pytest.raises(ValueError, match="x_1\\^2"):
+    with pytest.raises(ValueError, match="x_1 fails the product check"):
         universal_map(spec, [generator(f, 1).scale(2.0), generator(f, 2)],
                       target)
-    with pytest.raises(ValueError, match="anticommute"):
+    # x_2 = V_1 commutes with x_1 = V_1
+    with pytest.raises(ValueError, match="x_2 fails the product check"):
         universal_map(spec, [generator(f, 1), generator(f, 1)], target)
     # squares to 1 but is not self-adjoint
     x = [[RingValue.zero(COMPLEX), ONE_C.scale(2.0)],
          [ONE_C.scale(0.5), RingValue.zero(COMPLEX)]]
-    with pytest.raises(ValueError, match="x_1\\* != rho\\*\\(1\\) x_s"):
+    with pytest.raises(ValueError, match="x_1 fails the star check"):
         universal_map(cspec([1]), [x], MatrixModel(2, RingModel(COMPLEX)))
+
+
+def test_universal_map_refuses_images_that_do_not_commute_with_e():
+    # j squares to rho = -1 and j^* = rho^* j, but |j i - i j| = 2
+    j = RingValue.quaternion([0, 0, 1, 0])
+    with pytest.raises(ValueError, match="x_1 fails the commutation with E "
+                                         "check \\(residual 2\\)"):
+        universal_map(cspec([-1], QUATERNION), [j], RingModel(QUATERNION))
+
+
+@pytest.mark.parametrize("build, cls", [
+    (lambda s: extend_two_matrix(s, ONE_R, -ONE_R), MatrixModel),
+    (lambda s: extend_two_quaternion(s, ONE_R, -ONE_R),
+     QuaternionTensorModel),
+    (complexify_odd, ComplexifiedModel),
+], ids=["matrix", "quaternion", "complexify"])
+@pytest.mark.parametrize("size", [0, 2, 4])
+def test_universal_map_multiplies_only_to_extend(monkeypatch, build, cls,
+                                                 size):
+    """The target's mul runs once per element of the extended group that
+    is neither the identity nor a generator; the relations are checked on
+    dense forms."""
+    calls = []
+    mul = cls.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(cls, "mul", counted)
+    m = build(cspec([1, -1, -1, 1][:size], REAL))
+    k = m.source.group.order.bit_length() - 1
+    assert len(calls) == m.source.group.order - 1 - k
+    assert verify_morphism(m).bijective()
 
 
 def ordered_products(m):

@@ -685,6 +685,19 @@ def singular_value(d):
     return RingValue.zero(d)
 
 
+def non_central_unit(d):
+    """j over H, the swap [[0, 1], [1, 0]] over M_2(C), (1, swap) over
+    C x M_2(C), 1 otherwise."""
+    if d.kind == "quaternion":
+        return RingValue.quaternion([0, 0, 1, 0])
+    if d.kind == "matrix":
+        return RingValue.mat(d, [[0, 1], [1, 0]])
+    if d.kind == "product":
+        return RingValue.tuple_value(d, [non_central_unit(f)
+                                         for f in d.factors])
+    return RingValue.unit(d)
+
+
 def reference_report(m):
     """The verifier with every residual from the object loop and every
     rank from the slots of scale_left multiples."""
@@ -721,8 +734,13 @@ def test_dense_verifier_matches_object_loop(ring, name, data):
     d = RINGS[ring]
     m = build_morphism(name, d, data)
     change = data.draw(st.sampled_from(["none", "image", "source",
-                                        "singular"]))
+                                        "singular", "right"]))
     n = m.source.group.order
+    if change == "right":
+        # every image times u 1 on the right, u a unit that is central only
+        # over C and R: then image_1 (b 1) != b image_1 for some b
+        u = m.target.scale_left(non_central_unit(d), m.target.unit())
+        m.images = [m.target.mul(x, u) for x in m.images]
     if change in ("image", "singular"):
         # add r image_u to image_t for a general ring element r
         t, u = (data.draw(st.integers(0, n - 1)) for _ in range(2))
@@ -747,6 +765,8 @@ def test_dense_verifier_matches_object_loop(ring, name, data):
         assert not rep.ok()
     elif change == "singular":
         assert rep.image_rank < rep.source_dim
+    elif change == "right" and d.kind not in ("complex", "real"):
+        assert rep.mult_residual > 0.1
 
 
 def test_rank_rows_multiply_images_on_the_left():

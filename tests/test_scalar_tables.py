@@ -126,8 +126,8 @@ def test_array_parse_matches_the_parse_value_loop(ring, literals):
     ("real", {(1, 0): "1\n+2i", (1, 3): "(1"}, 2),     # malformed, no pass
     ("real", {(0, 1): "2", (2, 1): "0.5i", (3, 0): "1+"}, 1),
     ("real", {(0, 1): "2", (2, 1): "1+", (3, 0): "0.5i"}, 2),
-    # a NaN imaginary part is no complex scalar (abs(nan) > eps is False)
-    ("real", {(2, 2): 3, (2, 3): "nan+nani", (3, 3): [1, True]}, 2),
+    # a NaN imaginary part is a complex scalar too, and comes first
+    ("real", {(2, 2): 3, (2, 3): "nan+nani", (3, 3): [1, True]}, 1),
     ("real", {(1, 2): [1, 2], (3, 3): True}, 1),
 ], ids=["truncated", "word_then_null", "bad_pair_part", "dict_then_truncated",
         "short_pair", "bool", "real_complex_first", "real_malformed_first",
