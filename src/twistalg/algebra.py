@@ -8,15 +8,17 @@ and the involution is (X^*)_t = tilde f(t) (X_{t^{-1}})^*.  The regular
 representation identifies X with the |T| x |T| matrix whose (s,t) entry is
 f(st^{-1}, t) X_{st^{-1}}; its largest singular value on dense forms
 (dense.regular_dense), or the largest over a grid of torus points over
-Laurent rings, is alg_norm.
+Laurent rings, is alg_norm.  On a cyclic group over C, R and Laurent rings
+alg_norm takes the same norm from the cyclic decomposition, one FFT
+(twistalg.norm).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .cocycle import SchurFunction
-from .groups import GroupTable, row_blocks
-from .rings import DEFAULT_GRID, DEFAULT_TOL, RingValue, torus_sampler
+from .groups import GroupTable
+from .rings import DEFAULT_GRID, DEFAULT_TOL, RingValue
 
 
 class AlgebraElement:
@@ -224,43 +226,23 @@ def regular_matrix(x: AlgebraElement) -> RegularMatrix:
 
 
 def alg_norm(x: AlgebraElement, grid: int = DEFAULT_GRID) -> float:
-    """The C*-norm of x: the largest singular value of its regular
-    representation on dense forms, the largest factor's over products.
-    Over Laurent rings, the maximum over the grid^m torus sample: a lower
-    bound on the C*-norm, the supremum over the whole torus."""
+    """The C*-norm of x, the largest factor's over products.  Over C, R and
+    Laurent rings on a cyclic group (at most one generator), for a table
+    that is the cocycle rebuilt from its generator column: the largest of
+    the n values w_k x of the cyclic decomposition, one FFT (twistalg.norm).
+    Otherwise (other groups and rings, non-monomial Laurent values, tables
+    that are cocycles only within tol) the largest singular value of its
+    regular representation on dense forms.  Over Laurent rings, the
+    maximum over the grid^m torus sample: a lower bound on the C*-norm,
+    the supremum over the whole torus.  NaN and infinite coefficients are
+    refused."""
     f = x.cocycle
+    for t, c in enumerate(x.coeffs):
+        if not c.is_finite():
+            raise ValueError(f"non-finite coefficient at {f.group.labels[t]!r}")
+    from .norm import norm                          # on first use
     table = f.values if f._scalars is None else f._scalars
-    return _norm(f.group, f.descriptor, table, x.coeffs, grid)
-
-
-def _norm(g, d, table, coeffs, grid: int) -> float:
-    """alg_norm of coefficients coeffs over a table of cocycle values, both
-    of ring d: coeffs as a list, the table as a list of lists or (over C
-    and R) as the (n, n) array of its scalars."""
-    from .dense import (BLOCK_ENTRIES, dense_array, quaternion_complex,
-                        regular_dense)
-    n = g.order
-    if d.kind == "product":
-        return max(_norm(g, e, [[v.payload[i] for v in row] for row in table],
-                         [c.payload[i] for c in coeffs], grid)
-                   for i, e in enumerate(d.factors))
-    if d.kind == "laurent":
-        # scalar samples, one block of torus points at a time
-        values = [v for row in table for v in row]
-        f_at, x_at = (torus_sampler(d, v, grid) for v in (values, coeffs))
-        forms = ((f_at(k).reshape(-1, n, n, 1, 1), x_at(k)[..., None, None])
-                 for k in row_blocks(grid ** d.m, n * n, BLOCK_ENTRIES))
-    else:
-        # quaternions as complex 2 x 2 forms: a quarter of the 4 x 4 entries
-        form = (quaternion_complex if d.kind == "quaternion"
-                else lambda v: dense_array(d, v))
-        tf = (table.reshape(-1, 1, 1) if isinstance(table, np.ndarray)
-              else form([v for row in table for v in row]))
-        forms = [(tf.reshape((n, n) + tf.shape[1:]), form(coeffs))]
-    # complex for every ring: a real SVD routine added 1.5-2.4 MB peak RSS
-    mats = (regular_dense(g, tf, xf).astype(complex, copy=False)
-            for tf, xf in forms)
-    return max(float(np.linalg.norm(m, 2, axis=(-2, -1)).max()) for m in mats)
+    return norm(f.group, f.descriptor, table, x.coeffs, grid)
 
 
 def coefficient_positivity(x: AlgebraElement,

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import GroupTable, direct_product, make_cyclic, row_blocks
-from .rings import (DEFAULT_TOL, RingDescriptor, RingValue, COMPLEX, REAL)
+from .rings import (_COEFF_EPS, DEFAULT_TOL, RingDescriptor, RingValue,
+                    COMPLEX, REAL)
 
 
 @dataclass
@@ -458,11 +459,15 @@ def make_f_alpha(n: int, alphas, descriptor: RingDescriptor = None,
     # every value is central, so the two products of f(p,q) grow one factor
     # each from f(p,q-1): f(p,q) = f(p,q-1) alpha_{p+q-1} alpha_{q-1}^*
     g = make_cyclic(n)
+    vals = None
     if descriptor.kind in ("complex", "real"):
         vals = _scalar_f_alpha(np.array(
             [a.payload for a in ext],
             dtype=float if descriptor.is_real else complex))
-    else:
+    elif (descriptor.kind == "laurent"
+          and all(len(a.payload) == 1 for a in ext)):
+        vals = _monomial_f_alpha(descriptor, ext)
+    if vals is None:
         stars = [a.star() for a in ext]
         vals = []
         for p in range(n):
@@ -476,11 +481,14 @@ def make_f_alpha(n: int, alphas, descriptor: RingDescriptor = None,
     return _require_valid(SchurFunction(g, descriptor, vals), "make_f_alpha", tol)
 
 
-def _scalar_f_alpha(ext: np.ndarray) -> np.ndarray:
+def _scalar_f_alpha(ext: np.ndarray, laurent: bool = False):
     """make_f_alpha's (n, n) table over C or R from ext = (1, alpha_1, ...,
     alpha_{n-1}), one column q at a time for every row p, rounded as the
     object loop rounds: each complex product as four real ones, since
-    numpy's complex multiply may fuse them (FMA)."""
+    numpy's complex multiply may fuse them (FMA).  With laurent, the
+    coefficients of the Laurent object loop, whose products sum their terms
+    from 0j (-0.0 becomes 0.0) and drop those of modulus at most
+    _COEFF_EPS: None if one is dropped."""
     n = len(ext)
     step = ext[(np.arange(n)[:, None] + np.arange(n - 1)) % n]  # alpha_{p+q-1}
     star = ext[:-1].conjugate()                                # alpha_{q-1}^*
@@ -491,12 +499,33 @@ def _scalar_f_alpha(ext: np.ndarray) -> np.ndarray:
         return out
     re, im = np.ones((n, n)), np.zeros((n, n))
     for q in range(1, n):
-        a, b = step[:, q - 1], star[q - 1]
         x, y = re[:, q - 1], im[:, q - 1]
-        x, y = x * a.real - y * a.imag, x * a.imag + y * a.real
-        re[:, q], im[:, q] = x * b.real - y * b.imag, x * b.imag + y * b.real
+        for a in (step[:, q - 1], star[q - 1]):
+            x, y = x * a.real - y * a.imag, x * a.imag + y * a.real
+            if laurent:
+                x, y = x + 0.0, y + 0.0
+                if not (np.hypot(x, y) > _COEFF_EPS).all():
+                    return None
+        re[:, q], im[:, q] = x, y
     from .dense import _complex
     return _complex(re, im)
+
+
+def _monomial_f_alpha(d: RingDescriptor, ext) -> list:
+    """make_f_alpha's table over a Laurent ring from monomials ext = (1,
+    alpha_1, ..., alpha_{n-1}), bit for bit: coefficients by
+    _scalar_f_alpha, exponents as sums along each row; None where the
+    object loop drops a term."""
+    exps, coef = zip(*(next(iter(a.payload.items())) for a in ext))
+    coef = _scalar_f_alpha(np.array(coef, dtype=complex), laurent=True)
+    if coef is None:
+        return None
+    n, exps = len(ext), np.array(exps, dtype=np.int64)
+    step = exps[(np.arange(n)[:, None] + np.arange(n - 1)) % n]
+    out = np.zeros((n, n, d.m), dtype=np.int64)
+    np.cumsum(step - exps[:-1], axis=1, out=out[:, 1:])
+    return [[RingValue(d, {tuple(e): c}) for e, c in zip(er, cr)]
+            for er, cr in zip(out.tolist(), coef.tolist())]
 
 
 # Klein four-group element indices under direct_product(Z/2, Z/2),

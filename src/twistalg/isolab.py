@@ -503,10 +503,11 @@ class Morphism:
 
 def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
     """Unit, multiplicativity and star residuals, and over finite
-    coefficient rings the rank certificate.  mult_residual covers the pairs
-    (V_s, V_t) and (V_s, b V_1) over a real basis b of E: S(f) acts on
-    E (x) l^2(T) with E on the coefficients, so every V_s commutes with E,
-    and a map whose images do not is no *-homomorphism."""
+    coefficient rings the rank certificate of finite images (image_rank is
+    -1 for others, whose residuals refuse the map).  mult_residual covers
+    the pairs (V_s, V_t) and (V_s, b V_1) over a real basis b of E: S(f)
+    acts on E (x) l^2(T) with E on the coefficients, so every V_s commutes
+    with E, and a map whose images do not is no *-homomorphism."""
     readouts = _readouts(m)
     if readouts is None:
         return MorphismReport(*object_residuals(m), -1, -1, None, None, None)
@@ -516,12 +517,15 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
     # the rows b image_t over a real basis b of E, summand by summand
     rows = np.hstack([flat_rows(_act(basis, y[:, None]).reshape(
         (-1,) + y.shape[1:])) for _, _, y in summands])
-    rank = int(np.linalg.matrix_rank(rows))
     source_dim = m.source.group.order * len(basis)
     target_dim = m.target.total_real_dim()
-    return MorphismReport(unit_res, float(res[:, :2].max()),
-                          float(res[:, 2].max()), source_dim, rank,
-                          target_dim, rank == source_dim,
+    residuals = unit_res, float(res[:, :2].max()), float(res[:, 2].max())
+    if not np.isfinite(rows).all():
+        return MorphismReport(*residuals, source_dim, -1, target_dim, None,
+                              None)
+    rank = int(np.linalg.matrix_rank(rows))
+    return MorphismReport(*residuals, source_dim, rank, target_dim,
+                          rank == source_dim,
                           None if target_dim is None else rank == target_dim)
 
 

@@ -289,6 +289,16 @@ class RingValue:
             return float(np.max(np.abs(self.payload))) if self.payload.size else 0.0
         return max(a.abs_bound() for a in self.payload)
 
+    def is_finite(self) -> bool:
+        """Whether no number in the value is NaN or infinite."""
+        d, p = self.descriptor, self.payload
+        if d.kind in ("complex", "real"):
+            return cmath.isfinite(p)
+        if d.kind == "product":
+            return all(a.is_finite() for a in p)
+        return bool(np.isfinite(list(p.values()) if d.kind == "laurent"
+                                else p).all())
+
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return self.abs_bound() <= tol
 

@@ -7,8 +7,6 @@ cocycles are either explicit tables or named constructor shorthands.
 """
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from .cocycle import SchurFunction, klein_table, make_f_alpha
@@ -283,21 +281,10 @@ def parse_element(f: SchurFunction, obj):
         if str(label) not in labels:
             raise ConfigError(f"unknown group element label {label!r}")
         v = parse_value(f.descriptor, val)
-        if not _finite(v):
+        if not v.is_finite():
             raise ConfigError(f"non-finite coefficient at {label!r}")
         x.coeffs[labels[str(label)]] = v
     return x
-
-
-def _finite(v: RingValue) -> bool:
-    """Whether no number in v is NaN or infinite."""
-    d, p = v.descriptor, v.payload
-    if d.kind in ("complex", "real"):
-        return cmath.isfinite(p)
-    if d.kind == "product":
-        return all(map(_finite, p))
-    return bool(np.isfinite(list(p.values()) if d.kind == "laurent"
-                            else p).all())
 
 
 def element_to_json(x):

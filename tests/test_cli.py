@@ -703,12 +703,16 @@ def test_cli_start_up_does_not_load_dense(tmp_path):
         p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, twistalg.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('twistalg.')))"],
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith(('twistalg.', 'numpy.fft'))))"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout
     assert "'twistalg.isolab'" in loaded and "'twistalg.cli'" in loaded
     assert "'twistalg.dense'" not in loaded
+    # the norm paths load on the first norm, numpy.fft on the first cyclic
+    # one (about 0.5 MB resident)
+    assert "'twistalg.norm'" not in loaded and "'numpy.fft'" not in loaded
 
 
 def test_dense_module_does_not_import_isolab():

@@ -67,6 +67,20 @@ def test_verifier_flags_broken_images():
     assert rep.mult_residual > 1e-3
 
 
+def test_verifier_reports_nan_images_without_a_rank():
+    """Z/2 -> C with V_1 sent to NaN: NaN residuals and no rank, where
+    the rank step used to raise (SVD did not converge)."""
+    f = trivial_cocycle(make_cyclic(2), COMPLEX)
+    images = [RingValue.scalar(COMPLEX, complex("nan")),
+              RingValue.scalar(COMPLEX, -1)]
+    rep = verify_morphism(Morphism(f, RingModel(COMPLEX), images))
+    assert np.isnan([rep.unit_residual, rep.mult_residual,
+                     rep.star_residual]).all()
+    assert not rep.ok() and not rep.bijective()
+    assert (rep.source_dim, rep.image_rank, rep.target_dim) == (4, -1, 2)
+    assert rep.injective is None and rep.surjective is None
+
+
 def test_lambda_isomorphism():
     f = random_f(5, seed=2)
     g = f.group

@@ -11,10 +11,11 @@ from twistalg import groups
 from twistalg.algebra import AlgebraElement, alg_norm, alg_star
 from twistalg.cli import main
 from twistalg.cocycle import (Lambda, SchurFunction, ValidationReport,
-                              _cocycle_check, _entry_checks, coboundary,
-                              make_f_alpha, validate)
+                              _cocycle_check, _entry_checks,
+                              _monomial_f_alpha, coboundary, make_f_alpha,
+                              validate)
 from twistalg.dense import cocycle_blocks
-from twistalg.rings import COMPLEX, REAL, RingValue
+from twistalg.rings import COMPLEX, REAL, RingValue, laurent
 from twistalg.serialize import (cocycle_to_json, parse_cocycle,
                                 parse_descriptor, parse_group, parse_value)
 
@@ -217,6 +218,43 @@ def test_f_alpha_array_is_bit_identical_to_the_object_loop(n, ring):
     f = make_f_alpha(n, alphas, d)
     assert f._scalars is not None
     assert_same_payloads(f.values, reference_f_alpha(n, alphas, d))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("coeffs", ["phases", "units"])
+def test_laurent_f_alpha_is_bit_identical_to_the_object_loop(n, m, coeffs,
+                                                              monkeypatch):
+    """Monomial parameters take the arrays: random phases, or exact units
+    whose zero parts carry a sign (the object loop's sums from 0j drop
+    it)."""
+    rng = np.random.default_rng(10 * n + m)
+    d = laurent(m)
+    units = [1, -1, 1j, -1j, complex(-1, -0.0), complex(-0.0, 1),
+             complex(1, -0.0), complex(-0.0, -1)]
+    cs = (np.exp(2j * np.pi * rng.random(n - 1)) if coeffs == "phases"
+          else [units[k] for k in rng.integers(len(units), size=n - 1)])
+    alphas = [RingValue.monomial(d, c, rng.integers(-2, 3, size=m))
+              for c in cs]
+    products = []
+    mul = RingValue.__mul__
+    monkeypatch.setattr(RingValue, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    f = make_f_alpha(n, alphas, d)
+    monkeypatch.undo()
+    # two per parameter, for is_unitary: none per table entry
+    assert len(products) == 2 * (n - 1)
+    want = reference_f_alpha(n, alphas, d)
+    # repr tells the sign of a zero and the type of an exponent apart
+    assert [[repr(v.payload) for v in row] for row in f.values] == \
+        [[repr(v.payload) for v in row] for row in want]
+
+
+def test_laurent_f_alpha_falls_back_where_the_object_loop_drops_a_term():
+    d = laurent(1)
+    tiny = RingValue.monomial(d, 1e-8, (1,))
+    ext = [RingValue.unit(d), tiny, tiny]
+    assert _monomial_f_alpha(d, ext) is None      # 1e-8 * 1e-8 <= 1e-14
 
 
 def test_f_alpha_products_are_not_fused():
