@@ -163,20 +163,12 @@ def _from_scalars(f: SchurFunction, a: np.ndarray) -> AlgebraElement:
     return AlgebraElement(f, [RingValue(d, c) for c in a.tolist()])
 
 
-def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b entrywise, as Python multiplies each pair of numbers."""
-    if a.dtype != complex:
-        return a * b
-    from .dense import _complex
-    return _complex(a.real * b.real - a.imag * b.imag,
-                    a.real * b.imag + a.imag * b.real)
-
-
 @np.errstate(invalid="ignore", over="ignore")
 def _scalar_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """alg_mul on the rows s of the support of x: terms f(s, u) X_s Y_u with
     u = s^{-1} t, those with Y_u = 0 left out, summed over s in ascending
     order from zero."""
+    from .dense import _products
     f, g = x.cocycle, x.cocycle.group
     xs, ys = _coeff_array(x), _coeff_array(y)
     support = np.flatnonzero(xs != 0)
@@ -194,6 +186,7 @@ def _scalar_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 @np.errstate(invalid="ignore", over="ignore")
 def _scalar_star(x: AlgebraElement) -> AlgebraElement:
     """alg_star on the array: tilde f(t) (X_{t^{-1}})^*."""
+    from .dense import _products
     f, inv = x.cocycle, x.cocycle.group.inv
     tilde = f._scalars[np.arange(len(inv)), inv].conj()
     return _from_scalars(f, _products(tilde, _coeff_array(x)[inv].conj()))
@@ -227,9 +220,9 @@ def regular_matrix(x: AlgebraElement) -> RegularMatrix:
 
 def alg_norm(x: AlgebraElement, grid: int = DEFAULT_GRID) -> float:
     """The C*-norm of x, the largest factor's over products.  Over C, R and
-    Laurent rings on a cyclic group (at most one generator), for a table
-    that is the cocycle rebuilt from its generator column: the largest of
-    the n values w_k x of the cyclic decomposition, one FFT (twistalg.norm).
+    Laurent rings on a cyclic group (one with an element of order n), for
+    a table that is the cocycle rebuilt from its generator column: the
+    largest of the n values w_k x of the cyclic decomposition, one FFT.
     Otherwise (other groups and rings, non-monomial Laurent values, tables
     that are cocycles only within tol) the largest singular value of its
     regular representation on dense forms.  Over Laurent rings, the

@@ -40,22 +40,21 @@ class ValidationReport:
 
 
 class SchurFunction:
-    """A table of values f(s, t), given as n lists of n RingValues or, over
-    C and R, as an (n, n) array of the scalars.  An array is the table until
-    values is first read, which builds the lists; from then on they are."""
+    """A table of values f(s, t), given as n lists of n RingValues or as
+    its centre (twistalg.centre): an (n, n, F) array of the scalars c of
+    f(s, t) = c 1 on each of the F centre factors of E, or over C and R an
+    (n, n) array.  Parsed tables over C and R always have one; over H, M_k
+    and products, those whose values are all exactly c 1 with c finite.  The
+    centre is the table until values is first read, which builds the
+    lists; from then on they are."""
 
     def __init__(self, group: GroupTable, descriptor: RingDescriptor, values):
         self.group = group
         self.descriptor = descriptor
-        self._scalars = self._values = None
+        self._centre = self._values = None
         if isinstance(values, np.ndarray):
-            if values.shape != (group.order, group.order):
-                raise ValueError("value table shape mismatch")
-            dtype = float if descriptor.is_real else complex
-            if (descriptor.kind not in ("complex", "real")
-                    or values.dtype != dtype):
-                raise ValueError("value descriptor mismatch")
-            self._scalars = values
+            from .centre import checked
+            self._centre = checked(group.order, descriptor, values)
             return
         if len(values) != group.order or any(len(r) != group.order for r in values):
             raise ValueError("value table shape mismatch")
@@ -69,22 +68,30 @@ class SchurFunction:
     @property
     def values(self) -> list:
         if self._values is None:
-            d = self.descriptor
-            self._values = [[RingValue(d, c) for c in row]
-                            for row in self._scalars.tolist()]
-            self._scalars = None
+            from .centre import values
+            self._values = values(self.descriptor, self._centre)
+            self._centre = None
         return self._values
+
+    @property
+    def _scalars(self):
+        """The (n, n) array of a C or R table held as its centre."""
+        c, scalar = self._centre, self.descriptor.kind in ("complex", "real")
+        return c[..., 0] if c is not None and scalar else None
 
     def _blocks(self) -> np.ndarray:
         """dense.value_blocks of the table (finite rings only)."""
-        if self._scalars is not None:
-            return self._scalars[:, :, None, None]
+        if self._centre is not None:
+            from .centre import blocks
+            return blocks(self.descriptor, self._centre)
         from .dense import value_blocks
         return value_blocks(self.descriptor, self.values)
 
     def value(self, s: int, t: int) -> RingValue:
-        if self._scalars is not None:
-            return RingValue(self.descriptor, self._scalars[s, t].item())
+        if self._centre is not None:
+            from .centre import values
+            c = self._centre[s:s + 1, t:t + 1]
+            return values(self.descriptor, c)[0][0]
         return self.values[s][t]
 
     def tilde(self, t: int) -> RingValue:
@@ -102,10 +109,10 @@ class SchurFunction:
 def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check of all Schur-function invariants on every entry and triple,
     reported as data: on whole arrays for tables with an array form
-    (_array_table), else (a Laurent table with a non-monomial entry) one
-    value at a time.  A table whose other checks pass may have its cocycle
-    identity proved from the rows of a generating set (_certified); it
-    then has no violation."""
+    (_array_table), else (a Laurent table with a non-monomial entry, or a
+    ring with a Laurent factor) one value at a time.  A table whose other
+    checks pass may have its cocycle identity proved from the rows of a
+    generating set (_certified); it then has no violation."""
     rep, table = ValidationReport(), _array_table(f)
     if table is None:
         _entry_checks(rep, f, tol)
@@ -120,27 +127,40 @@ def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 
 def _array_table(f: SchurFunction):
-    """(forms (n, n, b, b), exps (n, n, m), readout columns, a slice if all)
-    of a table: dense.value_blocks over finite rings (m = 0), coefficients c
-    and exponents e over Laurent tables of monomials c z^e; else None."""
+    """(forms, exps (n, n, m), readout columns or a slice if all, exact) of
+    a table: a centre as (n, n, F, 1), F 1 x 1 forms standing in for b x b
+    forms, exact (each complex product as four real ones, as b x b forms
+    multiply) where b > 1; dense.value_blocks (n, n, b, b) over other finite
+    tables; coefficients c (n, n, 1, 1) and exponents e of Laurent tables
+    of monomials c z^e; else None."""
     n, d = f.group.order, f.descriptor
+    no_exps = np.zeros((n, n, 0), dtype=np.int64)
+    if f._centre is not None:
+        from .dense import dense_size
+        return f._centre[..., None], no_exps, slice(None), dense_size(d) > 1
     if d.kind != "laurent":
+        from .centre import leaves
+        if leaves(d) is None:           # a product with a Laurent factor
+            return None
         from .dense import readout_columns
         forms, cols = f._blocks(), readout_columns(d)
-        return forms, np.zeros((n, n, 0), dtype=np.int64), (
-            cols if len(cols) < forms.shape[-1] else slice(None))
+        return forms, no_exps, (
+            cols if len(cols) < forms.shape[-1] else slice(None)), False
     monos = [v.is_monomial(0.0) for row in f.values for v in row]
     if None in monos:
         return None
     return (np.array([c for c, _ in monos], dtype=complex).reshape(n, n, 1, 1),
             np.array([e for _, e in monos], dtype=np.int64).reshape(n, n, -1),
-            slice(None))
+            slice(None), False)
 
 
-def _times(a, y):
-    """a y for forms a (..., b, b), readouts y: a * y if b = 1."""
-    from .dense import _matmul
-    return a * y if a.shape[-1] == 1 else _matmul(a, y)
+def _times(a, y, exact=False):
+    """a y for forms a (..., b, b), readouts y: elementwise if b = 1 (with
+    exact, each complex product as four real ones)."""
+    if a.shape[-1] == 1 and not exact:
+        return a * y
+    from .dense import _matmul, _products
+    return _matmul(a, y) if a.shape[-1] > 1 else _products(a, y)
 
 
 def _residual(lhs, lhs_exps, rhs, rhs_exps):
@@ -156,10 +176,11 @@ def _residual(lhs, lhs_exps, rhs, rhs_exps):
 
 
 def _array_entry_checks(rep: ValidationReport, f: SchurFunction, forms, exps,
-                        cols, tol: float):
-    """_entry_checks on the array form of a table: same order, same
-    residuals; NaN fails.  The unit check (Python's abs, not numpy's array
-    abs) and centrality of forms larger than 1 x 1 take one value at a time."""
+                        cols, exact: bool, tol: float):
+    """_entry_checks on the array form of a table (_array_table): same
+    order, same residuals; NaN fails.  The unit check (Python's abs, not
+    numpy's array abs) and centrality of forms larger than 1 x 1 (a centre
+    is central) take one value at a time."""
     g, b, e = f.group, forms.shape[-1], f.group.identity
     unit, v = RingValue.unit(f.descriptor), f.value(e, e)
     if not v.close(unit, tol):
@@ -171,9 +192,10 @@ def _array_entry_checks(rep: ValidationReport, f: SchurFunction, forms, exps,
         rep.add("normalization", (int(t), e) if side == 0 else (e, int(t)),
                 res[t, side])
     # v v^* and v^* v: the form of v^* is the adjoint of the form of v
-    adj = forms.conj().swapaxes(-1, -2)
-    res = _residual(_times(forms, adj[..., cols]), no, one, no)
-    bad = ~(res <= tol) | ~(_residual(_times(adj, y), no, one, no) <= tol)
+    adj = forms.conj() if b == 1 else forms.conj().swapaxes(-1, -2)
+    res = _residual(_times(forms, adj[..., cols], exact), no, one, no)
+    bad = ~(res <= tol) | ~(_residual(_times(adj, y, exact), no, one, no)
+                            <= tol)
     central = (np.ones(bad.shape, dtype=bool) if b == 1 else
                np.array([[v.is_central(tol) for v in r] for r in f.values]))
     for s, t in zip(*np.nonzero(bad | ~central)):
@@ -194,17 +216,19 @@ def _at_products(a, mul):
         a.shape[:1] + mul.shape + a.shape[2:])
 
 
-def _cocycle_sides(mul, forms, y, exps, rows):
+def _cocycle_sides(mul, forms, y, exps, rows, exact=False):
     """lhs = f(r,s) f(rs,t) and rhs = f(r,st) f(s,t) over r in rows (a
-    slice or an index array) and all s, t, as readouts and exponents."""
-    if forms.shape[-1] == 1:    # numpy's complex a * b may round unlike b * a
+    slice or an index array) and all s, t, as readouts and exponents; exact
+    as in _times."""
+    if forms.shape[-1] == 1 and not exact:
+        # numpy's complex a * b may round unlike b * a
         lhs = y[mul[rows]]
         lhs *= forms[rows, :, None]
         rhs = _at_products(forms[rows], mul)
         rhs *= y
     else:
-        lhs = _times(forms[rows, :, None], y[mul[rows]])
-        rhs = _times(_at_products(forms[rows], mul), y)
+        lhs = _times(forms[rows, :, None], y[mul[rows]], exact)
+        rhs = _times(_at_products(forms[rows], mul), y, exact)
     if not exps.shape[-1]:      # no variables: skip the exponent gathers
         return lhs, exps[0, 0], rhs, exps[0, 0]
     return (lhs, exps[rows, :, None] + exps[mul[rows]],
@@ -212,14 +236,15 @@ def _cocycle_sides(mul, forms, y, exps, rows):
 
 
 def _array_cocycle_check(rep: ValidationReport, mul, forms, exps, cols,
-                         tol: float):
+                         exact: bool, tol: float):
     """f(r,s) f(rs,t) = f(r,st) f(s,t) over all triples, one block of rows
     r at a time: at most dense.BLOCK_ENTRIES form entries a block if b > 1."""
     from .dense import BLOCK_ENTRIES
     n, b = len(mul), forms.shape[-1]
     y = forms[..., cols]
-    for rows in row_blocks(n, n * n * b * b, BLOCK_ENTRIES if b > 1 else None):
-        res = _residual(*_cocycle_sides(mul, forms, y, exps, rows))
+    for rows in row_blocks(n, n * forms[0].size,
+                           BLOCK_ENTRIES if b > 1 else None):
+        res = _residual(*_cocycle_sides(mul, forms, y, exps, rows, exact))
         bad = res > tol
         # np.nonzero is slow on 3-d arrays; flat indices keep row-major order
         for r, s, t in zip(*np.unravel_index(np.flatnonzero(bad), bad.shape)):
@@ -235,12 +260,14 @@ def _array_cocycle_check(rep: ValidationReport, mul, forms, exps, cols,
 _EPS = 2.0 ** -51
 
 
-def _certified(g: GroupTable, forms, exps, cols, tol: float) -> bool:
+def _certified(g: GroupTable, forms, exps, cols, exact: bool,
+               tol: float) -> bool:
     """True if no triple breaks the cocycle identity, proved from the rows
     r in S + {e} of a generating set S of g; False leaves it to the full
-    check.  Only for 1 x 1 forms (central by nature) whose entry checks
-    passed, and only where S + {e} is at most half the rows: then the rows
-    an acceptance saves outnumber those a refusal adds.
+    check.  Only for 1 x 1 forms (central by nature; a stack of them is a
+    table per centre factor, for each of which the proof holds) whose entry
+    checks passed, and only where S + {e} is at most half the rows: then
+    the rows an acceptance saves outnumber those a refusal adds.
 
     Proof.  Over 1 x 1 forms the table is c(s,t) z^a(s,t) with c complex
     (z^a = 1 off Laurent rings), and w = f(r,s) f(rs,t) / (f(r,st) f(s,t)),
@@ -281,9 +308,9 @@ def _certified(g: GroupTable, forms, exps, cols, tol: float) -> bool:
     # the largest residual of each row, in blocks of rows that stay in
     # cache, as in the full check
     y, res = forms[..., cols], []
-    for block in row_blocks(len(rows), n * n):
+    for block in row_blocks(len(rows), n * forms[0].size):
         res.extend(_residual(*_cocycle_sides(
-            g.mul, forms, y, exps, rows[block])).max(axis=(1, 2)))
+            g.mul, forms, y, exps, rows[block], exact)).max(axis=(1, 2)))
     rho = float(np.max(res[1:]))
     if not (res[0] <= tol and rho <= tol):
         return False

@@ -7,7 +7,8 @@ value_dense.  Real rings give real arrays.  Each algebra model of
 twistalg.isolab builds its own dense form (dense, readout, star_readout)
 from these ring-level forms and the exact elementwise arithmetic here,
 algebra.alg_norm shares the twisted model's regular_dense, and
-cocycle.validate checks tables over finite rings on their value_blocks.
+cocycle.validate checks tables over finite rings not held as their centre
+(twistalg.centre) on their value_blocks.
 All of them import this module on first use, so importing twistalg does
 not load it, and it imports nothing from isolab.
 
@@ -75,22 +76,7 @@ def readout_columns(d: RingDescriptor) -> list:
 def value_dense(v: RingValue) -> np.ndarray:
     """1 x 1 for scalars, the payload for k x k matrices, the real 4 x 4
     left multiplication for quaternions, block diagonal over products."""
-    d = v.descriptor
-    if d.kind in ("complex", "real"):
-        return np.array([[v.payload]], dtype=dense_dtype(d))
-    if d.kind == "matrix":
-        return v.payload.astype(dense_dtype(d))
-    if d.kind == "quaternion":
-        return dense_array(d, [v])[0]
-    if d.kind == "product":
-        out = np.zeros((dense_size(d),) * 2, dtype=dense_dtype(d))
-        o = 0
-        for w in v.payload:
-            blk = value_dense(w)
-            out[o:o + len(blk), o:o + len(blk)] = blk
-            o += len(blk)
-        return out
-    raise ValueError(f"no dense form for kind {d.kind}")
+    return dense_array(v.descriptor, [v])[0]
 
 
 def dense_array(d: RingDescriptor, values) -> np.ndarray:
@@ -101,7 +87,12 @@ def dense_array(d: RingDescriptor, values) -> np.ndarray:
                         dtype=dense_dtype(d)).reshape(-1, b, b)
     if d.kind == "quaternion":
         return _payloads(values)[:, _QIDX] * _QSIGN
-    return np.array([value_dense(v) for v in values]).reshape(-1, b, b)
+    out, o = np.zeros((len(values), b, b), dtype=dense_dtype(d)), 0
+    for i, e in enumerate(d.factors):
+        blk = dense_array(e, [v.payload[i] for v in values])
+        out[:, o:o + blk.shape[-1], o:o + blk.shape[-1]] = blk
+        o += blk.shape[-1]
+    return out
 
 
 def _payloads(values) -> np.ndarray:
@@ -172,6 +163,15 @@ def _matmul(a, b):
         return np.einsum("...ij,...jk->...ik", a, b)
     return _complex(_matmul(a.real, b.real) - _matmul(a.imag, b.imag),
                     _matmul(a.real, b.imag) + _matmul(a.imag, b.real))
+
+
+def _products(a, b):
+    """a b entrywise, broadcast, as Python multiplies each pair of numbers:
+    complex products as four real ones."""
+    if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        return a * b
+    return _complex(a.real * b.real - a.imag * b.imag,
+                    a.real * b.imag + a.imag * b.real)
 
 
 def _complex(re, im):

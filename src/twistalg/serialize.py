@@ -7,8 +7,6 @@ cocycles are either explicit tables or named constructor shorthands.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .cocycle import SchurFunction, klein_table, make_f_alpha
 from .groups import GroupTable, direct_product, make_cyclic, make_subset_group
 from .rings import (COMPLEX, DEFAULT_TOL, REAL, RingDescriptor, RingValue,
@@ -205,8 +203,10 @@ def parse_cocycle(obj, tol: float = DEFAULT_TOL) -> SchurFunction:
         table = obj["table"]
         if len(table) != g.order or any(len(r) != g.order for r in table):
             raise ConfigError("cocycle table shape mismatch")
-        if d.kind in ("complex", "real"):
-            return SchurFunction(g, d, _scalar_table(d, table))
+        from .centre import read_table
+        centre = read_table(d, table)
+        if centre is not None:
+            return SchurFunction(g, d, centre)
         vals = [[parse_value(d, e) for e in row] for row in table]
         return SchurFunction(g, d, vals)
     if "f_alpha" in obj:
@@ -227,38 +227,6 @@ def parse_cocycle(obj, tol: float = DEFAULT_TOL) -> SchurFunction:
         labels = obj.get("labels", list(range(1, len(values) + 1)))
         return clifford_cocycle(CliffordSpec(labels, values, d, tol))
     raise ConfigError("cocycle needs a table or a named constructor")
-
-
-def _scalar_table(d: RingDescriptor, table) -> np.ndarray:
-    """The (n, n) array of a table over C or R, read one row at a time.  A
-    row of strings is read in one pass: joined by line breaks, spaces
-    dropped, each i read as j, split again and read by complex(), which
-    reads what parse_scalar's first attempt reads.  A row that holds a
-    non-string, a literal with a line break, a literal complex() refuses
-    or (over R) a value with an imaginary part is read entry by entry, as
-    parse_value reads it; so every value is parse_scalar's, and the first
-    bad entry in row-major order raises parse_value's error."""
-    real, n = d.is_real, len(table)
-    out = np.empty((n, n), dtype=float if real else complex)
-    for i, row in enumerate(table):
-        try:
-            pieces = ("\n".join(row).replace(" ", "").replace("i", "j")
-                      .split("\n"))
-            vals = (np.fromiter(map(complex, pieces), complex, n)
-                    if len(pieces) == n else None)
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None or (real and vals.imag.any()):
-            vals = np.array([_table_scalar(d, e) for e in row], dtype=complex)
-        out[i] = vals.real if real else vals
-    return out
-
-
-def _table_scalar(d: RingDescriptor, e) -> complex:
-    c = parse_scalar(e)
-    if c.imag and d.is_real:
-        RingValue.scalar(d, c)      # refuses a complex scalar
-    return c
 
 
 def cocycle_to_json(f: SchurFunction):

@@ -9,10 +9,10 @@ import pytest
 from small_groups import S3
 from twistalg import (COMPLEX, QUATERNION, REAL, AlgebraElement, GroupTable,
                       Lambda, RingValue, SchurFunction, alg_norm, coboundary,
-                      cocycle_mul, klein_table, laurent, make_cyclic,
-                      make_f_alpha, matrix_ring, product_ring, trivial_cocycle,
-                      validate)
-from twistalg.norm import _cyclic_norm, _svd_norm
+                      cocycle_mul, direct_product, klein_table, laurent,
+                      make_cyclic, make_f_alpha, matrix_ring, product_ring,
+                      trivial_cocycle, validate)
+from twistalg.norm import _cyclic_norm, _generator, _svd_norm
 from twistalg.serialize import parse_cocycle
 
 L1, L2 = laurent(1), laurent(2)
@@ -186,6 +186,68 @@ def test_generator_other_than_index_one():
     h = SchurFunction(g, COMPLEX, f._scalars[np.ix_(perm, perm)])
     assert validate(h).ok
     assert_cyclic(element(h, rng))
+
+
+def relabelled_f_alpha(g, phi, d, rng):
+    """make_f_alpha(n) carried to g by phi: element i of g is phi[i] in Z/n."""
+    n = g.order
+    f = make_f_alpha(n, [unit_value(d, rng) for _ in range(n - 1)], d)
+    assert np.array_equal(phi[g.mul], (phi[:, None] + phi) % n)
+    return SchurFunction(g, d, [[f.values[a][b] for b in phi] for a in phi])
+
+
+def cyclic_groups_with_two_greedy_generators():
+    """Z/2 x Z/3 and Z/4 x Z/9 from direct_product, which names two
+    generators each, and a table of Z/6 and one of Z/12 whose index 1
+    holds an element of order 2 and 3, read as configs: greedy sets of
+    two."""
+    out = []
+    for a, b in ((2, 3), (4, 9)):
+        g = direct_product(make_cyclic(a), make_cyclic(b))
+        i = np.arange(a * b)          # (i // b, i % b) by the CRT
+        phi = np.array([next(k for k in range(a * b) if k % a == x // b
+                             and k % b == x % b) for x in i])
+        out.append((g, phi))
+    for n, second in ((6, 3), (12, 4)):
+        phi = np.concatenate([[0, second], [k for k in range(1, n)
+                                            if k != second]])
+        inv = np.argsort(phi)
+        out.append((GroupTable(inv[(phi[:, None] + phi) % n]), phi))
+    return out
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("d", [COMPLEX, REAL, L1], ids=str)
+def test_cyclic_group_with_two_greedy_generators_matches_svd(case, d,
+                                                             monkeypatch):
+    """The path finds an element of order n itself, with no sort."""
+    g, phi = cyclic_groups_with_two_greedy_generators()[case]
+    assert len(g.generators) == 2
+    rng = np.random.default_rng(47 + case)
+    x = element(relabelled_f_alpha(g, phi, d, rng), rng)
+    for name in ("unique", "sort", "argsort"):
+        monkeypatch.setattr(np, name, None)
+    assert_cyclic(x)
+
+
+def test_generator_search():
+    """An element of order n exactly where the group is cyclic: the
+    powers up to n/2 show every smaller order."""
+    for g, phi in cyclic_groups_with_two_greedy_generators():
+        x = _generator(g)
+        assert [g.power(x, k) for k in range(1, g.order)].count(
+            g.identity) == 0
+    for a, b in ((2, 2), (2, 4), (4, 4), (3, 9)):
+        assert _generator(direct_product(make_cyclic(a),
+                                         make_cyclic(b))) is None
+    assert _generator(S3) is None
+
+
+def test_non_cyclic_abelian_groups_stay_on_svd():
+    rng = np.random.default_rng(53)
+    for a, b in ((2, 2), (2, 4), (3, 3)):
+        g = direct_product(make_cyclic(a), make_cyclic(b))
+        assert_svd(element(trivial_cocycle(g, COMPLEX), rng))
 
 
 def test_table_off_modulus_within_the_bound_matches_svd():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalg.dense import readout_array, value_dense
+from twistalg.dense import dense_array, readout_array, value_dense
 from twistalg.isolab import flat_rows
 from twistalg.rings import (COMPLEX, QUATERNION, REAL, RingValue, laurent,
                             matrix_ring, product_ring, real_basis, real_dim)
@@ -87,6 +87,28 @@ def test_product_ring_componentwise():
     p = a * b
     assert p.payload[0].payload == 2j
     assert p.payload[1].payload == -2.0
+
+
+def test_product_dense_form_is_block_diagonal():
+    """dense_array builds a product's forms one factor at a time: each
+    value's is the block diagonal of its factors' forms, bit for bit."""
+    d = product_ring(COMPLEX, product_ring(matrix_ring(2, "real"), QUATERNION))
+    rng = np.random.default_rng(5)
+    values = [RingValue.tuple_value(d, [
+        sc(complex(*rng.normal(size=2))), RingValue.tuple_value(
+            d.factors[1], [RingValue.mat(d.factors[1].factors[0],
+                                         rng.normal(size=(2, 2))),
+                           RingValue.quaternion(rng.normal(size=4))])])
+        for _ in range(3)]
+    stack = dense_array(d, values)
+    assert stack.dtype == complex and stack.shape == (3, 7, 7)
+    for v, form in zip(values, stack):
+        want = np.zeros((7, 7), dtype=complex)
+        want[0, 0] = v.payload[0].payload
+        want[1:3, 1:3] = v.payload[1].payload[0].payload
+        want[3:, 3:] = value_dense(v.payload[1].payload[1])
+        assert np.array_equal(value_dense(v), want)
+        assert np.array_equal(form, want)
 
 
 def test_descriptor_mismatch():
