@@ -234,8 +234,7 @@ def alg_norm(x: AlgebraElement, grid: int = DEFAULT_GRID) -> float:
         if not c.is_finite():
             raise ValueError(f"non-finite coefficient at {f.group.labels[t]!r}")
     from .norm import norm                          # on first use
-    table = f.values if f._scalars is None else f._scalars
-    return norm(f.group, f.descriptor, table, x.coeffs, grid)
+    return norm(f, x.coeffs, grid)
 
 
 def coefficient_positivity(x: AlgebraElement,

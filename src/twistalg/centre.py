@@ -114,11 +114,11 @@ def _scalar(real: bool, literal) -> complex:
     return c
 
 
-def values(d: RingDescriptor, centre: np.ndarray) -> list:
-    """The lists of RingValues of a table of ring d held by centre."""
+def values(d: RingDescriptor, centre: np.ndarray) -> tuple:
+    """The rows of RingValues of a table of ring d held by centre."""
     n, m = centre.shape[:2]
     flat = _values(d, iter(centre.reshape(n * m, -1).T))
-    return [flat[i:i + m] for i in range(0, n * m, m)]
+    return tuple(tuple(flat[i:i + m]) for i in range(0, n * m, m))
 
 
 def _values(d: RingDescriptor, cols) -> list:

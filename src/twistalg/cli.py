@@ -44,8 +44,11 @@ def _emit(payload: dict, args) -> None:
         walk("", payload)
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -323,8 +326,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.tol <= 0 or args.grid <= 0:
-        sys.stderr.write("tol and grid must be positive\n")
+    if not 0 < args.tol < float("inf") or args.grid <= 0:
+        sys.stderr.write("tol must be finite and positive, grid positive\n")
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,14 +40,21 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a: the forms a table shares stay as built."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 class SchurFunction:
-    """A table of values f(s, t), given as n lists of n RingValues or as
-    its centre (twistalg.centre): an (n, n, F) array of the scalars c of
-    f(s, t) = c 1 on each of the F centre factors of E, or over C and R an
-    (n, n) array.  Parsed tables over C and R always have one; over H, M_k
-    and products, those whose values are all exactly c 1 with c finite.  The
-    centre is the table until values is first read, which builds the
-    lists; from then on they are."""
+    """A table of values f(s, t), in the form its producer gave for good:
+    n rows of n RingValues, or its centre (twistalg.centre), the scalars c
+    of f(s, t) = c 1 on each of the F centre factors of E as an (n, n, F)
+    array ((n, n) over C and R; parsed C and R tables, and H, M_k and
+    product tables of exact finite c 1).  values is a read-only tuple of
+    rows, built from a centre on first use; the array forms readers share
+    (_dense, _arrays) are derived once and kept, read-only."""
 
     def __init__(self, group: GroupTable, descriptor: RingDescriptor, values):
         self.group = group
@@ -54,7 +62,7 @@ class SchurFunction:
         self._centre = self._values = None
         if isinstance(values, np.ndarray):
             from .centre import checked
-            self._centre = checked(group.order, descriptor, values)
+            self._centre = _frozen(checked(group.order, descriptor, values))
             return
         if len(values) != group.order or any(len(r) != group.order for r in values):
             raise ValueError("value table shape mismatch")
@@ -63,14 +71,13 @@ class SchurFunction:
                 if (v.descriptor is not descriptor
                         and v.descriptor != descriptor):
                     raise ValueError("value descriptor mismatch")
-        self._values = [list(row) for row in values]
+        self._values = tuple(map(tuple, values))
 
     @property
-    def values(self) -> list:
+    def values(self) -> tuple:
         if self._values is None:
             from .centre import values
             self._values = values(self.descriptor, self._centre)
-            self._centre = None
         return self._values
 
     @property
@@ -79,20 +86,27 @@ class SchurFunction:
         c, scalar = self._centre, self.descriptor.kind in ("complex", "real")
         return c[..., 0] if c is not None and scalar else None
 
-    def _blocks(self) -> np.ndarray:
-        """dense.value_blocks of the table (finite rings only)."""
-        if self._centre is not None:
-            from .centre import blocks
-            return blocks(self.descriptor, self._centre)
+    @cached_property
+    def _dense(self):
+        """dense.cocycle_blocks: the dense forms (value_blocks, tilde) of a
+        table over a finite ring, tilde[t] = f(t, t^{-1})^*."""
+        from .centre import blocks
         from .dense import value_blocks
-        return value_blocks(self.descriptor, self.values)
+        d, c = self.descriptor, self._centre
+        table = value_blocks(d, self.values) if c is None else blocks(d, c)
+        tilde = table[np.arange(self.group.order), self.group.inv]
+        return _frozen(table), _frozen(tilde.conj().swapaxes(-1, -2))
+
+    @cached_property
+    def _arrays(self):
+        """_array_table(self)."""
+        return _array_table(self)
 
     def value(self, s: int, t: int) -> RingValue:
-        if self._centre is not None:
-            from .centre import values
-            c = self._centre[s:s + 1, t:t + 1]
-            return values(self.descriptor, c)[0][0]
-        return self.values[s][t]
+        if self._values is not None:
+            return self._values[s][t]
+        from .centre import values
+        return values(self.descriptor, self._centre[s:s + 1, t:t + 1])[0][0]
 
     def tilde(self, t: int) -> RingValue:
         """f(t, t^{-1})^*."""
@@ -109,11 +123,11 @@ class SchurFunction:
 def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check of all Schur-function invariants on every entry and triple,
     reported as data: on whole arrays for tables with an array form
-    (_array_table), else (a Laurent table with a non-monomial entry, or a
+    (f._arrays), else (a Laurent table with a non-monomial entry, or a
     ring with a Laurent factor) one value at a time.  A table whose other
     checks pass may have its cocycle identity proved from the rows of a
     generating set (_certified); it then has no violation."""
-    rep, table = ValidationReport(), _array_table(f)
+    rep, table = ValidationReport(), f._arrays
     if table is None:
         _entry_checks(rep, f, tol)
         _cocycle_check(rep, f, tol)
@@ -128,11 +142,11 @@ def validate(f: SchurFunction, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 def _array_table(f: SchurFunction):
     """(forms, exps (n, n, m), readout columns or a slice if all, exact) of
-    a table: a centre as (n, n, F, 1), F 1 x 1 forms standing in for b x b
-    forms, exact (each complex product as four real ones, as b x b forms
-    multiply) where b > 1; dense.value_blocks (n, n, b, b) over other finite
-    tables; coefficients c (n, n, 1, 1) and exponents e of Laurent tables
-    of monomials c z^e; else None."""
+    a table, derived once as f._arrays: a centre as (n, n, F, 1), F 1 x 1
+    forms standing in for b x b forms, exact (each complex product as four
+    real ones, as b x b forms multiply) where b > 1; dense.value_blocks
+    (n, n, b, b) over other finite tables; coefficients c (n, n, 1, 1) and
+    exponents e of Laurent tables of monomials c z^e; else None."""
     n, d = f.group.order, f.descriptor
     no_exps = np.zeros((n, n, 0), dtype=np.int64)
     if f._centre is not None:
@@ -143,15 +157,16 @@ def _array_table(f: SchurFunction):
         if leaves(d) is None:           # a product with a Laurent factor
             return None
         from .dense import readout_columns
-        forms, cols = f._blocks(), readout_columns(d)
+        forms, cols = f._dense[0], readout_columns(d)
         return forms, no_exps, (
             cols if len(cols) < forms.shape[-1] else slice(None)), False
     monos = [v.is_monomial(0.0) for row in f.values for v in row]
     if None in monos:
         return None
-    return (np.array([c for c, _ in monos], dtype=complex).reshape(n, n, 1, 1),
-            np.array([e for _, e in monos], dtype=np.int64).reshape(n, n, -1),
-            slice(None), False)
+    coef = np.array([c for c, _ in monos], dtype=complex)
+    exps = np.array([e for _, e in monos], dtype=np.int64)
+    return (_frozen(coef.reshape(n, n, 1, 1)),
+            _frozen(exps.reshape(n, n, -1)), slice(None), False)
 
 
 def _times(a, y, exact=False):

@@ -86,7 +86,8 @@ def dense_array(d: RingDescriptor, values) -> np.ndarray:
         return np.array([v.payload for v in values],
                         dtype=dense_dtype(d)).reshape(-1, b, b)
     if d.kind == "quaternion":
-        return _payloads(values)[:, _QIDX] * _QSIGN
+        p = np.array([v.payload for v in values], dtype=float)
+        return p.reshape(-1, 4)[:, _QIDX] * _QSIGN
     out, o = np.zeros((len(values), b, b), dtype=dense_dtype(d)), 0
     for i, e in enumerate(d.factors):
         blk = dense_array(e, [v.payload[i] for v in values])
@@ -95,19 +96,14 @@ def dense_array(d: RingDescriptor, values) -> np.ndarray:
     return out
 
 
-def _payloads(values) -> np.ndarray:
-    """(N, 4) coordinates of a list of quaternions."""
-    return np.array([v.payload for v in values], dtype=float).reshape(-1, 4)
-
-
-def quaternion_complex(values) -> np.ndarray:
-    """(N, 2, 2) stack of a + bi + cj + ek as [[a + bi, c + ei],
-    [-c + ei, a - bi]]: another faithful *-representation of H, so norms
-    taken on it equal those on value_dense, on arrays of half the side."""
-    p = _payloads(values)
-    re = np.stack([p[:, 0], p[:, 2], -p[:, 2], p[:, 0]], axis=1)
-    im = np.stack([p[:, 1], p[:, 3], p[:, 3], -p[:, 1]], axis=1)
-    return _complex(re, im).reshape(-1, 2, 2)
+def quaternion_complex(p) -> np.ndarray:
+    """(..., 2, 2) stack of a + bi + cj + ek as [[a + bi, c + ei],
+    [-c + ei, a - bi]] from coordinates p (..., 4): another faithful
+    *-representation of H, so norms taken on it equal those on
+    value_dense, on arrays of half the side."""
+    re = np.stack([p[..., 0], p[..., 2], -p[..., 2], p[..., 0]], axis=-1)
+    im = np.stack([p[..., 1], p[..., 3], p[..., 3], -p[..., 1]], axis=-1)
+    return _complex(re, im).reshape(p.shape[:-1] + (2, 2))
 
 
 def readout_array(d: RingDescriptor, values) -> np.ndarray:
@@ -125,10 +121,9 @@ def value_blocks(d: RingDescriptor, values) -> np.ndarray:
 
 def cocycle_blocks(f):
     """The dense forms (table, tilde) of a Schur function f over a finite
-    ring: table[s, u] = f(s, u) and tilde[t] = f(t, t^{-1})^*."""
-    table = f._blocks()
-    tilde = table[np.arange(f.group.order), f.group.inv]
-    return table, tilde.conj().swapaxes(-1, -2)
+    ring: table[s, u] = f(s, u) and tilde[t] = f(t, t^{-1})^*, derived once
+    and kept on f (SchurFunction._dense)."""
+    return f._dense
 
 
 def star_readout(d: RingDescriptor, y: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -141,16 +140,10 @@ class TwistedModel(AlgebraModel):
     def slots(self, a):
         return list(a.coeffs)
 
-    @cached_property
-    def _dense_tables(self):
-        """dense.cocycle_blocks(f), read on first use."""
-        from .dense import cocycle_blocks
-        return cocycle_blocks(self.f)
-
     def dense(self, elems):
         """The regular representation, dense.regular_dense."""
-        from .dense import dense_array, regular_dense
-        table, _ = self._dense_tables
+        from .dense import cocycle_blocks, dense_array, regular_dense
+        table, _ = cocycle_blocks(self.f)
         n = self.f.group.order
         xd = dense_array(self.base, [c for x in elems for c in x.coeffs])
         return regular_dense(self.f.group, table,
@@ -164,8 +157,8 @@ class TwistedModel(AlgebraModel):
 
     def star_readout(self, y):
         # (X^*)_t = tilde f(t) (X_{t^{-1}})^*, as alg_star
-        from .dense import _matmul, star_readout
-        _, tilde = self._dense_tables
+        from .dense import _matmul, cocycle_blocks, star_readout
+        _, tilde = cocycle_blocks(self.f)
         g = self.f.group
         blocks = y.reshape(len(y), g.order, y.shape[1] // g.order,
                            y.shape[2])[:, g.inv]

@@ -9,42 +9,43 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cocycle import SchurFunction
 from .groups import row_blocks
 from .rings import torus_sampler
 
 
-def norm(g, d, table, coeffs, grid: int) -> float:
-    """algebra.alg_norm of coefficients coeffs over a table of cocycle
-    values, both of ring d: coeffs as a list, the table as a list of lists
-    or (over C and R) as the (n, n) array of its scalars; the largest
-    factor's over products."""
+def norm(f, coeffs, grid: int) -> float:
+    """algebra.alg_norm of coefficients coeffs (a list) in S(f), on the
+    array forms the table keeps (f._arrays, f._dense): the largest factor's
+    over products, each factor a Schur function of its own."""
+    d = f.descriptor
     if d.kind == "product":
-        return max(norm(g, e, [[v.payload[i] for v in row] for row in table],
+        return max(norm(SchurFunction(f.group, e, [[v.payload[i] for v in row]
+                                                   for row in f.values]),
                         [c.payload[i] for c in coeffs], grid)
                    for i, e in enumerate(d.factors))
-    out = _cyclic_norm(g, d, table, coeffs, grid)
-    return _svd_norm(g, d, table, coeffs, grid) if out is None else out
+    out = _cyclic_norm(f, coeffs, grid)
+    return _svd_norm(f, coeffs, grid) if out is None else out
 
 
-def _svd_norm(g, d, table, coeffs, grid: int) -> float:
+def _svd_norm(f, coeffs, grid: int) -> float:
     """norm of one factor as the largest singular value of the regular
     representation, at each torus point over Laurent rings."""
     from .dense import (BLOCK_ENTRIES, dense_array, quaternion_complex,
                         regular_dense)
-    n = g.order
+    g, d, n = f.group, f.descriptor, f.group.order
     if d.kind == "laurent":
         # scalar samples, one block of torus points at a time
-        values = [v for row in table for v in row]
+        values = [v for row in f.values for v in row]
         f_at, x_at = (torus_sampler(d, v, grid) for v in (values, coeffs))
         forms = ((f_at(k).reshape(-1, n, n, 1, 1), x_at(k)[..., None, None])
                  for k in row_blocks(grid ** d.m, n * n, BLOCK_ENTRIES))
     else:
-        # quaternions as complex 2 x 2 forms: a quarter of the 4 x 4 entries
-        form = (quaternion_complex if d.kind == "quaternion"
-                else lambda v: dense_array(d, v))
-        tf = (table.reshape(-1, 1, 1) if isinstance(table, np.ndarray)
-              else form([v for row in table for v in row]))
-        forms = [(tf.reshape((n, n) + tf.shape[1:]), form(coeffs))]
+        forms = [(f._dense[0], dense_array(d, coeffs))]
+        if d.kind == "quaternion":
+            # quaternions as complex 2 x 2 forms, a quarter of the 4 x 4
+            # entries, from their coordinates: column 0 of the 4 x 4 forms
+            forms = [tuple(quaternion_complex(a[..., 0]) for a in forms[0])]
     # complex for every ring: a real SVD routine added 1.5-2.4 MB peak RSS
     mats = (regular_dense(g, tf, xf).astype(complex, copy=False)
             for tf, xf in forms)
@@ -65,11 +66,12 @@ def _svd_norm(g, d, table, coeffs, grid: int) -> float:
 _CYCLIC_EPS = 4 * 2.0 ** -52
 
 
-def _cyclic_norm(g, d, table, coeffs, grid: int):
+def _cyclic_norm(f, coeffs, grid: int):
     """norm of one factor through the cyclic decomposition, or None where
     it does not apply: a group that is not cyclic (_generator), a ring other
-    than C, R and Laurent rings, or a table that is not the cocycle rebuilt
-    from its generator column (_rebuilt).
+    than C, R and Laurent rings, a table with no array form (f._arrays: a
+    Laurent table with a non-monomial entry) or one that is not the cocycle
+    rebuilt from its generator column (_rebuilt).
 
     With e_t = gen^t, c_0 = c_1 = 1, c_{t+1} = c_t f(e_t, gen) for
     0 < t < n and lambda^n = c_n, the n maps V_{e_t} -> lambda^t c_t^{-1}
@@ -79,32 +81,22 @@ def _cyclic_norm(g, d, table, coeffs, grid: int):
     omega^{kt}|, one FFT.  Over R it is the norm of the complexification;
     over Laurent rings it holds at each torus point, from samples of the
     n - 1 values f(e_t, gen) and the n coefficients only."""
-    n = g.order
+    g, d, n = f.group, f.descriptor, f.group.order
     if d.kind not in ("complex", "real", "laurent") or (
-            gen := _generator(g)) is None:
+            gen := _generator(g)) is None or f._arrays is None:
         return None
     e = [g.identity]
     for _ in range(n - 1):
         e.append(int(g.mul[e[-1], gen]))
-    if d.kind == "laurent":
-        rows = [table[s] for s in e]
-        terms = [row[t].payload for row in rows for t in e]
-        if any(len(p) != 1 for p in terms):
-            return None
-        exps, coef = zip(*(next(iter(p.items())) for p in terms))
-        coef = np.array(coef, dtype=complex).reshape(n, n)
-        exps = np.array(exps, dtype=np.int64).reshape(n, n, d.m)
-    else:
-        if not isinstance(table, np.ndarray):
-            table = np.array([[v.payload for v in row] for row in table])
-        coef = table[np.ix_(e, e)].astype(complex)
-        exps = np.zeros((n, n, 0), dtype=np.int64)
+    forms, exps = f._arrays[:2]
+    coef = forms[..., 0, 0][np.ix_(e, e)].astype(complex)
+    exps = exps[np.ix_(e, e)]
     if not _rebuilt(coef, exps):
         return None
     from numpy.fft import fft          # its first use adds about 0.5 MB RSS
     if d.kind == "laurent":
         from .dense import BLOCK_ENTRIES
-        a_at = torus_sampler(d, [table[s][gen] for s in e[1:]], grid)
+        a_at = torus_sampler(d, [f.values[s][gen] for s in e[1:]], grid)
         x_at = torus_sampler(d, [coeffs[s] for s in e], grid)
         samples = ((a_at(k), x_at(k))
                    for k in row_blocks(grid ** d.m, n, BLOCK_ENTRIES))

@@ -61,9 +61,11 @@ def scalars(*cs):
     return [RingValue.scalar(COMPLEX, c) for c in cs]
 
 
-def table_copy(f):
-    return SchurFunction(f.group, f.descriptor,
-                         [[v for v in row] for row in f.values])
+def table_with(f, s, t, v):
+    """f with the entry (s, t) replaced by v, rebuilt from copied rows."""
+    rows = [list(row) for row in f.values]
+    rows[s][t] = v
+    return SchurFunction(f.group, f.descriptor, rows)
 
 
 def random_element(f, rng):
@@ -111,8 +113,7 @@ def test_criterion_01_cocycle_axioms():
     # single-entry mutation detection: scaling by 1.5 (every entry of the
     # small tables, a sample for the order-64 Clifford table)
     def detected(f, s, t):
-        g = table_copy(f)
-        g.values[s][t] = g.values[s][t].scale(1.5)
+        g = table_with(f, s, t, f.values[s][t].scale(1.5))
         return not validate(g, tol=TOL).ok
 
     for f in families:
@@ -126,8 +127,7 @@ def test_criterion_01_cocycle_axioms():
 
     # a pure phase mutation is also caught (via the cocycle identity)
     f = make_f_alpha(4, scalars(1, 1, 1))
-    g = table_copy(f)
-    g.values[1][1] = phase(0.4)
+    g = table_with(f, 1, 1, phase(0.4))
     ok = ok and not validate(g, tol=TOL).ok
 
     announce(1, "cocycle axioms and mutation detection", ok)

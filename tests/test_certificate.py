@@ -104,11 +104,12 @@ def corrupt(f, seed):
     r, t = outside_entry(f.group, seed)
     v = f.values[r][t]
     factor = -1.0 if f.descriptor is REAL else np.exp(2.5j)
-    f.values[r][t] = (RingValue.scalar(f.descriptor, v.payload * factor)
-                      if f.descriptor.kind != "laurent" else
-                      v * RingValue.monomial(v.descriptor, factor,
-                                             [0] * v.descriptor.m))
-    return f
+    rows = [list(row) for row in f.values]
+    rows[r][t] = (RingValue.scalar(f.descriptor, v.payload * factor)
+                  if f.descriptor.kind != "laurent" else
+                  v * RingValue.monomial(v.descriptor, factor,
+                                         [0] * v.descriptor.m))
+    return SchurFunction(f.group, f.descriptor, rows)
 
 
 def groups():
@@ -140,7 +141,7 @@ def test_valid_and_corrupted_tables_match_the_full_check(name, ring,
     if g.order < 4:
         return
     decisions.clear()
-    corrupt(f, seed=g.order)
+    f = corrupt(f, seed=g.order)
     rep = validate(f, 1e-9)
     assert not rep.ok and same(rep, exhaustive(f, 1e-9))
     assert True not in decisions
@@ -212,7 +213,9 @@ def test_exponents_must_match_on_the_generator_rows(decisions):
     r, t = outside_entry(g, 4)
     v = f.values[r][t]
     c, e = v.is_monomial(0.0)
-    f.values[r][t] = RingValue.monomial(v.descriptor, c, (e[0] + 1, e[1]))
+    rows = [list(row) for row in f.values]
+    rows[r][t] = RingValue.monomial(v.descriptor, c, (e[0] + 1, e[1]))
+    f = SchurFunction(g, f.descriptor, rows)
     rep = validate(f, 1e-9)
     assert not rep.ok and same(rep, exhaustive(f, 1e-9))
     assert {check for check, _, _ in rep.violations} == {"cocycle"}
@@ -239,7 +242,7 @@ def test_corrupted_table_runs_the_all_triples_loop(monkeypatch):
     """The benchmark's corrupted table: one off-identity entry of an order-64
     coboundary rotated."""
     g = make_cyclic(64)
-    table = make_table(g, "complex", 6)._scalars
+    table = make_table(g, "complex", 6)._scalars.copy()
     table[17, 40] *= np.exp(1.3j)
     full, calls = cocycle._array_cocycle_check, []
 

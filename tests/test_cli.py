@@ -10,6 +10,7 @@ import pytest
 
 import twistalg
 from twistalg.cli import main
+from twistalg.cocycle import SchurFunction
 from twistalg.serialize import cocycle_to_json, parse_cocycle
 
 try:
@@ -138,8 +139,19 @@ def test_iso_klein_complex_pair_malformed_variant_exits_2(tmp_path, capsys):
 
 def test_bad_flags_exit_2(tmp_path):
     cfg = write(tmp_path, "v.json", TRIVIAL_Z2)
-    assert main(["validate", "--config", cfg, "--tol", "-1"]) == 2
+    for tol in ("-1", "nan", "inf"):
+        assert main(["validate", "--config", cfg, "--tol", tol]) == 2
     assert main(["nonsense", "--config", cfg]) == 2
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, "v.json", TRIVIAL_Z2)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+    assert not out.parent.exists()
 
 
 def test_mul_and_star(tmp_path, capsys):
@@ -520,8 +532,9 @@ def test_clifford_relations_are_read_off_the_table(
     def flipped(spec):
         f = build(spec)
         a, b = entry
-        f.values[a][b] = -f.values[a][b]
-        return f
+        rows = [list(row) for row in f.values]
+        rows[a][b] = -rows[a][b]
+        return SchurFunction(f.group, f.descriptor, rows)
 
     monkeypatch.setattr(twistalg.clifford, "clifford_cocycle", flipped)
     cfg = write(tmp_path, "cf.json", {"descriptor": "complex",
@@ -710,6 +723,8 @@ def test_cli_start_up_does_not_load_dense(tmp_path):
     loaded = proc.stdout
     assert "'twistalg.isolab'" in loaded and "'twistalg.cli'" in loaded
     assert "'twistalg.dense'" not in loaded
+    # nor do the centre's readers, which tables load on first use
+    assert "'twistalg.centre'" not in loaded
     # the norm paths load on the first norm, numpy.fft on the first cyclic
     # one (about 0.5 MB resident)
     assert "'twistalg.norm'" not in loaded and "'numpy.fft'" not in loaded

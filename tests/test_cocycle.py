@@ -25,6 +25,15 @@ def phase(theta, d=COMPLEX):
     return RingValue.scalar(d, np.exp(1j * theta))
 
 
+def edited(f, entries):
+    """f with the entries {(s, t): value} replaced, rebuilt from copied
+    rows: a table does not change once built."""
+    rows = [list(row) for row in f.values]
+    for (s, t), v in entries.items():
+        rows[s][t] = v
+    return SchurFunction(f.group, f.descriptor, rows)
+
+
 def random_lambda(group, seed, d=COMPLEX):
     rng = np.random.default_rng(seed)
     vals = [RingValue.unit(d)]
@@ -71,7 +80,7 @@ def test_tensor_of_valid_is_valid():
 
 def test_mutation_breaks_unitarity():
     f = make_f_alpha(3, [phase(0.3), phase(-1.1)])
-    f.values[1][2] = f.values[1][2].scale(1.5)
+    f = edited(f, {(1, 2): f.values[1][2].scale(1.5)})
     rep = validate(f)
     assert any(c == "unitary" for c, _, _ in rep.violations)
 
@@ -79,14 +88,14 @@ def test_mutation_breaks_unitarity():
 def test_mutation_breaks_cocycle_identity():
     # a phase tweak on a single entry of the Z/4 table
     f = make_f_alpha(4, [phase(0.0), phase(0.0), phase(0.0)])
-    f.values[1][1] = phase(0.4)
+    f = edited(f, {(1, 1): phase(0.4)})
     rep = validate(f)
     assert any(c == "cocycle" for c, _, _ in rep.violations)
 
 
 def test_mutation_breaks_normalization():
     f = trivial_cocycle(make_cyclic(3), COMPLEX)
-    f.values[0][2] = phase(1.0)
+    f = edited(f, {(0, 2): phase(1.0)})
     rep = validate(f)
     assert any(c == "normalization" for c, _, _ in rep.violations)
 
@@ -110,7 +119,8 @@ def test_validate_matches_brute_force_on_matrix_ring():
             M2, np.exp(1j * rng.uniform(0, 6.28)) * np.eye(2)))
     f = coboundary(Lambda(g, M2, vals))
     assert validate(f).ok
-    f.values[2][3] = f.values[2][3] * phase(0.5, M2).scale(np.exp(0.2j))
+    f = edited(f, {(2, 3): f.values[2][3] * phase(0.5, M2).scale(
+        np.exp(0.2j))})
     assert not validate(f).ok
 
 
@@ -403,9 +413,8 @@ def _corrupted_coboundary(data, d):
         else:
             s, t = (data.draw(st.integers(1, n - 1)) for _ in range(2))
             c = twist()
-        f.values[s][t] = f.values[s][t].scale(c)
-        if d.kind == "laurent":
-            f.values[s][t] = f.values[s][t] * monomial(1)
+        v = f.values[s][t].scale(c)
+        f = edited(f, {(s, t): v * monomial(1) if d.kind == "laurent" else v})
     return f
 
 
@@ -495,7 +504,7 @@ def _corrupted_block_table(data, d):
         else:
             s, t = max(s, 1), max(t, 1)
             c = twist
-        f.values[s][t] = f.values[s][t] * c
+        f = edited(f, {(s, t): f.values[s][t] * c})
     return f
 
 
@@ -511,7 +520,8 @@ def test_unitarity_checks_both_products():
     # |b c| <= tol, but v^* v - 1 has |b| > tol
     b = 0.1005
     f = trivial_cocycle(make_cyclic(2), M2)
-    f.values[1][1] = RingValue.mat(M2, [[1, b], [0, np.sqrt(1 - b * b)]])
+    f = edited(f, {(1, 1): RingValue.mat(M2, [[1, b],
+                                              [0, np.sqrt(1 - b * b)]])})
     rep = validate(f, 0.1)
     assert ("unitary", (1, 1)) in [(c, w) for c, w, _ in rep.violations]
     _same_report(rep, _object_report(f, 0.1))
@@ -528,10 +538,10 @@ def test_only_non_monomial_laurent_tables_take_the_object_loop(monkeypatch):
              matrix_ring(3), matrix_ring(3, "real")] + _FINITE
     for d in rings:
         f = trivial_cocycle(g, d)
-        f.values[1][2] = f.values[1][2].scale(2)
+        f = edited(f, {(1, 2): f.values[1][2].scale(2)})
         assert ("unitary", (1, 2), 3.0) in validate(f).violations
     f = trivial_cocycle(g, L2)
-    f.values[1][2] = RingValue.poly(L2, {(0, 0): 1, (1, 0): 1})
+    f = edited(f, {(1, 2): RingValue.poly(L2, {(0, 0): 1, (1, 0): 1})})
     with pytest.raises(AssertionError, match="object loop"):
         validate(f)
 
@@ -541,12 +551,12 @@ def test_laurent_validate_residuals_match_object_path():
     loop, not a fixed 2.0; a second term of 5e-10 at tol 1e-12 makes the
     table non-monomial, so it takes the object loop too."""
     f = trivial_cocycle(make_cyclic(3), L1)
-    f.values[1][1] = RingValue.monomial(L1, 1, (1,))
+    f = edited(f, {(1, 1): RingValue.monomial(L1, 1, (1,))})
     rep = validate(f)
     assert rep.violations == [("cocycle", w, 1.0) for w in
                               ((1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 2, 1))]
     assert rep.violations == _object_report(f).violations
-    f.values[1][1] = RingValue.poly(L1, {(0,): 1, (1,): 5e-10})
+    f = edited(f, {(1, 1): RingValue.poly(L1, {(0,): 1, (1,): 5e-10})})
     rep = validate(f, 1e-12)
     assert len(rep.violations) == 5
     assert rep.violations == _object_report(f, 1e-12).violations
@@ -555,9 +565,8 @@ def test_laurent_validate_residuals_match_object_path():
 def test_validate_is_independent_of_the_row_block_size(monkeypatch):
     import twistalg.groups as groups
     f = coboundary(random_lambda(make_cyclic(12), seed=12))
-    f.values[0][5] = phase(0.3)
-    f.values[4][8] = f.values[4][8].scale(1.2)
-    f.values[9][2] = f.values[9][2] * phase(2.0)
+    f = edited(f, {(0, 5): phase(0.3), (4, 8): f.values[4][8].scale(1.2),
+                   (9, 2): f.values[9][2] * phase(2.0)})
     whole = validate(f)
     assert {c for c, _, _ in whole.violations} == {
         "normalization", "unitary", "inverse-symmetry", "cocycle"}
@@ -645,3 +654,70 @@ def test_scalar_validate_memory_is_bounded():
             tracemalloc.stop()
         assert rep.ok
         assert peak <= bound_mib * 2 ** 20, f.descriptor
+
+
+# -- forms derived once ----------------------------------------------------
+
+def test_each_table_derives_each_form_once(monkeypatch):
+    """A table cannot change, so its array forms are derived on first use
+    and kept: validate, alg_norm and the dense verifier, run twice, make
+    at most one dense.value_blocks call and one is_monomial pass a table."""
+    import twistalg.dense as dense
+    from twistalg import AlgebraElement, alg_norm
+    from twistalg.isolab import identity_morphism, verify_morphism
+    calls = {"value_blocks": 0, "is_monomial": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dense, "value_blocks",
+                        counted("value_blocks", dense.value_blocks))
+    monkeypatch.setattr(RingValue, "is_monomial",
+                        counted("is_monomial", RingValue.is_monomial))
+    n = 4
+    tables = {
+        "C centre": make_f_alpha(n, [phase(0.3), phase(-1.1), phase(2.0)]),
+        "M2 lists": coboundary(random_lambda(make_cyclic(n), 3, M2)),
+        "Laurent f_alpha": make_f_alpha(n, [
+            RingValue.monomial(L1, np.exp(1j * t), (k,))
+            for t, k in ((0.4, 1), (-0.9, 0), (1.7, -2))]),
+    }
+    assert tables["C centre"]._centre is not None
+    assert tables["M2 lists"]._centre is None
+    for name, f in tables.items():
+        x = AlgebraElement(f, [v.scale(0.5 + t) for t, v in
+                               enumerate(f.values[1])])
+        rounds = []
+        for _ in range(2):
+            before = dict(calls)
+            assert validate(f).ok
+            alg_norm(x, grid=8)
+            assert verify_morphism(identity_morphism(f)).ok
+            rounds.append({k: calls[k] - before[k] for k in calls})
+        assert rounds[1] == {"value_blocks": 0, "is_monomial": 0}, name
+        assert rounds[0]["value_blocks"] <= 1, name
+        assert rounds[0]["is_monomial"] <= n * n, name
+
+
+def test_readers_keep_a_centre_held_table_on_its_centre():
+    """alg_norm, alg_mul and alg_star on a centre-held M_2(C) table leave
+    its centre in place, so validate still reads it: the same report."""
+    from twistalg import AlgebraElement, alg_mul, alg_norm, alg_star
+    from twistalg.serialize import parse_cocycle
+    n = 32
+    one = [["1", "0"], ["0", "1"]]
+    f = parse_cocycle({"descriptor": {"kind": "matrix", "k": 2},
+                       "group": {"kind": "cyclic", "n": n},
+                       "table": [[one] * n for _ in range(n)]})
+    assert f._centre is not None
+    want = validate(f)
+    x = AlgebraElement(f, [RingValue.unit(M2).scale(t % 3)
+                           for t in range(n)])
+    alg_norm(x)
+    alg_mul(x, x)
+    alg_star(x)
+    assert f._centre is not None
+    assert validate(f) == want and want.ok

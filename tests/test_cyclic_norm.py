@@ -54,13 +54,13 @@ def element(f, rng):
 
 
 def factor_tables(f):
-    """(ring, table) of each factor twistalg.norm takes over f: the factors
-    of a product ring, else f itself."""
-    table = f.values if f._scalars is None else f._scalars
+    """The Schur function of each factor twistalg.norm takes over f: one
+    per factor of a product ring, else f itself."""
     d = f.descriptor
     if d.kind != "product":
-        return [(d, table)]
-    return [(e, [[v.payload[i] for v in row] for row in f.values])
+        return [f]
+    return [SchurFunction(f.group, e, [[v.payload[i] for v in row]
+                                       for row in f.values])
             for i, e in enumerate(d.factors)]
 
 
@@ -74,11 +74,11 @@ def assert_cyclic(x):
     SVD of the regular representation."""
     f = x.cocycle
     want = []
-    for i, (e, table) in enumerate(factor_tables(f)):
+    for i, h in enumerate(factor_tables(f)):
         coeffs = factor_coeffs(x, i, f.descriptor)
-        got = _cyclic_norm(f.group, e, table, coeffs, GRID)
+        got = _cyclic_norm(h, coeffs, GRID)
         assert got is not None
-        ref = _svd_norm(f.group, e, table, coeffs, GRID)
+        ref = _svd_norm(h, coeffs, GRID)
         assert got == pytest.approx(ref, rel=REL)
         want.append(ref)
     assert alg_norm(x, grid=GRID) == pytest.approx(max(want), rel=REL)
@@ -88,10 +88,10 @@ def assert_svd(x):
     """Every factor refuses the cyclic path, and alg_norm is the SVD's."""
     f = x.cocycle
     want = []
-    for i, (e, table) in enumerate(factor_tables(f)):
+    for i, h in enumerate(factor_tables(f)):
         coeffs = factor_coeffs(x, i, f.descriptor)
-        assert _cyclic_norm(f.group, e, table, coeffs, GRID) is None
-        want.append(_svd_norm(f.group, e, table, coeffs, GRID))
+        assert _cyclic_norm(h, coeffs, GRID) is None
+        want.append(_svd_norm(h, coeffs, GRID))
     assert alg_norm(x, grid=GRID) == max(want)
 
 
@@ -331,8 +331,8 @@ def test_other_rings_stay_on_svd(d):
                                       if d.kind == "matrix" else
                                       rng.normal()) for _ in range(4)]
     x = AlgebraElement(f, coeffs)
-    assert _cyclic_norm(f.group, d, f.values, coeffs, GRID) is None
-    assert alg_norm(x) == _svd_norm(f.group, d, f.values, coeffs, GRID)
+    assert _cyclic_norm(f, coeffs, GRID) is None
+    assert alg_norm(x) == _svd_norm(f, coeffs, GRID)
 
 
 # -- non-finite coefficients ------------------------------------------------

@@ -359,8 +359,9 @@ def test_tensor_structure_check_residuals_fail(monkeypatch):
 
     def wrong_entry(f, g, tol):
         h = real(f, g, tol=tol)
-        h.values[1][3] = h.values[1][3].scale(-1)
-        return h
+        rows = [list(row) for row in h.values]
+        rows[1][3] = rows[1][3].scale(-1)
+        return SchurFunction(h.group, h.descriptor, rows)
 
     monkeypatch.setattr(isolab, "tensor_cocycle", wrong_entry)
     assert tensor_structure_check(f, g)[1] == 2.0

@@ -178,10 +178,10 @@ def test_array_table_reads_as_the_list_table(group, d):
     units = (np.exp(2j * np.pi * rng.random(n)) if d == COMPLEX
              else rng.choice([-1.0, 1.0], n))
     lam = [RingValue.unit(d)] + [RingValue.scalar(d, u) for u in units[1:]]
-    table = coboundary(Lambda(group, d, lam))
+    rows = [list(row) for row in coboundary(Lambda(group, d, lam)).values]
     for s, t in rng.integers(1, n, size=(2, 2)):
-        table.values[s][t] = -table.values[s][t]
-    obj = cocycle_to_json(table)
+        rows[s][t] = -rows[s][t]
+    obj = cocycle_to_json(SchurFunction(group, d, rows))
     f, ref = parse_cocycle(obj), reference_parse(obj)
     want = ValidationReport()
     _entry_checks(want, ref, 1e-9)
@@ -277,7 +277,13 @@ def test_table_mutated_through_values_fails_validate(ring, factor):
     f = parse_cocycle(obj)
     assert validate(f).ok
     d = f.descriptor
-    f.values[1][2] = f.values[1][2] * parse_value(d, factor)
+    v = f.values[1][2] * parse_value(d, factor)
+    with pytest.raises(TypeError):
+        f.values[1][2] = v
+    assert f._scalars is not None and validate(f).ok
+    rows = [list(row) for row in f.values]
+    rows[1][2] = v
+    f = SchurFunction(f.group, d, rows)
     assert f._scalars is None
     rep = validate(f)
     assert not rep.ok
