@@ -7,6 +7,7 @@ sorted word of B.  Generators V_{s} anticommute and square to rho(s).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -270,13 +271,13 @@ class IsometryPair:
     source_f: SchurFunction        # the extended cocycle (domain of Y)
     base_f: SchurFunction
 
-    def __post_init__(self):
+    @cached_property
+    def _columns(self):
         # per sign, per column a of theta: its nonzero entries (row, value)
-        self._columns = {
-            sign: [[(i, row[a]) for i, row in enumerate(self.theta(sign))
-                    if not row[a].is_zero(0.0)]
-                   for a in range(self.base_f.group.order)]
-            for sign in (1, -1)}
+        return {sign: [[(i, row[a]) for i, row in enumerate(self.theta(sign))
+                        if not row[a].is_zero(0.0)]
+                       for a in range(self.base_f.group.order)]
+                for sign in (1, -1)}
 
     def theta(self, sign: int):
         return self.theta_plus if sign > 0 else self.theta_minus
@@ -311,7 +312,8 @@ def split_odd(spec: CliffordSpec, tol: float = DEFAULT_TOL):
     """One extra generator with rho value tilde(S): S(rho') splits as
     S(rho) + S(rho) through the central projections
     P_+- = (1/2)(V_0 +- V_{S'}).  Returns (P_+, P_-, IsometryPair,
-    Morphism)."""
+    Morphism).  Images theta* R(V_t) theta: on dense forms for all t at
+    once over finite rings, by IsometryPair.conjugate over Laurent rings."""
     _require_even(spec)
     f = clifford_cocycle(spec)
     full = _full_mask(spec)
@@ -323,33 +325,41 @@ def split_odd(spec: CliffordSpec, tol: float = DEFAULT_TOL):
     top = 1 << spec.size                    # bit of the new generator
     d = spec.descriptor
     half = RingValue.unit(d).scale(0.5)
+    p_plus, p_minus = (AlgebraElement.from_dict(f2, {0: half, full | top: h})
+                       for h in (half, -half))
 
-    ps = []
-    for sgn in (1, -1):
-        p = AlgebraElement.zero(f2)
-        p.coeffs[0] = half
-        p.coeffs[full | top] = half if sgn > 0 else -half
-        ps.append(p)
-    p_plus, p_minus = ps
-
+    # column a of theta: c at row a, +- c f(a, full) at row (full ^ a) | top
     c = RingValue.unit(d).scale(1.0 / np.sqrt(2.0))
-    thetas = []
-    for sgn in (1, -1):
-        th = [[RingValue.zero(d) for _ in range(n1)] for _ in range(n2)]
-        for a in range(n1):
-            th[a][a] = c
-            entry = c * f.values[full ^ a][full]
-            th[a | top][full ^ a] = entry if sgn > 0 else -entry
-        thetas.append(th)
+    entries = [c * f.values[a][full] for a in range(n1)]
+    thetas = [[[RingValue.zero(d)] * n1 for _ in range(n2)] for _ in range(2)]
+    for i in range(n1):
+        for th, entry in zip(thetas, (entries[i], -entries[i])):
+            th[i][i], th[(full ^ i) | top][i] = c, entry
     pair = IsometryPair(thetas[0], thetas[1], f2, f)
 
     inner = TwistedModel(f)
     target = DirectSumModel(inner, inner)
-    images = []
-    for t in range(n2):
-        vt = generator(f2, t)
-        images.append((pair.conjugate(vt, 1), pair.conjugate(vt, -1)))
-    return p_plus, p_minus, pair, Morphism(f2, target, images)
+    if not d.is_finite:
+        return p_plus, p_minus, pair, Morphism(f2, target, [
+            tuple(pair.conjugate(generator(f2, t), sgn) for sgn in (1, -1))
+            for t in range(n2)])
+    row2 = (full ^ np.arange(n1)) | top      # the second row of column a
+    from .dense import _matmul, cocycle_blocks, dense_array, readout_columns
+    forms = dense_array(d, [c] + entries)
+    adj = forms.conj().swapaxes(-1, -2)
+    cols, e, g2 = readout_columns(d), f.group.identity, f2.group
+    j = g2.mul[g2.inv]                                  # j[t, i] = t^-1 i
+    table = cocycle_blocks(f2)[0][np.arange(n2)[:, None], j]
+    stacks = []
+    for sgn in (1, -1):
+        # (R(V_t) theta_e)_i = f(t, j) theta_je; theta* of it adds the
+        # two terms of each row a in ascending order, as conjugate does
+        col = np.zeros((n2,) + forms.shape[1:], dtype=forms.dtype)
+        col[e], col[row2[e]] = forms[0], sgn * forms[1 + e]
+        r_theta = _matmul(table, col[j][..., cols])
+        stacks.append((_matmul(adj[0], r_theta[:, :n1]) + _matmul(
+            sgn * adj[1:], r_theta[:, row2])).reshape(n2, -1, len(cols)))
+    return p_plus, p_minus, pair, Morphism(f2, target, stacks=stacks)
 
 
 # -- up to two extra generators: corner embedding --------------------------

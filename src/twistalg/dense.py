@@ -26,10 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import row_blocks
-from .rings import RingDescriptor, RingValue
+from .rings import RingDescriptor, RingValue, real_basis
 
-# entries of the largest arrays that dense_residuals holds per row block
+# entries of the largest arrays a blocked loop holds per block; a row of
+# dense_residuals (8,256 entries at order 64) takes about three of them
 BLOCK_ENTRIES = 1 << 13
+VERIFY_ENTRIES = 3 << 13
 
 # value_dense of a quaternion p: entry (r, q) is _QSIGN[r, q] p[_QIDX[r, q]]
 _QIDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
@@ -63,11 +65,8 @@ def readout_columns(d: RingDescriptor) -> list:
     if d.kind == "matrix":
         return list(range(d.k))
     if d.kind == "product":
-        out, o = [], 0
-        for f in d.factors:
-            out.extend(o + c for c in readout_columns(f))
-            o += dense_size(f)
-        return out
+        return [o.start + c for _, e, o, _ in _factor_slots(d)
+                for c in readout_columns(e)]
     if d.kind in ("complex", "real", "quaternion"):
         return [0]
     raise ValueError(f"no dense form for kind {d.kind}")
@@ -81,19 +80,54 @@ def value_dense(v: RingValue) -> np.ndarray:
 
 def dense_array(d: RingDescriptor, values) -> np.ndarray:
     """(N, b, b) stack of value_dense over a list of values of ring d."""
-    b = dense_size(d)
-    if d.kind in ("complex", "real", "matrix"):
+    return readout_dense(d, readout_array(d, values))
+
+
+def readout_array(d: RingDescriptor, values) -> np.ndarray:
+    """(N, b, r) stack of value_dense(v)[:, readout_columns(d)], read off
+    the payloads: the one step from values to arrays."""
+    b, r = dense_size(d), len(readout_columns(d))
+    if d.kind != "product":
         return np.array([v.payload for v in values],
-                        dtype=dense_dtype(d)).reshape(-1, b, b)
-    if d.kind == "quaternion":
-        p = np.array([v.payload for v in values], dtype=float)
-        return p.reshape(-1, 4)[:, _QIDX] * _QSIGN
-    out, o = np.zeros((len(values), b, b), dtype=dense_dtype(d)), 0
-    for i, e in enumerate(d.factors):
-        blk = dense_array(e, [v.payload[i] for v in values])
-        out[:, o:o + blk.shape[-1], o:o + blk.shape[-1]] = blk
-        o += blk.shape[-1]
+                        dtype=dense_dtype(d)).reshape(-1, b, r)
+    out = np.zeros((len(values), b, r), dtype=dense_dtype(d))
+    for i, e, o, c in _factor_slots(d):
+        out[:, o, c] = readout_array(e, [v.payload[i] for v in values])
     return out
+
+
+def readout_dense(d: RingDescriptor, y) -> np.ndarray:
+    """value_dense from readouts y (..., b, r) of values of ring d."""
+    if d.kind in ("complex", "real", "matrix"):
+        return y
+    if d.kind == "quaternion":
+        return y[..., _QIDX, 0] * _QSIGN
+    out = np.zeros(y.shape[:-1] + y.shape[-2:-1], dtype=y.dtype)
+    for _, e, o, c in _factor_slots(d):
+        out[..., o, o] = readout_dense(e, y[..., o, c])
+    return out
+
+
+def from_readout(d: RingDescriptor, y) -> list:
+    """The values of ring d whose readouts are y (N, b, r): readout_array
+    inverted, bit for bit."""
+    if d.kind == "product":
+        return [RingValue(d, p) for p in zip(*(
+            from_readout(e, y[:, o, c]) for _, e, o, c in _factor_slots(d)))]
+    y = y.real if d.is_real else y      # a real factor of a complex array
+    if d.kind in ("complex", "real"):
+        return [RingValue(d, c) for c in y[:, 0, 0].tolist()]
+    return [RingValue(d, p) for p in (y[..., 0] if d.kind == "quaternion"
+                                      else y).copy()]
+
+
+def _factor_slots(d: RingDescriptor):
+    """(i, factor, rows, readout columns) for each factor of a product."""
+    o = c = 0
+    for i, e in enumerate(d.factors):
+        b, r = dense_size(e), len(readout_columns(e))
+        yield i, e, slice(o, o + b), slice(c, c + r)
+        o, c = o + b, c + r
 
 
 def quaternion_complex(p) -> np.ndarray:
@@ -104,11 +138,6 @@ def quaternion_complex(p) -> np.ndarray:
     re = np.stack([p[..., 0], p[..., 2], -p[..., 2], p[..., 0]], axis=-1)
     im = np.stack([p[..., 1], p[..., 3], p[..., 3], -p[..., 1]], axis=-1)
     return _complex(re, im).reshape(p.shape[:-1] + (2, 2))
-
-
-def readout_array(d: RingDescriptor, values) -> np.ndarray:
-    """(N, b, r) stack of value_dense(v)[:, readout_columns(d)]."""
-    return dense_array(d, values)[:, :, readout_columns(d)]
 
 
 def value_blocks(d: RingDescriptor, values) -> np.ndarray:
@@ -137,11 +166,8 @@ def star_readout(d: RingDescriptor, y: np.ndarray) -> np.ndarray:
     if d.kind == "matrix":
         return y.swapaxes(-1, -2).conj()
     out = np.zeros_like(y)
-    o = c = 0
-    for f in d.factors:
-        b, r = dense_size(f), len(readout_columns(f))
-        out[..., o:o + b, c:c + r] = star_readout(f, y[..., o:o + b, c:c + r])
-        o, c = o + b, c + r
+    for _, e, o, c in _factor_slots(d):
+        out[..., o, c] = star_readout(e, y[..., o, c])
     return out
 
 
@@ -208,24 +234,25 @@ def regular_dense(g, table, coeffs):
 
 # -- the morphism check ----------------------------------------------------
 
-def dense_residuals(f, summands, basis, rows=None):
+def dense_residuals(f, summands, rows=None):
     """isolab.row_residuals of a morphism out of S(f), on dense forms, over
-    rows (default: every group element); basis holds the dense forms of a
-    real basis of E.  summands holds one (model, images, readouts) triple per
-    summand of the target (isolab._summands); the verifier ranks the same
-    readouts.  A map into a direct sum is a unital *-homomorphism exactly
-    when each component is, so each residual is the maximum over them.  On
-    each, image_s is multiplied, a block of rows s at a time, by the
-    readouts of every image_t and of every b 1, side by side."""
+    rows (default: every group element).  summands holds one (model,
+    readouts) pair per summand of the target (Morphism._summands); the
+    verifier ranks the same readouts.  A map into a direct sum is a unital
+    *-homomorphism exactly when each component is, so each residual is the
+    maximum over them.  On each, image_s is multiplied, a block of rows s
+    at a time, by the readouts of every image_t and of every b 1, side by
+    side."""
     rows = np.arange(f.group.order) if rows is None else np.array(rows, int)
     blocks, tilde = cocycle_blocks(f)
+    basis = dense_array(f.descriptor, real_basis(f.descriptor))
     res = [_summand_residuals(f.group, blocks, tilde, basis, rows, *summand)
            for summand in summands]
     return (max(unit_res for unit_res, _ in res),
             np.maximum.reduce([r for _, r in res]))
 
 
-def _summand_residuals(g, blocks, tilde, basis, rows, tgt, images, y):
+def _summand_residuals(g, blocks, tilde, basis, rows, tgt, y):
     n, nb = g.order, len(basis)
     size, cols = y.shape[1:]                            # y: (n, size, cols)
     one = tgt.readout([tgt.unit()])[0]
@@ -235,9 +262,9 @@ def _summand_residuals(g, blocks, tilde, basis, rows, tgt, images, y):
         size, (n + nb) * cols)
     out = np.empty((len(rows), 3))          # product, commutation, star
     for blk in row_blocks(len(rows), (n + nb) * size * cols + size * size,
-                          BLOCK_ENTRIES):
+                          VERIFY_ENTRIES):
         s = rows[blk]
-        lhs = _matmul(tgt.dense([images[i] for i in s]), right)
+        lhs = _matmul(tgt.dense(y[s]), right)
         lhs = lhs.reshape(-1, size, n + nb, cols).transpose(0, 2, 1, 3)
         out[blk, 0] = _row_max(lhs[:, :n] - _act(blocks[s], y[g.mul[s]]))
         out[blk, 1] = _row_max(lhs[:, n:] - _act(basis, y[s][:, None]))

@@ -3,31 +3,32 @@
 A model is an algebra we can compute in: a twisted algebra, a corner
 p S(f) p of one, a coefficient ring, k x k matrices over a model, a
 complexification, a quaternion tensor, or a finite direct sum.  A morphism
-from S(f) stores one image per generator and acts E-linearly; the verifier
-measures unit, multiplicativity and star residuals, and, since every V_s
-commutes with E, counts |image_s (b 1) - b image_s| over a real basis b of
-E as a multiplicativity residual.  Over finite coefficient rings it reads
-the images once per summand of the target (each model's readout; a direct
-sum one summand at a time, _summands), checks on the models' dense forms,
-and certifies bijectivity by the real rank of the multiples b image_t,
-taken from the same readouts, against the target's real dimension (for a
-corner, the real rank of p S(f) p).  Over Laurent rings it checks one model
-operation at a time.  clifford.universal_map refuses through the same
-check, on the generators' rows (row_residuals).  The torus rewrites
-(z2n_torus_rewrite) substitute z -> z^2, so they are not E-linear and
-have their own report, on coefficient and integer exponent arrays.
+from S(f) has one image per group element and acts E-linearly; over finite
+coefficient rings it holds them as readouts, one stack per summand.  The
+verifier measures unit, multiplicativity and star residuals, and, since
+every V_s commutes with E, counts |image_s (b 1) - b image_s| over a real
+basis b of E as a multiplicativity residual.  Over finite rings it
+checks on the readouts and dense forms, and certifies bijectivity by the
+real rank of the multiples b image_t against the target's real dimension
+(for a corner, the real rank of p S(f) p).  Over Laurent rings every step
+runs one model operation at a time.  clifford.universal_map refuses
+through the same check, on the generators' rows (row_residuals).  The
+torus rewrites (z2n_torus_rewrite) substitute z -> z^2, so they are not
+E-linear and have their own report, on coefficient and integer exponent
+arrays.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import AlgebraElement, alg_mul, alg_star, generator
 from .cocycle import (KLEIN_A, KLEIN_B, KLEIN_C, Lambda, SchurFunction,
-                      _residual, coboundary, cocycle_mul, klein_table,
-                      tensor_cocycle)
+                      _frozen, _residual, coboundary, cocycle_mul,
+                      klein_table, tensor_cocycle)
 from .groups import direct_product, make_cyclic, make_subset_group, row_blocks
 from .rings import (COMPLEX, DEFAULT_TOL, RingDescriptor, RingValue,
                     real_basis, real_dim)
@@ -39,19 +40,17 @@ class AlgebraModel:
     """Common interface: elements are opaque; all operations live here.
 
     Over finite coefficient rings each model also has a dense
-    *-representation on (size, size) arrays, built from the ring-level
-    forms of twistalg.dense (loaded on first use):  dense(elems) stacks the
-    dense forms of a list of elements; readout(elems) stacks only the
-    columns that hold their slots, as (N, size, cols), so the max |entry|
-    of a readout difference is the model's diff; star_readout(y) maps
-    readouts of elements to readouts of their stars with the same
-    arithmetic as the model's star.  Row i belongs to row i % b of the
-    coefficient ring's dense form (b = dense.dense_size), and a ring value
-    x acts on each group of b rows of a readout by its dense form: the
-    readout of scale_left(x, a) is that of a with each group of b rows
-    multiplied on the left by x's form (the verifier's rank rows).  A
-    DirectSumModel has no dense form; the verifier checks a map into it
-    one summand at a time.
+    *-representation on (size, size) arrays (twistalg.dense, loaded on
+    first use).  readout(elems), the one step from elements to arrays,
+    stacks the columns that hold their slots, (N, size, cols), so the max
+    |entry| of a readout difference is the model's diff; from_readout(y)
+    inverts it bit for bit; dense(y) builds the dense forms from readouts,
+    so dense(a) @ readout(b) is the readout of a b; star_readout(y) gives
+    the stars' readouts.  Row i belongs to row i % b of the coefficient
+    ring's dense form (b = dense.dense_size), and a ring value x acts on
+    each group of b rows of a readout by its form, as in scale_left.  A
+    DirectSumModel has no dense form; a morphism into it holds one readout
+    stack per summand.  Laurent rings have only the object operations.
     """
 
     base: RingDescriptor
@@ -64,10 +63,8 @@ class AlgebraModel:
                    for x, y in zip(self.slots(a), self.slots(b)))
 
     def total_real_dim(self):
-        try:
+        if self.base.is_finite:
             return len(self.slots(self.unit())) * real_dim(self.base)
-        except ValueError:
-            return None
 
 
 class RingModel(AlgebraModel):
@@ -98,13 +95,17 @@ class RingModel(AlgebraModel):
     def slots(self, a):
         return [a]
 
-    def dense(self, elems):
-        from .dense import dense_array
-        return dense_array(self.base, elems)
+    def dense(self, y):
+        from .dense import readout_dense
+        return readout_dense(self.base, y)
 
     def readout(self, elems):
         from .dense import readout_array
         return readout_array(self.base, elems)
+
+    def from_readout(self, y):
+        from .dense import from_readout
+        return from_readout(self.base, y)
 
     def star_readout(self, y):
         from .dense import star_readout
@@ -140,20 +141,25 @@ class TwistedModel(AlgebraModel):
     def slots(self, a):
         return list(a.coeffs)
 
-    def dense(self, elems):
+    def dense(self, y):
         """The regular representation, dense.regular_dense."""
-        from .dense import cocycle_blocks, dense_array, regular_dense
-        table, _ = cocycle_blocks(self.f)
+        from .dense import cocycle_blocks, readout_dense, regular_dense
         n = self.f.group.order
-        xd = dense_array(self.base, [c for x in elems for c in x.coeffs])
-        return regular_dense(self.f.group, table,
-                             xd.reshape((-1, n) + xd.shape[1:]))
+        xd = readout_dense(self.base, y.reshape(len(y), n, -1, y.shape[2]))
+        return regular_dense(self.f.group, cocycle_blocks(self.f)[0], xd)
 
     def readout(self, elems):
         from .dense import readout_array
         y = readout_array(self.base, [c for x in elems for c in x.coeffs])
         n, b, c = self.f.group.order, y.shape[1], y.shape[2]
         return y.reshape(len(elems), n * b, c)
+
+    def from_readout(self, y):
+        from .dense import from_readout
+        n = self.f.group.order
+        c = from_readout(self.base, y.reshape(len(y) * n, -1, y.shape[2]))
+        return [AlgebraElement(self.f, c[i:i + n])
+                for i in range(0, len(c), n)]
 
     def star_readout(self, y):
         # (X^*)_t = tilde f(t) (X_{t^{-1}})^*, as alg_star
@@ -181,11 +187,9 @@ class CornerModel(TwistedModel):
     def total_real_dim(self):
         """The real rank of the elements p (b V_u) p, over every group
         element u and every b of a real basis of the coefficients."""
-        try:
-            basis = real_basis(self.base)
-        except ValueError:
+        if not self.base.is_finite:
             return None
-        p = self.p
+        basis, p = real_basis(self.base), self.p
         elems = [alg_mul(alg_mul(p, generator(self.f, u).scale_ring(b)), p)
                  for u in range(self.f.group.order) for b in basis]
         return int(np.linalg.matrix_rank(flat_rows(self.readout(elems))))
@@ -244,28 +248,33 @@ class MatrixModel(AlgebraModel):
                 out.extend(self.inner.slots(e))
         return out
 
-    def _blocks(self, fn, elems):
-        # entry (i, j) of each element becomes block (i, j)
+    def _entries(self, y, swap=False):
+        # block (i, j) of each readout, row-major (block (j, i) with swap)
         k = self.k
-        y = fn([e for a in elems for row in a for e in row])
-        m, w = y.shape[1:]
-        y = y.reshape(len(elems), k, k, m, w)
-        return y.transpose(0, 1, 3, 2, 4).reshape(len(elems), k * m, k * w)
+        y = y.reshape(len(y), k, y.shape[1] // k, k, y.shape[2] // k)
+        return y.transpose((0, 3, 1, 2, 4) if swap else (0, 1, 3, 2, 4)
+                           ).reshape(-1, y.shape[2], y.shape[4])
 
-    def dense(self, elems):
-        return self._blocks(self.inner.dense, elems)
+    def _join(self, y):
+        # entry (i, j) of each element becomes block (i, j)
+        k, (m, w) = self.k, y.shape[1:]
+        y = y.reshape(-1, k, k, m, w)
+        return y.transpose(0, 1, 3, 2, 4).reshape(len(y), k * m, k * w)
+
+    def dense(self, y):
+        return self._join(self.inner.dense(self._entries(y)))
 
     def readout(self, elems):
-        return self._blocks(self.inner.readout, elems)
+        return self._join(self.inner.readout(
+            [e for a in elems for row in a for e in row]))
+
+    def from_readout(self, y):
+        k, e = self.k, iter(self.inner.from_readout(self._entries(y)))
+        return [[[next(e) for _ in range(k)] for _ in range(k)] for _ in y]
 
     def star_readout(self, y):
         # entry (i, j) of a^* is the star of entry (j, i)
-        k = self.k
-        n, m, c = len(y), y.shape[1] // k, y.shape[2] // k
-        swapped = y.reshape(n, k, m, k, c).transpose(0, 3, 1, 2, 4)
-        st = self.inner.star_readout(swapped.reshape(-1, m, c))
-        return st.reshape(n, k, k, m, c).transpose(
-            0, 1, 3, 2, 4).reshape(y.shape)
+        return self._join(self.inner.star_readout(self._entries(y, True)))
 
 
 class DirectSumModel(AlgebraModel):
@@ -316,14 +325,21 @@ def _refuse_sum(inner: AlgebraModel):
         raise ValueError("a direct sum must be the outermost model")
 
 
-def _summands(target: AlgebraModel, images) -> list:
+def _split(target: AlgebraModel, images) -> list:
     """(model, images) pairs, one per summand of a direct sum target with
     the images' components in it, nested sums flattened; [(target,
     images)] for any other model."""
     if not isinstance(target, DirectSumModel):
         return [(target, images)]
     return [pair for i, mod in enumerate(target.models)
-            for pair in _summands(mod, [im[i] for im in images])]
+            for pair in _split(mod, [im[i] for im in images])]
+
+
+def _nest(target: AlgebraModel, parts):
+    """_split inverted, parts an iterator over the summands' images."""
+    if not isinstance(target, DirectSumModel):
+        return next(parts)
+    return list(zip(*(_nest(mod, parts) for mod in target.models)))
 
 
 # structure constants of the units 1, i of C and 1, i, j, k of H:
@@ -393,33 +409,34 @@ class HypercomplexModel(AlgebraModel):
             out.extend(self.inner.slots(e))
         return out
 
-    def _parts(self, fn, elems):
-        y = fn([x for a in elems for x in a])
-        return y.reshape((len(elems), len(self.table)) + y.shape[1:])
+    def _parts(self, y):                # X_0, ..., X_{d-1}, stacked
+        return y.reshape(-1, y.shape[1] // len(self.table), y.shape[2])
 
-    def dense(self, elems):
+    def dense(self, y):
         """sum_p L(e_p) (x) X_p, where L(e_p)[r, q] = sign for
         table[p][q] = (r, sign) is left multiplication by the unit e_p;
         for C this is [[A, -B], [B, A]]."""
-        x = self._parts(self.inner.dense, elems)
-        d, m = x.shape[1], x.shape[2]
-        out = np.zeros((len(elems), d * m, d * m), dtype=x.dtype)
+        x = self.inner.dense(self._parts(y))      # part p of a at a d + p
+        d, m = len(self.table), x.shape[1]
+        out = np.zeros((len(y), d * m, d * m), dtype=x.dtype)
         for p, row in enumerate(self.table):
             for q, (r, sign) in enumerate(row):
                 out[:, r * m:(r + 1) * m, q * m:(q + 1) * m] = \
-                    x[:, p] if sign > 0 else -x[:, p]
+                    x[p::d] if sign > 0 else -x[p::d]
         return out
 
     def readout(self, elems):
         # column block 0 of the dense form: X_0, ..., X_{d-1} stacked
-        y = self._parts(self.inner.readout, elems)
-        n, d, m, c = y.shape
-        return y.reshape(n, d * m, c)
+        y = self.inner.readout([x for a in elems for x in a])
+        return y.reshape(len(elems), -1, y.shape[2])
+
+    def from_readout(self, y):
+        d, x = len(self.table), self.inner.from_readout(self._parts(y))
+        return [tuple(x[i:i + d]) for i in range(0, len(x), d)]
 
     def star_readout(self, y):
         d = len(self.table)
-        st = self.inner.star_readout(y.reshape(-1, y.shape[1] // d,
-                                               y.shape[2]))
+        st = self.inner.star_readout(self._parts(y))
         st = st.reshape((len(y), d) + st.shape[1:])
         return np.concatenate([st[:, :1], -st[:, 1:]],
                               axis=1).reshape(y.shape)
@@ -475,15 +492,35 @@ class MorphismReport:
 
 
 class Morphism:
-    """An E-linear map S(f) -> target determined by generator images."""
+    """An E-linear map S(f) -> target determined by generator images, a
+    value: over finite rings one read-only readout stack per summand of the
+    target (_summands), derived once from the images or given as stacks,
+    whose images, a tuple, are built when first read."""
 
-    def __init__(self, source: SchurFunction, target: AlgebraModel, images):
-        images = list(images)
-        if len(images) != source.group.order:
+    def __init__(self, source: SchurFunction, target: AlgebraModel,
+                 images=None, stacks=None):
+        self.source, self.target = source, target
+        self._images = None if stacks is not None else tuple(images)
+        if stacks is not None:
+            self._summands = [(mod, _frozen(y)) for (mod, _), y in
+                              zip(_split(target, []), stacks)]
+        elif len(self._images) != source.group.order:
             raise ValueError("need one image per group element")
-        self.source = source
-        self.target = target
-        self.images = images
+
+    @property
+    def images(self) -> tuple:
+        if self._images is None:
+            self._images = tuple(_nest(self.target, iter(
+                [mod.from_readout(y) for mod, y in self._summands])))
+        return self._images
+
+    @cached_property
+    def _summands(self):
+        """(model, readouts) per summand of the target (_split); None over
+        Laurent rings."""
+        if self.source.descriptor.is_finite:
+            return [(mod, _frozen(mod.readout(images)))
+                    for mod, images in _split(self.target, self._images)]
 
     def apply(self, x: AlgebraElement):
         acc = self.target.zero()
@@ -501,15 +538,14 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
     the pairs (V_s, V_t) and (V_s, b V_1) over a real basis b of E: S(f)
     acts on E (x) l^2(T) with E on the coefficients, so every V_s commutes
     with E, and a map whose images do not is no *-homomorphism."""
-    readouts = _readouts(m)
-    if readouts is None:
+    if m._summands is None:
         return MorphismReport(*object_residuals(m), -1, -1, None, None, None)
-    from .dense import _act, dense_residuals               # on first use
-    summands, basis = readouts
-    unit_res, res = dense_residuals(m.source, summands, basis)
+    from .dense import _act, dense_array, dense_residuals   # on first use
+    unit_res, res = dense_residuals(m.source, m._summands)
     # the rows b image_t over a real basis b of E, summand by summand
+    basis = dense_array(m.source.descriptor, real_basis(m.source.descriptor))
     rows = np.hstack([flat_rows(_act(basis, y[:, None]).reshape(
-        (-1,) + y.shape[1:])) for _, _, y in summands])
+        (-1,) + y.shape[1:])) for _, y in m._summands])
     source_dim = m.source.group.order * len(basis)
     target_dim = m.target.total_real_dim()
     residuals = unit_res, float(res[:, :2].max()), float(res[:, 2].max())
@@ -522,19 +558,6 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
                           None if target_dim is None else rank == target_dim)
 
 
-def _readouts(m: Morphism):
-    """(summands, dense forms of a real basis of E) for dense.dense_residuals,
-    or None where E has no finite real basis."""
-    try:
-        basis = real_basis(m.source.descriptor)
-    except ValueError:
-        return None
-    from .dense import dense_array
-    return ([(mod, images, mod.readout(images))
-             for mod, images in _summands(m.target, m.images)],
-            dense_array(m.source.descriptor, basis))
-
-
 def row_residuals(m: Morphism, rows):
     """(unit residual, res), res[i] the residuals (product, commutation,
     star) of image_s, s = rows[i]: the largest |image_s image_t - f(s,t)
@@ -542,11 +565,10 @@ def row_residuals(m: Morphism, rows):
     basis b of E, and |image_s^* - tilde f(s) image_{s^-1}|.  On dense forms
     over finite rings; one model operation at a time over Laurent rings,
     which are commutative and act centrally, with no commutation term."""
-    readouts = _readouts(m)
-    if readouts is None:
+    if m._summands is None:
         return _object_rows(m, rows)
     from .dense import dense_residuals
-    return dense_residuals(m.source, *readouts, rows)
+    return dense_residuals(m.source, m._summands, rows)
 
 
 def object_residuals(m: Morphism):
@@ -559,11 +581,8 @@ def object_residuals(m: Morphism):
 
 def _object_rows(m: Morphism, rows):
     f, g, tgt = m.source, m.source.group, m.target
-    try:
-        scalars = [(b, tgt.scale_left(b, tgt.unit()))
-                   for b in real_basis(f.descriptor)]
-    except ValueError:
-        scalars = []
+    basis = real_basis(f.descriptor) if f.descriptor.is_finite else []
+    scalars = [(b, tgt.scale_left(b, tgt.unit())) for b in basis]
     out = np.zeros((len(rows), 3))
     for i, s in enumerate(rows):
         x = m.images[s]
@@ -584,27 +603,41 @@ def identity_morphism(f: SchurFunction) -> Morphism:
 def extend_generator_images(f: SchurFunction, gen_images: dict,
                             target: AlgebraModel) -> Morphism:
     """Complete a partial image assignment to all of T by writing each
-    element as a product of the given generators (breadth-first), using
-    V_r V_g = f(r,g) V_{rg} to peel off the cocycle values."""
-    g = f.group
-    images = [None] * g.order
-    images[g.identity] = target.unit()
-    for t, im in gen_images.items():
-        images[t] = im
-    frontier = [t for t in range(g.order) if images[t] is not None]
+    element as a product of the given generators (breadth-first, t first
+    reached as r s), image_t = f(r,s)^* image_r image_s.  Over finite rings
+    a frontier is one batched product on readouts (in blocks of rows), over
+    Laurent rings one model product at a time."""
+    g, gens, finite = f.group, list(gen_images), f.descriptor.is_finite
+    given = {g.identity: target.unit(), **gen_images}
+    images, levels, frontier = dict(given), [], sorted(given)
     while frontier:
-        new = []
+        levels.append([])
         for r in frontier:
-            for s in gen_images:
+            for s in gens:
                 t = g.op(r, s)
-                if images[t] is None:
-                    prod = target.mul(images[r], images[s])
-                    images[t] = target.scale_left(f.values[r][s].star(), prod)
-                    new.append(t)
-        frontier = new
-    if any(im is None for im in images):
+                if t not in images:
+                    images[t] = None if finite else target.scale_left(
+                        f.values[r][s].star(),
+                        target.mul(images[r], images[s]))
+                    levels[-1].append((t, r, s))
+        frontier = [t for t, _, _ in levels[-1]]
+    if len(images) < g.order:
         raise ValueError("given generators do not generate the group")
-    return Morphism(f, target, images)
+    if not finite:
+        return Morphism(f, target, [images[t] for t in range(g.order)])
+    from .dense import VERIFY_ENTRIES, _act, _matmul, cocycle_blocks
+    fstar = cocycle_blocks(f)[0].conj().swapaxes(-1, -2)
+    stacks = []
+    for mod, known in _split(target, list(given.values())):
+        known = mod.readout(known)
+        y = np.empty((g.order,) + known.shape[1:], known.dtype)
+        y[list(given)] = known
+        for t, r, s in (np.array(level).T for level in levels if level):
+            for b in row_blocks(len(t), y.shape[1] ** 2, VERIFY_ENTRIES):
+                y[t[b]] = _act(fstar[r[b], s[b]],
+                               _matmul(mod.dense(y[r[b]]), y[s[b]]))
+        stacks.append(y)
+    return Morphism(f, target, stacks=stacks)
 
 
 # -- coefficientwise S-isomorphism -----------------------------------------

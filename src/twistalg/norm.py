@@ -18,14 +18,27 @@ def norm(f, coeffs, grid: int) -> float:
     """algebra.alg_norm of coefficients coeffs (a list) in S(f), on the
     array forms the table keeps (f._arrays, f._dense): the largest factor's
     over products, each factor a Schur function of its own."""
-    d = f.descriptor
-    if d.kind == "product":
-        return max(norm(SchurFunction(f.group, e, [[v.payload[i] for v in row]
-                                                   for row in f.values]),
-                        [c.payload[i] for c in coeffs], grid)
-                   for i, e in enumerate(d.factors))
+    if f.descriptor.kind == "product":
+        return max(norm(fi, [c.payload[i] for c in coeffs], grid)
+                   for i, fi in enumerate(_factors(f)))
     out = _cyclic_norm(f, coeffs, grid)
     return _svd_norm(f, coeffs, grid) if out is None else out
+
+
+def _factors(f) -> list:
+    """The tables of a product table's factors: slices of its centre where
+    it has one, else read off its values."""
+    d, g, c = f.descriptor, f.group, f._centre
+    if c is None:
+        return [SchurFunction(g, e, [[v.payload[i] for v in row]
+                                     for row in f.values])
+                for i, e in enumerate(d.factors)]
+    from .centre import leaves
+    out, o = [], 0
+    for e in d.factors:
+        part, o = c[..., o:o + len(leaves(e))], o + len(leaves(e))
+        out.append(SchurFunction(g, e, part.real if e.is_real else part))
+    return out
 
 
 def _svd_norm(f, coeffs, grid: int) -> float:

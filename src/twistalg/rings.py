@@ -52,6 +52,12 @@ class RingDescriptor:
             return all(f.is_real for f in self.factors)
         return False
 
+    @property
+    def is_finite(self) -> bool:
+        """Whether E is finite-dimensional: no Laurent factor."""
+        return self.kind != "laurent" and all(f.is_finite
+                                              for f in self.factors)
+
     def __str__(self):
         if self.kind == "laurent":
             return f"laurent(m={self.m},{self.field})"
@@ -83,7 +89,7 @@ def _clean_poly(terms):
     out = {}
     for exps, c in terms.items():
         c = complex(c)
-        if abs(c) > _COEFF_EPS:
+        if not abs(c) <= _COEFF_EPS:            # NaN too: no zero
             out[tuple(int(e) for e in exps)] = c
     return out
 
@@ -351,7 +357,7 @@ class RingValue:
         """Return (coeff, exps) if the Laurent value is a single term."""
         if self.descriptor.kind != "laurent":
             return None
-        terms = [(e, c) for e, c in self.payload.items() if abs(c) > tol]
+        terms = [(e, c) for e, c in self.payload.items() if not abs(c) <= tol]
         if len(terms) != 1:
             return None
         return terms[0][1], terms[0][0]

@@ -134,6 +134,44 @@ def test_centre_report_equals_the_block_report(ring, group, variant):
     assert f._centre is not None
 
 
+def random_value(d, rng):
+    if d.kind == "product":
+        return RingValue.tuple_value(d, [random_value(e, rng)
+                                         for e in d.factors])
+    c = rng.uniform(-1, 1, 2 * d.k * d.k or 4)
+    if d.kind == "quaternion":
+        return RingValue.quaternion(c[:4])
+    if d.kind == "matrix":
+        a = c[:d.k * d.k] + (0 if d.is_real else 1j * c[d.k * d.k:])
+        return RingValue.mat(d, a.reshape(d.k, d.k))
+    return RingValue.scalar(d, c[0] if d.is_real else complex(c[0], c[1]))
+
+
+NESTED = {"kind": "product", "factors": [
+    "complex", {"kind": "product", "factors": ["real", M2]}]}
+
+
+@pytest.mark.parametrize("group", ["Z8", "Q8"])
+@pytest.mark.parametrize("ring", ["CxM2C", "RxH", "CxH", "nested"])
+def test_product_norms_slice_the_centre(ring, group):
+    """alg_norm on a centre-held product table builds each factor's table
+    from its slice of the centre, never the values view; the norm equals,
+    bit for bit, that of the same table held as values, whose factor tables
+    are read off the values."""
+    from twistalg import AlgebraElement, alg_norm
+    obj = NESTED if ring == "nested" else RINGS[ring]
+    d, g = parse_descriptor(obj), GROUPS[group]
+    rng = np.random.default_rng(len(ring) + g.order)
+    cfg = config(obj, g, coboundary_tables(d, g, rng))
+    f, listed = parse_cocycle(cfg), reference_parse(cfg)
+    assert f._centre is not None and listed._centre is None
+    for _ in range(3):
+        coeffs = [random_value(d, rng) for _ in range(g.order)]
+        got = alg_norm(AlgebraElement(f, coeffs))
+        assert got == alg_norm(AlgebraElement(listed, coeffs)) and got > 0
+    assert f._values is None
+
+
 def test_centre_parse_makes_no_ring_value(monkeypatch):
     d = RINGS["CxM2C"]
     g = make_cyclic(16)

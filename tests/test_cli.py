@@ -669,6 +669,32 @@ def test_non_finite_coefficients_exit_2_over_every_ring(tmp_path, capsys,
         "config error: non-finite coefficient at '0'\n"
 
 
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1+nani"])
+def test_non_finite_laurent_coefficients_act_as_over_c(tmp_path, capsys,
+                                                      literal):
+    """A Laurent coefficient NaN or inf is kept, not read as zero: an
+    element holding one exits 2, alone or beside a finite term, and a table
+    entry holding one fails unitarity at its place (exit 1), as over C."""
+    ring = {"kind": "laurent", "m": 1}
+    for coeff in ([[[0], literal]], [[[0], "1"], [[1], literal]]):
+        cfg = write(tmp_path, "x.json", {
+            "cocycle": {"descriptor": ring, "f_alpha": [[[[0], "1"]]]},
+            "x": {"coeffs": {"0": coeff}}})
+        assert main(["norm", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: non-finite coefficient at '0'\n"
+    one = [[[0], "1"]]
+    for entry in ([[[1], literal]], [[[0], "1"], [[1], literal]]):
+        cfg = write(tmp_path, "t.json", {"cocycle": {
+            "descriptor": ring, "group": {"kind": "cyclic", "n": 2},
+            "table": [[one, one], [one, entry]]}})
+        code, out = run(capsys, "validate", "--config", cfg)
+        first = json.loads(out)["violations"][0]
+        assert code == 1
+        assert (first["check"], first["where"]) == ("unitary", ["1", "1"])
+
+
 def test_out_flag_and_table_format(tmp_path, capsys):
     cfg = write(tmp_path, "o.json", TRIVIAL_Z2)
     dest = tmp_path / "report.json"

@@ -18,6 +18,7 @@ from twistalg import (COMPLEX, QUATERNION, REAL, AlgebraElement, CliffordSpec,
                       validate, verify_morphism)
 from twistalg.isolab import ComplexifiedModel, RingModel
 
+from rext import readouts, reference_extension, reference_split_images
 from rmat import rmat_adjoint, rmat_mul, rmat_residual
 
 ONE_C = RingValue.unit(COMPLEX)
@@ -240,20 +241,25 @@ def test_universal_map_refuses_images_that_do_not_commute_with_e():
 @pytest.mark.parametrize("size", [0, 2, 4])
 def test_universal_map_multiplies_only_to_extend(monkeypatch, build, cls,
                                                  size):
-    """The target's mul runs once per element of the extended group that
-    is neither the identity nor a generator; the relations are checked on
-    dense forms."""
-    calls = []
-    mul = cls.mul
+    """One product per element of the extended group that is neither the
+    identity nor a generator, on readouts: the target's object mul never
+    runs, and its dense form is taken of n - 1 - k frontier rows for the
+    products plus the k generator rows whose relations are checked."""
+    calls, rows = [], []
+    mul, dense = cls.mul, cls.dense
 
     def counted(self, a, b):
         calls.append(1)
         return mul(self, a, b)
 
+    def counted_dense(self, y):
+        rows.append(len(y))
+        return dense(self, y)
+
     monkeypatch.setattr(cls, "mul", counted)
+    monkeypatch.setattr(cls, "dense", counted_dense)
     m = build(cspec([1, -1, -1, 1][:size], REAL))
-    k = m.source.group.order.bit_length() - 1
-    assert len(calls) == m.source.group.order - 1 - k
+    assert calls == [] and sum(rows) == m.source.group.order - 1
     assert verify_morphism(m).bijective()
 
 
@@ -297,6 +303,63 @@ def test_universal_map_images_match_ordered_products(kind, size, data):
         m = build(spec, central_unitary(), central_unitary())
     for got, want in zip(m.images, ordered_products(m)):
         assert m.target.slots(got) == m.target.slots(want)
+
+
+PERIODICITY_CASES = [("matrix", REAL), ("matrix", COMPLEX),
+                     ("matrix", QUATERNION), ("quaternion", REAL),
+                     ("complexify", REAL), ("split", REAL), ("split", COMPLEX)]
+
+
+@pytest.mark.parametrize("size", [0, 2, 4])
+@pytest.mark.parametrize("op,d", PERIODICITY_CASES,
+                         ids=[f"{op}-{d}" for op, d in PERIODICITY_CASES])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_periodicity_readouts_equal_the_object_references(op, d, size, data):
+    """Every periodicity map's readouts, built in batches, equal bit for bit
+    those of its images built one object operation at a time (rext)."""
+    def central_unitary():
+        if d == COMPLEX:
+            return RingValue.scalar(d, np.exp(1j * data.draw(st.floats(0, 6.3))))
+        return RingValue.scalar(d, data.draw(st.sampled_from([-1, 1])))
+
+    spec = CliffordSpec(list(range(1, size + 1)),
+                        [central_unitary() for _ in range(size)], d)
+    if op == "split":
+        _, _, pair, m = split_odd(spec)
+        want = reference_split_images(pair)
+    else:
+        if op == "complexify":
+            m = complexify_odd(spec)
+        else:
+            build = extend_two_matrix if op == "matrix" else \
+                extend_two_quaternion
+            m = build(spec, central_unitary(), central_unitary())
+        k = m.source.group.order.bit_length() - 1
+        want = reference_extension(m.source, {1 << i: m.images[1 << i]
+                                              for i in range(k)}, m.target)
+    got = [y for _, y in m._summands]
+    assert [y.tobytes() for y in got] == [
+        y.tobytes() for y in readouts(m.target, want)]
+    assert [y.dtype for y in got] == [y.dtype for y in readouts(m.target,
+                                                               want)]
+
+
+def test_readout_built_images_are_read_only():
+    """A map built from readouts builds its images only when read, as a
+    tuple that cannot be assigned to, and keeps its readouts read-only."""
+    m = extend_two_matrix(cspec([1, -1]), ONE_C, ONE_C)
+    assert m._images is None
+    images = m.images
+    assert isinstance(images, tuple) and m.images is images
+    with pytest.raises(AttributeError):
+        m.images = list(images)
+    with pytest.raises(TypeError):
+        m.images[0] = images[1]
+    y = m._summands[0][1]
+    with pytest.raises(ValueError):
+        y[0, 0, 0] = 2.0
+    assert verify_morphism(m).bijective()
 
 
 # -- projection families ---------------------------------------------------
@@ -466,7 +529,7 @@ def test_extend_even_projection_unit_residual_is_measured():
     # V_0 mapped to the unit V_0 of S(rho'), not to the corner's unit P:
     # V_0 - P has coefficients 1/2 and -1/2 alpha*
     p, phi = extend_even_projection(cspec([1, -1]), 1, [ONE_C])
-    images = [generator(p.cocycle, 0)] + phi.images[1:]
+    images = (generator(p.cocycle, 0),) + phi.images[1:]
     rep = verify_morphism(Morphism(phi.source, phi.target, images))
     assert rep.unit_residual == pytest.approx(0.5)
     assert not rep.ok()

@@ -60,9 +60,9 @@ def test_identity_morphism_bijective():
 
 def test_verifier_flags_broken_images():
     f = random_f(3, seed=1)
-    m = identity_morphism(f)
-    m.images[1] = m.images[1].scale(1.01)
-    rep = verify_morphism(m)
+    images = list(identity_morphism(f).images)
+    images[1] = images[1].scale(1.01)
+    rep = verify_morphism(Morphism(f, TwistedModel(f), images))
     assert not rep.ok()
     assert rep.mult_residual > 1e-3
 
@@ -750,25 +750,25 @@ def test_dense_verifier_matches_object_loop(ring, name, data):
     m = build_morphism(name, d, data)
     change = data.draw(st.sampled_from(["none", "image", "source",
                                         "singular", "right"]))
-    n = m.source.group.order
+    n, images = m.source.group.order, list(m.images)
     if change == "right":
         # every image times u 1 on the right, u a unit that is central only
         # over C and R: then image_1 (b 1) != b image_1 for some b
         u = m.target.scale_left(non_central_unit(d), m.target.unit())
-        m.images = [m.target.mul(x, u) for x in m.images]
+        images = [m.target.mul(x, u) for x in images]
     if change in ("image", "singular"):
         # add r image_u to image_t for a general ring element r
         t, u = (data.draw(st.integers(0, n - 1)) for _ in range(2))
-        m.images[t] = m.target.add(m.images[t], m.target.scale_left(
-            random_value(d, data), m.images[u]))
+        images[t] = m.target.add(images[t], m.target.scale_left(
+            random_value(d, data), images[u]))
     if change == "singular":
         # then every image times a matrix unit over M_2(C) or (1, 0) over
         # C x M_2(C), or image_t times 0 over the other rings
         ts = range(n) if d.kind in ("matrix", "product") else [t]
         for t in ts:
-            m.images[t] = m.target.scale_left(singular_value(d),
-                                              m.images[t])
-    elif change == "source":
+            images[t] = m.target.scale_left(singular_value(d), images[t])
+    m = Morphism(m.source, m.target, images)
+    if change == "source":
         # a cocycle the images do not satisfy (unless lambda is trivial)
         wrong = cocycle_mul(m.source, coboundary(random_lambda(m.source,
                                                                data)))
@@ -891,7 +891,8 @@ def test_direct_sum_verifier_matches_object_loop(ring, data):
         mod, im = m.target.models[i], list(m.images[t])
         im[i] = mod.add(im[i], mod.scale_left(random_value(d, data),
                                               m.images[u][i]))
-        m.images[t] = tuple(im)
+        m = Morphism(f, m.target, m.images[:t] + (tuple(im),)
+                     + m.images[t + 1:])
     rep, _ = assert_matches_reference(m)
     assert rep.ok() is not perturb
 
@@ -1005,8 +1006,9 @@ def assert_close(x, y):
 @given(data=st.data())
 def test_every_algebra_model_dense_form_matches_object_arithmetic(
         cls, ring, data):
-    """Each model's dense form (dense, readout, star_readout) against its
-    own object arithmetic.  A new model needs a case here."""
+    """Each model's dense form (readout, from_readout, dense on readouts,
+    star_readout) against its own object arithmetic.  A new model needs a
+    case here."""
     assert cls in MODEL_CASES, f"no test case for {cls.__name__}"
     d = RINGS[ring]
     if cls in REAL_ONLY and not d.is_real:
@@ -1016,11 +1018,20 @@ def test_every_algebra_model_dense_form_matches_object_arithmetic(
     model = MODEL_CASES[cls](d, data, 0)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     a, b = random_element(model, rng), random_element(model, rng)
-    dense_a, ra, rb = model.dense([a])[0], *model.readout([a, b])
+    y = model.readout([a, b])
+    ra, rb = y
+    dense_a = model.dense(y[:1])[0]
+    # readouts turn back into the same elements, bit for bit, also read-only
+    # ones (a morphism's), and from them into the same readouts
+    y.flags.writeable = False
+    back = model.from_readout(y)
+    assert [model.slots(x) for x in back] == [model.slots(a), model.slots(b)]
+    assert np.array_equal(model.readout(back), y)
+    assert model.diff(back[0], a) == 0.0
     # the unit's form is the identity (for a corner, a self-adjoint
     # idempotent that fixes its elements) and its readout picks the
     # columns that hold an element
-    unit_form = model.dense([model.unit()])[0]
+    unit_form = model.dense(model.readout([model.unit()]))[0]
     if cls is CornerModel:
         assert_close(unit_form, unit_form.conj().T)
         assert_close(unit_form @ unit_form, unit_form)
@@ -1034,4 +1045,9 @@ def test_every_algebra_model_dense_form_matches_object_arithmetic(
     assert_close(model.readout([model.star(a)]),
                  model.star_readout(model.readout([a])))
     # a *-representation
-    assert_close(model.dense([model.star(a)])[0], dense_a.conj().T)
+    assert_close(model.dense(model.readout([model.star(a)]))[0],
+                 dense_a.conj().T)
+    # dense forms of a stack are those of its readouts one at a time
+    both = model.dense(y)
+    assert np.array_equal(both[1], model.dense(y[1:])[0])
+    assert np.array_equal(both[0], dense_a)

@@ -53,6 +53,17 @@ def test_laurent_monomial_helpers():
     assert RingValue.zero(L1).is_monomial() is None
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), complex(0, -np.inf)])
+def test_non_finite_laurent_terms_are_kept(c):
+    # NaN is no zero: a NaN term is kept, as an infinite one is
+    for terms in ({(0,): c}, {(0,): 1, (1,): c}):
+        v = RingValue.poly(L1, terms)
+        assert len(v.payload) == len(terms) and not v.is_finite()
+    assert RingValue.monomial(L1, c, (2,)).is_monomial(0.0)[1] == (2,)
+    assert RingValue.poly(L1, {(0,): 1, (1,): c}).is_monomial(0.0) is None
+    assert not RingValue.poly(L1, {(0,): c}).scale(2.0).is_finite()
+
+
 def test_matrix_matches_numpy():
     a = RingValue.mat(M2, [[1, 2j], [0, 1]])
     b = RingValue.mat(M2, [[0, 1], [1, 0]])
