@@ -149,8 +149,9 @@ def cmd_classify(args) -> int:
 
 def _report_payload(rep: isolab.MorphismReport) -> dict:
     out = rep.to_dict()
-    for k in ("unit_residual", "mult_residual", "star_residual"):
-        out[k] = _fmt12(out[k])
+    for k in ("unit_residual", "mult_residual", "star_residual",
+              "residual_bound"):
+        out[k] = None if out[k] is None else _fmt12(out[k])
     return out
 
 

@@ -18,7 +18,7 @@ from .groups import SubsetGroup, make_subset_group
 from .isolab import (AlgebraModel, ComplexifiedModel, CornerModel,
                      DirectSumModel, MatrixModel, Morphism,
                      QuaternionTensorModel, TwistedModel,
-                     extend_generator_images, row_residuals)
+                     extend_generator_images)
 from .rings import DEFAULT_TOL, RingDescriptor, RingValue
 
 MAX_LABELS = 8
@@ -98,15 +98,15 @@ def universal_map(spec: CliffordSpec, images, target: AlgebraModel,
     V_A -> prod_{s in A, ascending} x_s (extend_generator_images reaches V_A
     first as V_{A - max A} x_{max A}, where f = 1), and refuse the extension
     unless the verifier's residuals on each generator's row, which hold the
-    generator relations, are within tol: product, commutation with E, star."""
+    generator relations, are within tol: product, commutation with E, star.
+    The morphism keeps those rows for verify_morphism."""
     images = list(images)
     if len(images) != spec.size:
         raise ValueError("one image per label required")
     m = extend_generator_images(
         clifford_cocycle(spec), {1 << i: x for i, x in enumerate(images)},
         target)
-    _, res = row_residuals(m, [1 << i for i in range(spec.size)])
-    for lbl, row in zip(spec.labels, res):
+    for lbl, row in zip(spec.labels, m._generator_rows[1]):
         for check, r in zip(("product", "commutation with E", "star"), row):
             if not r <= tol:
                 raise ValueError(f"x_{lbl} fails the {check} check "

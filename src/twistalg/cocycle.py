@@ -292,11 +292,11 @@ def _certified(g: GroupTable, forms, exps, cols, exact: bool,
     Exponents: where they differ, the residual is the larger coefficient,
     at least (1-e)^2 (1-T) > tol (T below), so they agree on the rows of
     S; the full check compares int64 sums, i.e. in Z/2^64, where the
-    identity holds as well, so they agree on every row.  Coefficients: every r != e is a positive word
-    g r' of length L <= n - 1 in S (the products of words of length < k
-    grow with k until they are the group), so if |w - 1| and |1/w - 1| are
-    at most eta on the rows of S, |w(r,s,t) - 1| <= (1 + eta)^(3L-2) - 1
-    <= Delta := (1 + eta)^(3(n-1)) - 1 by induction on L.
+    identity holds as well, so they agree on every row.  Coefficients:
+    every r != e is a positive word g r' in S of length L <= D = g.depth,
+    so if |w - 1| and |1/w - 1| are at most eta on the rows of S,
+    |w(r,s,t) - 1| <= (1 + eta)^(3L-2) - 1 <= Delta := (1 + eta)^(3D) - 1
+    by induction on L.
 
     Rounding, e = _EPS: the unitary check passed, |fl(fl(v v*) - 1)| <=
     tol, so ||v|^2 - 1| <= t' + e |v|^2 with t' = tol / (1-e)^2, and every
@@ -320,19 +320,24 @@ def _certified(g: GroupTable, forms, exps, cols, exact: bool,
     rows = np.array([g.identity] + g.generators)
     if 2 * len(rows) > n:
         return False
-    # the largest residual of each row, in blocks of rows that stay in
-    # cache, as in the full check
-    y, res = forms[..., cols], []
-    for block in row_blocks(len(rows), n * forms[0].size):
-        res.extend(_residual(*_cocycle_sides(
-            g.mul, forms, y, exps, rows[block], exact)).max(axis=(1, 2)))
+    res = _row_residuals(g, forms, exps, cols, exact, rows)
     rho = float(np.max(res[1:]))
     if not (res[0] <= tol and rho <= tol):
         return False
     eta = (rho / (1 - e) ** 2 + 2 * e * (1 + big_t)) / (1 - big_t)
     room = tol / ((1 + e) ** 2 * (1 + big_t)) - 2 * e     # for Delta
-    return room > 0 and (3 * (n - 1) * math.log1p(eta * (1 + 2.0 ** -40))
+    return room > 0 and (3 * g.depth * math.log1p(eta * (1 + 2.0 ** -40))
                          <= math.log1p(room * (1 - 2.0 ** -40)))
+
+
+def _row_residuals(g, forms, exps, cols, exact, rows, budget=None):
+    """The largest cocycle residual of each row in rows, an index array, in
+    blocks of rows that stay in cache (row_blocks, budget triples each)."""
+    y, res = forms[..., cols], []
+    for block in row_blocks(len(rows), len(g.mul) * forms[0].size, budget):
+        res.extend(_residual(*_cocycle_sides(
+            g.mul, forms, y, exps, rows[block], exact)).max(axis=(1, 2)))
+    return np.array(res)
 
 
 def _entry_checks(rep: ValidationReport, f: SchurFunction, tol: float):

@@ -216,9 +216,8 @@ def _act(blocks, y):
 def _row_max(y) -> np.ndarray:
     """Max |entry| of each y[i] (0 if empty), with Python's abs (hypot) for
     complex entries."""
-    y = y.reshape(len(y), -1)
     a = np.hypot(y.real, y.imag) if np.iscomplexobj(y) else np.abs(y)
-    return a.max(axis=1, initial=0.0)
+    return a.max(axis=tuple(range(1, y.ndim)), initial=0.0)
 
 
 def regular_dense(g, table, coeffs):
@@ -235,21 +234,22 @@ def regular_dense(g, table, coeffs):
 # -- the morphism check ----------------------------------------------------
 
 def dense_residuals(f, summands, rows=None):
-    """isolab.row_residuals of a morphism out of S(f), on dense forms, over
-    rows (default: every group element).  summands holds one (model,
-    readouts) pair per summand of the target (Morphism._summands); the
-    verifier ranks the same readouts.  A map into a direct sum is a unital
+    """(unit residual, res, star): res[i] holds image_s's largest |image_s
+    image_t - f(s,t) image_st|, |image_s (b 1) - b image_s| over a real
+    basis b of E and |image_s^* - tilde f(s) image_s^-1|, s = rows[i]
+    (default: all); star, every row's star residual.  summands holds a
+    (model, readouts) pair per summand of the target
+    (Morphism._summands): a map into a direct sum is a unital
     *-homomorphism exactly when each component is, so each residual is the
     maximum over them.  On each, image_s is multiplied, a block of rows s
-    at a time, by the readouts of every image_t and of every b 1, side by
-    side."""
+    at a time, by the readouts of every image_t and of every b 1."""
     rows = np.arange(f.group.order) if rows is None else np.array(rows, int)
     blocks, tilde = cocycle_blocks(f)
     basis = dense_array(f.descriptor, real_basis(f.descriptor))
-    res = [_summand_residuals(f.group, blocks, tilde, basis, rows, *summand)
-           for summand in summands]
-    return (max(unit_res for unit_res, _ in res),
-            np.maximum.reduce([r for _, r in res]))
+    unit, res, star = zip(*(_summand_residuals(f.group, blocks, tilde, basis,
+                                               rows, *summand)
+                            for summand in summands))
+    return max(unit), np.maximum.reduce(res), float(np.maximum.reduce(star))
 
 
 def _summand_residuals(g, blocks, tilde, basis, rows, tgt, y):
@@ -257,17 +257,112 @@ def _summand_residuals(g, blocks, tilde, basis, rows, tgt, y):
     size, cols = y.shape[1:]                            # y: (n, size, cols)
     one = tgt.readout([tgt.unit()])[0]
     unit_res = float(_row_max(y[[g.identity]] - one)[0])
+    star = _row_max(tgt.star_readout(y) - _act(tilde, y[g.inv]))
     # the readouts of every image and of every b 1: (size, (n + nb) cols)
     right = np.concatenate([y, _act(basis, one)]).transpose(1, 0, 2).reshape(
         size, (n + nb) * cols)
     out = np.empty((len(rows), 3))          # product, commutation, star
+    out[:, 2] = star[rows]
     for blk in row_blocks(len(rows), (n + nb) * size * cols + size * size,
                           VERIFY_ENTRIES):
         s = rows[blk]
-        lhs = _matmul(tgt.dense(y[s]), right)
-        lhs = lhs.reshape(-1, size, n + nb, cols).transpose(0, 2, 1, 3)
-        out[blk, 0] = _row_max(lhs[:, :n] - _act(blocks[s], y[g.mul[s]]))
-        out[blk, 1] = _row_max(lhs[:, n:] - _act(basis, y[s][:, None]))
-        out[blk, 2] = _row_max(tgt.star_readout(y[s])
-                               - _act(tilde[s], y[g.inv[s]]))
-    return unit_res, out
+        lhs = _matmul(tgt.dense(y[s]), right).reshape(-1, size, n + nb, cols)
+        lhs[:, :, n:] -= _act(basis, y[s][:, None]).transpose(0, 2, 1, 3)
+        out[blk, 1] = _row_max(lhs[:, :, n:])
+        # image_s image_t - f(s,t) image_st in the order of u = st: with y
+        # read in place, two arrays of (rows, n, size, cols) at a time
+        t = g.mul[g.inv[s]]
+        prod = lhs[np.arange(len(s))[:, None], :, t]
+        del lhs
+        prod -= _act(blocks[s[:, None], t], y)
+        out[blk, 0] = _row_max(prod)
+        del prod
+    return unit_res, out, float(star.max(initial=0.0))
+
+
+def residual_bound(m) -> float:
+    """A proved bound on every residual of every row of a morphism m out of
+    S(f) over a finite ring, from its rows of S = f.group.generators
+    (Morphism._generator_rows); NaN, before reading them, for f not held as
+    1 x 1 forms (cocycle._arrays), a corner target (p), or a twisted model
+    (inner, f) whose table is not 1 x 1 forms with f(s,e) = f(e,s) = 1.
+
+    Proof, per summand of side N.  Y_t, D_t = D(Y_t): readouts and dense
+    forms of image_t; x^: x in E on each group of b rows; nu, nu2: largest
+    |entry| and column 2-norm of a readout; |.|: 2-norm.  nu <= nu2 <=
+    sqrt(N) nu, nu2(A Y) <= |A| nu2(Y), |D(Y)| <= K nu(Y) with K = N c, c >=
+    the table's |values| (1 without one), D(D_x Y) = D_x D(Y) + A with |A|
+    <= alpha nu(x) nu(Y), alpha = N^2 times the table's cocycle residual,
+    D(x^ Y) = x^ D(Y), D(one) = 1, D(Y) R(1) = Y.  Row r's residuals are
+    P_r(t) = D_r Y_t - f(r,t)^ Y_rt and C_r(b) = [D_r, b^] R(1), |b^| = 1.
+    A value c 1 of f is c times at most B = b basis values: it commutes
+    with each b^, |[D_g, f(s,t)^]| <= phi B G with phi >= |f(s,t)| and G =
+    K q + 2 alpha M >= |[D_g, b^]| (= |D(C_g(b))| up to two A), p, q the
+    product and commutation residuals on S, M >= nu(Y_t), M2 >= nu2(Y_t).
+    D_e = 1 + D(Y_e - one) bounds row e by (K u + z) M2 and 2 K u, u the
+    unit residual, z >= |1 - f(e,t)|.  For r = g r', g in S, r' of word
+    length k - 1 >= 1 and a = f(g,r'), row g at r' gives Y_r = a^-1^ (D_g
+    Y_r' - P_g(r')), so D_r = a^-1^ (D_g D_r' + A - D(P_g(r'))); with rows
+    g at r't, r' at t and W = f(g,r') f(r,t) - f(g,r't) f(r',t) on g's row,
+        P_r(t) = a^-1^ (D_g P_r'(t) - W^ Y_rt + f(r',t)^ P_g(r't)
+                 + [D_g, f(r',t)^] Y_r't + A Y_t - D(P_g(r')) Y_t),
+        [D_r, b^] = a^-1^ (D_g [D_r', b^] + [D_g, b^] D_r' + [A, b^]
+                    - [D(P_g(r')), b^]).
+    With lam >= |f(s,t)^-1|, m >= |D_g| (by row and column sums), w >= |W|,
+    mu = max(1, lam m), |D_r'| <= d = mu^(L-2) (m + (L-2) lam (alpha M^2 +
+    K p)) and x_1 = max(sqrt(N) p, G), nu2(P_r(t)) and |[D_r, b^]| are at
+    most mu x_(k-1) + beta at length k, so mu^(L-1) (x_1 + (L-1) beta) for
+    L = f.group.depth, where
+        beta = lam max(M2 (w + phi B G + K p + alpha M^2) + phi sqrt(N) p,
+                       G d + 2 alpha M^2 + 2 K p).
+    Rounding, e = cocycle._EPS: row s's computed residuals sum at most N +
+    1 products of stored numbers, each rounded at most twice, so are within
+    (N + 3) e (R_s + phi) M' of their values, R_s the largest row sum of
+    |D_s|, M' = max(M, 1); p, q take it on over S, the bound over all rows
+    with R_s <= sqrt(N) max(d, 1 + K u); cocycle residuals take 2 e phi^2;
+    inputs gain 2^-40, the bound 2^-30, for relative rounding."""
+    from .cocycle import _EPS as e
+    f, up = m.source, np.float64(1 + 2.0 ** -40)
+    forms, stats, gens = f._arrays[0], [], f.group.generators
+    for mod, y in m._summands:
+        a = np.abs(mod.dense(y[gens]))      # rows of S's dense forms
+        while hasattr(mod, "inner"):
+            mod = mod.inner
+        t = getattr(mod, "f", None)
+        tf = np.ones((1, 1, 1, 1)) if t is None else t._arrays[0]
+        if (hasattr(mod, "p") or forms.shape[-1] != 1 or tf.shape[-1] != 1
+                or not ((tf[0] == 1).all() and (tf[:, 0] == 1).all())):
+            return np.nan
+        tw, tc = (0.0, 1.0) if t is None else _defect(t, range(len(tf)))
+        stats.append((len(y[0]), tc, _row_max(y[None])[0],
+                      np.sqrt((abs(y) ** 2).sum(1)).max(),
+                      len(y[0]) ** 2 * (tw + 2 * e * tc ** 2),
+                      a.sum(-1).max(), a.sum(-2).max()))
+    big_n, c, mag, mag2, alpha, rs, cs = np.max(stats, axis=0) * up
+    w, phi = _defect(f, gens)
+    unit, res, star = m._generator_rows
+    p, q = res[:, :2].max(0)
+    with np.errstate(all="ignore"):   # overflow makes inf, a 0 value too
+        lam, phi, rn = up / np.abs(forms).min(), phi * up, big_n ** 0.5
+        big_m, k, L = max(mag, 1.0), big_n * c, f.group.depth
+        tau = (big_n + 3) * e * (rs + phi) * big_m
+        p, q, norm = (p + tau) * up, (q + tau) * up, np.sqrt(rs * cs)
+        w, u = (w + 2 * e * phi ** 2) * up, unit * k * up
+        z = np.abs(1 - forms[f.group.identity]).max() * up
+        mu, g = max(1.0, lam * norm), k * q + 2 * alpha * mag
+        d = mu ** (L - 2) * (norm + (L - 2) * lam * (alpha * mag ** 2 + k * p))
+        beta = lam * max(mag2 * (w + phi * dense_size(f.descriptor) * g + k * p
+                                 + alpha * mag ** 2) + phi * rn * p,
+                         g * d + 2 * alpha * mag ** 2 + 2 * k * p)
+        chain = mu ** (L - 1) * (max(rn * p, g) + (L - 1) * beta)
+        tau = (big_n + 3) * e * (rn * max(d, 1 + u) + phi) * big_m
+        bound = np.max([(u + z) * mag2, 2 * u, chain]) + tau
+        return float(np.max([bound * (1 + 2.0 ** -30), unit, star]))
+
+
+def _defect(f, rows):
+    """(largest cocycle residual on rows, largest |value|) of 1 x 1 forms."""
+    from .cocycle import _row_residuals
+    res = _row_residuals(f.group, *f._arrays, np.array(rows, int),
+                         BLOCK_ENTRIES)
+    return float(np.max(res, initial=0.0)), float(np.abs(f._arrays[0]).max())

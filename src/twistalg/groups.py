@@ -27,6 +27,7 @@ def row_blocks(n: int, row_size: int = None, budget: int = None):
 
 class GroupTable:
     _gens = None        # a generating set, if known from construction
+    _depth = None
 
     def __init__(self, mul, labels=None):
         """The group with multiplication table mul, proved a group by
@@ -36,14 +37,14 @@ class GroupTable:
         self.check()
 
     @classmethod
-    def _by_construction(cls, mul, inv, labels, gens) -> "GroupTable":
+    def _by_construction(cls, mul, inv, labels, gens, depth=None):
         """A group built by a rule that makes it one (cyclic, subsets,
-        direct products), with its inverse table and a generating set:
+        direct products), with its inverse table, generators and depth:
         check()'s O(n^3) associativity proof is skipped."""
         g = cls.__new__(cls)
         g._fill(mul, labels)
         g.inv = inv
-        g._gens = gens
+        g._gens, g._depth = gens, depth
         return g
 
     def _fill(self, mul, labels):
@@ -92,25 +93,33 @@ class GroupTable:
         generators, else a greedy set (each element in index order that the
         earlier ones do not generate), found once."""
         if self._gens is None:
-            gens, reached = [], self._generated([])
+            gens, reached = [], self._generated([])[0]
             for t in range(self.order):
                 if not reached[t]:
                     gens.append(t)
-                    reached = self._generated(gens)
+                    reached = self._generated(gens)[0]
             self._gens = gens
         return self._gens
 
-    def _generated(self, gens) -> np.ndarray:
-        """Mask of the products of gens (the identity is the empty one),
-        grown breadth first."""
+    @property
+    def depth(self) -> int:
+        """The longest shortest word over the generators (n - 1 on Z/n, k
+        on the subsets of k labels), found once."""
+        if self._depth is None:
+            self._depth = self._generated(self.generators)[1]
+        return self._depth
+
+    def _generated(self, gens):
+        """(mask of the products of gens, the identity the empty one, and
+        their largest word length), grown breadth first."""
         reached = np.zeros(self.order, dtype=bool)
         reached[self.identity] = True
-        frontier = np.array([self.identity])
+        frontier, depth = np.array([self.identity]), -1
         while len(frontier):
-            before = reached.copy()
+            before, depth = reached.copy(), depth + 1
             reached[self.mul[frontier][:, gens]] = True
             frontier = np.flatnonzero(reached & ~before)
-        return reached
+        return reached, depth
 
     def op(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -138,7 +147,7 @@ def make_cyclic(n: int) -> GroupTable:
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     gens = [1] if n > 1 else []
-    return GroupTable._by_construction(mul, -idx % n, None, gens)
+    return GroupTable._by_construction(mul, -idx % n, None, gens, n - 1)
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
@@ -153,7 +162,8 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     inv = (g.inv[:, None] * nh + h.inv[None, :]).reshape(-1)
     labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
     gens = [a * nh for a in g.generators] + list(h.generators)
-    out = GroupTable._by_construction(mul, inv, labels, gens)
+    out = GroupTable._by_construction(mul, inv, labels, gens,
+                                      g.depth + h.depth)
     out.factor_orders = (ng, nh)
     return out
 
@@ -178,7 +188,7 @@ class SubsetGroup(GroupTable):
         mul = idx[:, None] ^ idx[None, :]
         self._fill(mul, [self._mask_label(m) for m in range(2 ** n)])
         self.inv = idx                  # every subset is its own inverse
-        self._gens = [1 << i for i in range(n)]
+        self._gens, self._depth = [1 << i for i in range(n)], n
 
     def _mask_label(self, mask: int) -> str:
         items = [str(self.base_set[i]) for i in range(len(self.base_set))

@@ -11,8 +11,8 @@ basis b of E as a multiplicativity residual.  Over finite rings it
 checks on the readouts and dense forms, and certifies bijectivity by the
 real rank of the multiples b image_t against the target's real dimension
 (for a corner, the real rank of p S(f) p).  Over Laurent rings every step
-runs one model operation at a time.  clifford.universal_map refuses
-through the same check, on the generators' rows (row_residuals).  The
+runs one model operation at a time.  clifford.universal_map refuses on
+the generators' rows, which the morphism keeps for the verifier.  The
 torus rewrites (z2n_torus_rewrite) substitute z -> z^2, so they are not
 E-linear and have their own report, on coefficient and integer exponent
 arrays.
@@ -478,10 +478,14 @@ class MorphismReport:
     target_dim: object       # int or None (infinite-dimensional target)
     injective: object        # bool or None
     surjective: object       # bool or None
+    rows: str = "all"        # "generators": mult_residual is over S only,
+    residual_bound: object = None   # and this bounds every row's residuals
 
     def ok(self, tol: float = DEFAULT_TOL) -> bool:
         return (self.unit_residual <= tol and self.mult_residual <= tol
-                and self.star_residual <= tol)
+                and self.star_residual <= tol
+                and (self.residual_bound is None
+                     or self.residual_bound <= tol))
 
     def bijective(self, tol: float = DEFAULT_TOL) -> bool:
         return (self.ok(tol) and self.injective is True
@@ -522,6 +526,16 @@ class Morphism:
             return [(mod, _frozen(mod.readout(images)))
                     for mod, images in _split(self.target, self._images)]
 
+    @cached_property
+    def _generator_rows(self):
+        """dense.dense_residuals on the source group's generators' rows
+        (over Laurent rings the object loop's, star None), taken once."""
+        gens = self.source.group.generators
+        if self._summands is None:
+            return _object_rows(self, gens) + (None,)
+        from .dense import dense_residuals
+        return dense_residuals(self.source, self._summands, gens)
+
     def apply(self, x: AlgebraElement):
         acc = self.target.zero()
         for t, c in enumerate(x.coeffs):
@@ -537,38 +551,39 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
     -1 for others, whose residuals refuse the map).  mult_residual covers
     the pairs (V_s, V_t) and (V_s, b V_1) over a real basis b of E: S(f)
     acts on E (x) l^2(T) with E on the coefficients, so every V_s commutes
-    with E, and a map whose images do not is no *-homomorphism."""
+    with E, and a map whose images do not is no *-homomorphism.  Where
+    dense.residual_bound proves a bijective map's residuals within tol from
+    the rows of the generators S, only they are multiplied (rows
+    "generators"); else, and where S + {e} is over half the rows, all."""
     if m._summands is None:
         return MorphismReport(*object_residuals(m), -1, -1, None, None, None)
-    from .dense import _act, dense_array, dense_residuals   # on first use
-    unit_res, res = dense_residuals(m.source, m._summands)
+    from .dense import (VERIFY_ENTRIES, _act, dense_array, dense_residuals,
+                        residual_bound)
+    f, g = m.source, m.source.group
     # the rows b image_t over a real basis b of E, summand by summand
-    basis = dense_array(m.source.descriptor, real_basis(m.source.descriptor))
+    basis = dense_array(f.descriptor, real_basis(f.descriptor))
     rows = np.hstack([flat_rows(_act(basis, y[:, None]).reshape(
         (-1,) + y.shape[1:])) for _, y in m._summands])
-    source_dim = m.source.group.order * len(basis)
+    source_dim = g.order * len(basis)
     target_dim = m.target.total_real_dim()
-    residuals = unit_res, float(res[:, :2].max()), float(res[:, 2].max())
-    if not np.isfinite(rows).all():
-        return MorphismReport(*residuals, source_dim, -1, target_dim, None,
-                              None)
-    rank = int(np.linalg.matrix_rank(rows))
-    return MorphismReport(*residuals, source_dim, rank, target_dim,
-                          rank == source_dim,
-                          None if target_dim is None else rank == target_dim)
-
-
-def row_residuals(m: Morphism, rows):
-    """(unit residual, res), res[i] the residuals (product, commutation,
-    star) of image_s, s = rows[i]: the largest |image_s image_t - f(s,t)
-    image_{st}| over t, the largest |image_s (b 1) - b image_s| over a real
-    basis b of E, and |image_s^* - tilde f(s) image_{s^-1}|.  On dense forms
-    over finite rings; one model operation at a time over Laurent rings,
-    which are commutative and act centrally, with no commutation term."""
-    if m._summands is None:
-        return _object_rows(m, rows)
-    from .dense import dense_residuals
-    return dense_residuals(m.source, m._summands, rows)
+    rank = (int(np.linalg.matrix_rank(rows)) if np.isfinite(rows).all()
+            else -1)
+    # a full check in one block takes as many array operations as S's rows
+    entries = max(len(y) * (y[0].size * (len(y) + len(basis)) + len(y[0])
+                            ** 2) for _, y in m._summands)
+    bound = (residual_bound(m) if rank == source_dim == target_dim
+             and 2 + 2 * len(g.generators) <= g.order
+             and entries > VERIFY_ENTRIES else np.nan)
+    if bound <= tol:
+        checked, (unit_res, res, star) = "generators", m._generator_rows
+    else:
+        checked, bound = "all", None
+        unit_res, res, star = dense_residuals(f, m._summands)
+    return MorphismReport(
+        unit_res, float(res[:, :2].max()), star, source_dim, rank,
+        target_dim, None if rank < 0 else rank == source_dim,
+        None if rank < 0 or target_dim is None else rank == target_dim,
+        checked, bound)
 
 
 def object_residuals(m: Morphism):

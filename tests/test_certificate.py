@@ -204,6 +204,24 @@ def test_drift_across_the_threshold(decisions):
     assert decisions == [True] * 4 + [False] * 5
 
 
+def test_the_proof_inducts_over_the_depth(decisions):
+    """Every element of Z/4 x Z/8 is a word of at most 10 of its generators,
+    not 31: a drift whose generator rows times 3 (n - 1) exceed tol, but
+    times 3 depth do not, is proved, and the report equals the full
+    check's."""
+    g = GROUPS["Z/4xZ/8"]
+    n, f = g.order, drifted(g, 4e-12)
+    rows = np.array([0] + g.generators)
+    gen_top = cocycle._residual(*cocycle._cocycle_sides(
+        g.mul, f._scalars[..., None, None], f._scalars[..., None, None],
+        np.zeros((n, n, 0), dtype=np.int64), rows)).max()
+    assert g.depth == 10
+    assert 3 * g.depth * gen_top < 0.5e-9 < 1e-9 < 3 * (n - 1) * gen_top
+    rep = validate(f, 1e-9)
+    assert rep.ok and same(rep, exhaustive(f, 1e-9))
+    assert decisions == [True]
+
+
 def test_exponents_must_match_on_the_generator_rows(decisions):
     """A Laurent table whose generator rows agree in every coefficient and
     differ in one exponent is refused (the residual there is a whole

@@ -171,3 +171,34 @@ def test_constructed_groups_skip_the_check(monkeypatch):
     assert calls == []
     GroupTable(make_cyclic(3).mul)
     assert len(calls) == 1
+
+
+def word_lengths(g):
+    """The shortest positive word over g.generators of every element, by a
+    breadth-first search one element at a time."""
+    lengths, frontier = {g.identity: 0}, [g.identity]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for s in g.generators:
+                t = g.op(r, s)
+                if t not in lengths:
+                    lengths[t] = lengths[r] + 1
+                    nxt.append(t)
+        frontier = nxt
+    return [lengths[t] for t in range(g.order)]
+
+
+@pytest.mark.parametrize("g,depth", [
+    (make_cyclic(1), 0),
+    (make_cyclic(9), 8),                          # n - 1 on Z/n
+    (GroupTable(make_cyclic(9).mul), 8),          # greedy generators
+    (make_subset_group(["a", "b", "c", "d", "e"]), 5),   # k on 2^k
+    (direct_product(make_cyclic(3), make_cyclic(4)), 5),
+    (direct_product(make_subset_group([1, 2]), make_cyclic(5)), 6),
+])
+def test_depth_is_the_longest_shortest_word(g, depth):
+    """GroupTable.depth, the word length cocycle._certified and
+    dense.residual_bound induct over, is the largest shortest word over the
+    generators, whether known by construction or found breadth first."""
+    assert g.depth == depth == max(word_lengths(g))
