@@ -134,7 +134,7 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             yu = y.coeffs[u]
             if yu.is_zero(0.0):
                 continue
-            out[t] = out[t] + f.values[s][u] * xs * yu
+            out[t] = out[t] + f.value(s, u) * xs * yu
     return AlgebraElement(f, out)
 
 

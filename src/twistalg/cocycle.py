@@ -49,22 +49,36 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class SchurFunction:
     """A table of values f(s, t), in the form its producer gave for good:
-    n rows of n RingValues, or its centre (twistalg.centre), the scalars c
+    n rows of n RingValues; or its centre (twistalg.centre), the scalars c
     of f(s, t) = c 1 on each of the F centre factors of E as an (n, n, F)
     array ((n, n) over C and R; parsed C and R tables, and H, M_k and
-    product tables of exact finite c 1).  values is a read-only tuple of
-    rows, built from a centre on first use; the array forms readers share
-    (_dense, _arrays) are derived once and kept, read-only."""
+    product tables of exact finite c 1); or over a Laurent ring in m
+    variables its monomials c z^e (no |c| <= _COEFF_EPS) as arrays c (n, n)
+    complex and e (n, n, m) int64 (make_f_alpha's).  values is a read-only
+    tuple of rows, built from an array form on first use; the array forms
+    readers share (_dense, _arrays) are derived once and kept, read-only."""
 
     def __init__(self, group: GroupTable, descriptor: RingDescriptor, values):
         self.group = group
         self.descriptor = descriptor
-        self._centre = self._values = None
+        self._centre = self._monomials = self._values = None
         if isinstance(values, np.ndarray):
             from .centre import checked
             self._centre = _frozen(checked(group.order, descriptor, values))
             return
-        if len(values) != group.order or any(len(r) != group.order for r in values):
+        n, d = group.order, descriptor
+        if (isinstance(values, tuple) and len(values) == 2
+                and isinstance(values[0], np.ndarray)):
+            coef, exps = values
+            if coef.shape != (n, n) or exps.shape[:2] != (n, n):
+                raise ValueError("value table shape mismatch")
+            if (d.kind != "laurent" or exps.shape[2:] != (d.m,)
+                    or coef.dtype != complex or exps.dtype != np.int64
+                    or (np.abs(coef) <= _COEFF_EPS).any()):
+                raise ValueError("value descriptor mismatch")
+            self._monomials = _frozen(coef), _frozen(exps)
+            return
+        if len(values) != n or any(len(r) != n for r in values):
             raise ValueError("value table shape mismatch")
         for row in values:
             for v in row:
@@ -76,9 +90,17 @@ class SchurFunction:
     @property
     def values(self) -> tuple:
         if self._values is None:
-            from .centre import values
-            self._values = values(self.descriptor, self._centre)
+            self._values = self._rows(np.s_[:, :])
         return self._values
+
+    def _rows(self, at) -> tuple:
+        """The rows of RingValues at index at of a table's array form."""
+        if self._monomials is None:
+            from .centre import values
+            return values(self.descriptor, self._centre[at])
+        coef, exps = (a[at].tolist() for a in self._monomials)
+        return tuple(tuple(RingValue(self.descriptor, {tuple(e): c})
+                           for e, c in zip(*r)) for r in zip(exps, coef))
 
     @property
     def _scalars(self):
@@ -105,8 +127,7 @@ class SchurFunction:
     def value(self, s: int, t: int) -> RingValue:
         if self._values is not None:
             return self._values[s][t]
-        from .centre import values
-        return values(self.descriptor, self._centre[s:s + 1, t:t + 1])[0][0]
+        return self._rows(np.s_[s:s + 1, t:t + 1])[0][0]
 
     def tilde(self, t: int) -> RingValue:
         """f(t, t^{-1})^*."""
@@ -146,9 +167,13 @@ def _array_table(f: SchurFunction):
     forms standing in for b x b forms, exact (each complex product as four
     real ones, as b x b forms multiply) where b > 1; dense.value_blocks
     (n, n, b, b) over other finite tables; coefficients c (n, n, 1, 1) and
-    exponents e of Laurent tables of monomials c z^e; else None."""
+    exponents e of Laurent tables of monomials c z^e, as held or read off
+    their values; else None."""
     n, d = f.group.order, f.descriptor
     no_exps = np.zeros((n, n, 0), dtype=np.int64)
+    if f._monomials is not None:
+        coef, exps = f._monomials
+        return coef[..., None, None], exps, slice(None), False
     if f._centre is not None:
         from .dense import dense_size
         return f._centre[..., None], no_exps, slice(None), dense_size(d) > 1
@@ -493,10 +518,11 @@ def make_f_alpha(n: int, alphas, descriptor: RingDescriptor = None,
             raise ValueError("descriptor required for n=1")
         descriptor = alphas[0].descriptor
     unit = RingValue.unit(descriptor)
+    unitary = _unitary_monomials(descriptor, alphas, tol)
     for i, a in enumerate(alphas):
         if a.descriptor != descriptor:
             raise ValueError("parameter descriptor mismatch")
-        if not a.is_unitary(tol):
+        if not (a.is_unitary(tol) if unitary is None else unitary[i]):
             raise ValueError(f"alpha_{i + 1} is not unitary")
         if not a.is_central(tol):
             raise ValueError(f"alpha_{i + 1} is not central")
@@ -511,8 +537,7 @@ def make_f_alpha(n: int, alphas, descriptor: RingDescriptor = None,
         vals = _scalar_f_alpha(np.array(
             [a.payload for a in ext],
             dtype=float if descriptor.is_real else complex))
-    elif (descriptor.kind == "laurent"
-          and all(len(a.payload) == 1 for a in ext)):
+    elif unitary is not None:
         vals = _monomial_f_alpha(descriptor, ext)
     if vals is None:
         stars = [a.star() for a in ext]
@@ -558,10 +583,26 @@ def _scalar_f_alpha(ext: np.ndarray, laurent: bool = False):
     return _complex(re, im)
 
 
-def _monomial_f_alpha(d: RingDescriptor, ext) -> list:
+def _unitary_monomials(d: RingDescriptor, alphas, tol: float):
+    """RingValue.is_unitary, bit for bit, of parameters c z^e of Laurent
+    ring d (make_f_alpha refuses one of another ring first), else None:
+    c c^* and c^* c, four real products summed from 0j, are a a + b b for
+    c = a + b i, imaginary part 0 (NaN where a a + b b is inf or NaN); a
+    product or a difference from 1 of modulus <= _COEFF_EPS is dropped."""
+    if d.kind != "laurent" or not all(
+            type(a.payload) is dict and len(a.payload) == 1 for a in alphas):
+        return None
+    c = np.array([v for a in alphas for v in a.payload.values()], complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = c.real * c.real + c.imag * c.imag
+        res = np.where(p <= _COEFF_EPS, 1.0, np.abs(p - 1.0))
+    return np.where(res <= _COEFF_EPS, 0.0, res) <= tol
+
+
+def _monomial_f_alpha(d: RingDescriptor, ext):
     """make_f_alpha's table over a Laurent ring from monomials ext = (1,
-    alpha_1, ..., alpha_{n-1}), bit for bit: coefficients by
-    _scalar_f_alpha, exponents as sums along each row; None where the
+    alpha_1, ..., alpha_{n-1}), bit for bit, as (coefficients, exponents):
+    those by _scalar_f_alpha, these as sums along each row; None where the
     object loop drops a term."""
     exps, coef = zip(*(next(iter(a.payload.items())) for a in ext))
     coef = _scalar_f_alpha(np.array(coef, dtype=complex), laurent=True)
@@ -571,8 +612,7 @@ def _monomial_f_alpha(d: RingDescriptor, ext) -> list:
     step = exps[(np.arange(n)[:, None] + np.arange(n - 1)) % n]
     out = np.zeros((n, n, d.m), dtype=np.int64)
     np.cumsum(step - exps[:-1], axis=1, out=out[:, 1:])
-    return [[RingValue(d, {tuple(e): c}) for e, c in zip(er, cr)]
-            for er, cr in zip(out.tolist(), coef.tolist())]
+    return coef, out
 
 
 # Klein four-group element indices under direct_product(Z/2, Z/2),

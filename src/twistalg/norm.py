@@ -109,7 +109,7 @@ def _cyclic_norm(f, coeffs, grid: int):
     from numpy.fft import fft          # its first use adds about 0.5 MB RSS
     if d.kind == "laurent":
         from .dense import BLOCK_ENTRIES
-        a_at = torus_sampler(d, [f.values[s][gen] for s in e[1:]], grid)
+        a_at = torus_sampler(d, [f.value(s, gen) for s in e[1:]], grid)
         x_at = torus_sampler(d, [coeffs[s] for s in e], grid)
         samples = ((a_at(k), x_at(k))
                    for k in row_blocks(grid ** d.m, n, BLOCK_ENTRIES))

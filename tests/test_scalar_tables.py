@@ -236,14 +236,19 @@ def test_laurent_f_alpha_is_bit_identical_to_the_object_loop(n, m, coeffs,
           else [units[k] for k in rng.integers(len(units), size=n - 1)])
     alphas = [RingValue.monomial(d, c, rng.integers(-2, 3, size=m))
               for c in cs]
-    products = []
-    mul = RingValue.__mul__
+    products, made = [], []
+    mul, init = RingValue.__mul__, RingValue.__init__
     monkeypatch.setattr(RingValue, "__mul__",
                         lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setattr(RingValue, "__init__",
+                        lambda v, *args: made.append(1) or init(v, *args))
     f = make_f_alpha(n, alphas, d)
     monkeypatch.undo()
-    # two per parameter, for is_unitary: none per table entry
-    assert len(products) == 2 * (n - 1)
+    # unitarity and the table on arrays: no product, and no RingValue per
+    # table entry, whatever n: the unit, and for validate's unit check
+    # f(e, e), 1 and f(e, e) + (-1)
+    assert len(products) == 0
+    assert len(made) == 5 and f._values is None
     want = reference_f_alpha(n, alphas, d)
     # repr tells the sign of a zero and the type of an exponent apart
     assert [[repr(v.payload) for v in row] for row in f.values] == \
