@@ -350,16 +350,16 @@ def split_odd(spec: CliffordSpec, tol: float = DEFAULT_TOL):
     cols, e, g2 = readout_columns(d), f.group.identity, f2.group
     j = g2.mul[g2.inv]                                  # j[t, i] = t^-1 i
     table = cocycle_blocks(f2)[0][np.arange(n2)[:, None], j]
-    stacks = []
-    for sgn in (1, -1):
-        # (R(V_t) theta_e)_i = f(t, j) theta_je; theta* of it adds the
-        # two terms of each row a in ascending order, as conjugate does
-        col = np.zeros((n2,) + forms.shape[1:], dtype=forms.dtype)
-        col[e], col[row2[e]] = forms[0], sgn * forms[1 + e]
-        r_theta = _matmul(table, col[j][..., cols])
-        stacks.append((_matmul(adj[0], r_theta[:, :n1]) + _matmul(
-            sgn * adj[1:], r_theta[:, row2])).reshape(n2, -1, len(cols)))
-    return p_plus, p_minus, pair, Morphism(f2, target, stacks=stacks)
+    # for the signs +-: (R(V_t) theta_e)_i = f(t, j) theta_je; theta* of
+    # it adds the two terms of each row a in ascending order, as conjugate
+    sgn = np.array([1, -1])[:, None, None, None, None]
+    col = np.zeros((2, n2) + forms.shape[1:], dtype=forms.dtype)
+    col[:, e], col[:, row2[e]] = forms[0], sgn[:, 0, 0] * forms[1 + e]
+    r_theta = _matmul(table, col[:, j][..., cols])
+    stack = _matmul(adj[0], r_theta[:, :, :n1]) + _matmul(
+        sgn * adj[1:], r_theta[:, :, row2])
+    return p_plus, p_minus, pair, Morphism(f2, target, stacks=[
+        stack.reshape(2, n2, -1, len(cols))])
 
 
 # -- up to two extra generators: corner embedding --------------------------

@@ -570,15 +570,17 @@ def _scalar_f_alpha(ext: np.ndarray, laurent: bool = False):
             out[:, q] = out[:, q - 1] * step[:, q - 1] * star[q - 1]
         return out
     re, im = np.ones((n, n)), np.zeros((n, n))
+    half = []                     # Laurent: every half-step, tested once
     for q in range(1, n):
         x, y = re[:, q - 1], im[:, q - 1]
         for a in (step[:, q - 1], star[q - 1]):
             x, y = x * a.real - y * a.imag, x * a.imag + y * a.real
             if laurent:
                 x, y = x + 0.0, y + 0.0
-                if not (np.hypot(x, y) > _COEFF_EPS).all():
-                    return None
+                half += [x, y]
         re[:, q], im[:, q] = x, y
+    if laurent and not (np.hypot(half[::2], half[1::2]) > _COEFF_EPS).all():
+        return None
     from .dense import _complex
     return _complex(re, im)
 

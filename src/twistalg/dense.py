@@ -18,8 +18,8 @@ also picked so that the columns that hold an element (its readout) carry
 exactly the coordinates the model's diff compares.  A cocycle value acts
 on a readout by its own b x b dense form (value_blocks), on each group of
 b rows, so dense_residuals reproduces the residuals of the object loop
-(isolab.object_residuals) for every table, central or not.  It checks a
-map into a direct sum one summand at a time.
+(isolab.object_residuals) for every table, central or not.  It checks the
+K copies of a summand of a direct sum in one batched pass.
 """
 from __future__ import annotations
 
@@ -238,43 +238,53 @@ def dense_residuals(f, summands, rows=None):
     image_t - f(s,t) image_st|, |image_s (b 1) - b image_s| over a real
     basis b of E and |image_s^* - tilde f(s) image_s^-1|, s = rows[i]
     (default: all); star, every row's star residual.  summands holds a
-    (model, readouts) pair per summand of the target
-    (Morphism._summands): a map into a direct sum is a unital
-    *-homomorphism exactly when each component is, so each residual is the
-    maximum over them.  On each, image_s is multiplied, a block of rows s
-    at a time, by the readouts of every image_t and of every b 1."""
+    (model, readouts (K, n, size, cols)) pair per run of K copies of a
+    summand of the target (Morphism._summands): a map into a direct sum is
+    a unital *-homomorphism exactly when each component is, so each
+    residual is the maximum over them.  On each run, image_s is multiplied,
+    a block of rows s at a time, K copies at once, by the readouts of
+    every image_t and of every b 1."""
     rows = np.arange(f.group.order) if rows is None else np.array(rows, int)
     blocks, tilde = cocycle_blocks(f)
     basis = dense_array(f.descriptor, real_basis(f.descriptor))
     unit, res, star = zip(*(_summand_residuals(f.group, blocks, tilde, basis,
                                                rows, *summand)
                             for summand in summands))
-    return max(unit), np.maximum.reduce(res), float(np.maximum.reduce(star))
+    return float(np.max(unit)), np.maximum.reduce(res), float(np.max(star))
+
+
+def _flat(fn, y):
+    """fn, a model's map of (N, size, cols) stacks, on y (..., size, cols)."""
+    out = fn(y.reshape((-1,) + y.shape[-2:]))
+    return out.reshape(y.shape[:-2] + out.shape[-2:])
 
 
 def _summand_residuals(g, blocks, tilde, basis, rows, tgt, y):
     n, nb = g.order, len(basis)
-    size, cols = y.shape[1:]                            # y: (n, size, cols)
+    k, _, size, cols = y.shape                      # y: (K, n, size, cols)
     one = tgt.readout([tgt.unit()])[0]
-    unit_res = float(_row_max(y[[g.identity]] - one)[0])
-    star = _row_max(tgt.star_readout(y) - _act(tilde, y[g.inv]))
-    # the readouts of every image and of every b 1: (size, (n + nb) cols)
-    right = np.concatenate([y, _act(basis, one)]).transpose(1, 0, 2).reshape(
-        size, (n + nb) * cols)
+    unit_res = float(_row_max(y[:, g.identity] - one).max())
+    star = _row_max((_flat(tgt.star_readout, y)
+                     - _act(tilde, y[:, g.inv])).swapaxes(0, 1))
+    # the readouts of every image and of every b 1: (K, size, (n + nb) cols)
+    right = np.concatenate([y, np.broadcast_to(_act(basis, one), (
+        k, nb, size, cols))], 1).transpose(0, 2, 1, 3).reshape(
+            k, 1, size, (n + nb) * cols)
     out = np.empty((len(rows), 3))          # product, commutation, star
     out[:, 2] = star[rows]
-    for blk in row_blocks(len(rows), (n + nb) * size * cols + size * size,
-                          VERIFY_ENTRIES):
+    for blk in row_blocks(len(rows), k * ((n + nb) * size * cols
+                                          + size * size), VERIFY_ENTRIES):
         s = rows[blk]
-        lhs = _matmul(tgt.dense(y[s]), right).reshape(-1, size, n + nb, cols)
-        lhs[:, :, n:] -= _act(basis, y[s][:, None]).transpose(0, 2, 1, 3)
-        out[blk, 1] = _row_max(lhs[:, :, n:])
+        lhs = _matmul(_flat(tgt.dense, y[:, s]), right).reshape(
+            k, -1, size, n + nb, cols)
+        lhs[..., n:, :] -= _act(basis, y[:, s, None]).transpose(0, 1, 3, 2, 4)
+        out[blk, 1] = _row_max(lhs[..., n:, :].swapaxes(0, 1))
         # image_s image_t - f(s,t) image_st in the order of u = st: with y
-        # read in place, two arrays of (rows, n, size, cols) at a time
+        # read in place, two arrays of (rows, n, K, size, cols) at a time
         t = g.mul[g.inv[s]]
-        prod = lhs[np.arange(len(s))[:, None], :, t]
+        prod = lhs[:, np.arange(len(s))[:, None], :, t]
         del lhs
-        prod -= _act(blocks[s[:, None], t], y)
+        prod -= _act(blocks[s[:, None], t, None], y.swapaxes(0, 1))
         out[blk, 0] = _row_max(prod)
         del prod
     return unit_res, out, float(star.max(initial=0.0))
@@ -325,7 +335,7 @@ def residual_bound(m) -> float:
     f, up = m.source, np.float64(1 + 2.0 ** -40)
     forms, stats, gens = f._arrays[0], [], f.group.generators
     for mod, y in m._summands:
-        a = np.abs(mod.dense(y[gens]))      # rows of S's dense forms
+        a = np.abs(_flat(mod.dense, y[:, gens]))    # rows of S's dense forms
         while hasattr(mod, "inner"):
             mod = mod.inner
         t = getattr(mod, "f", None)
@@ -334,9 +344,9 @@ def residual_bound(m) -> float:
                 or not ((tf[0] == 1).all() and (tf[:, 0] == 1).all())):
             return np.nan
         tw, tc = (0.0, 1.0) if t is None else _defect(t, range(len(tf)))
-        stats.append((len(y[0]), tc, _row_max(y[None])[0],
-                      np.sqrt((abs(y) ** 2).sum(1)).max(),
-                      len(y[0]) ** 2 * (tw + 2 * e * tc ** 2),
+        stats.append((y.shape[2], tc, _row_max(y[None])[0],
+                      np.sqrt((abs(y) ** 2).sum(2)).max(),
+                      y.shape[2] ** 2 * (tw + 2 * e * tc ** 2),
                       a.sum(-1).max(), a.sum(-2).max()))
     big_n, c, mag, mag2, alpha, rs, cs = np.max(stats, axis=0) * up
     w, phi = _defect(f, gens)

@@ -4,10 +4,10 @@ A model is an algebra we can compute in: a twisted algebra, a corner
 p S(f) p of one, a coefficient ring, k x k matrices over a model, a
 complexification, a quaternion tensor, or a finite direct sum.  A morphism
 from S(f) has one image per group element and acts E-linearly; over finite
-coefficient rings it holds them as readouts, one stack per summand.  The
-verifier measures unit, multiplicativity and star residuals, and, since
-every V_s commutes with E, counts |image_s (b 1) - b image_s| over a real
-basis b of E as a multiplicativity residual.  Over finite rings it
+coefficient rings it holds them as readouts, a stack per run of copies of a
+summand.  The verifier measures unit, multiplicativity and star residuals,
+and, since every V_s commutes with E, counts |image_s (b 1) - b image_s|
+over a real basis b of E as a multiplicativity residual.  Over finite rings it
 checks on the readouts and dense forms, and certifies bijectivity by the
 real rank of the multiples b image_t against the target's real dimension
 (for a corner, the real rank of p S(f) p).  Over Laurent rings every step
@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -49,8 +50,8 @@ class AlgebraModel:
     the stars' readouts.  Row i belongs to row i % b of the coefficient
     ring's dense form (b = dense.dense_size), and a ring value x acts on
     each group of b rows of a readout by its form, as in scale_left.  A
-    DirectSumModel has no dense form; a morphism into it holds one readout
-    stack per summand.  Laurent rings have only the object operations.
+    DirectSumModel has no dense form; a morphism into it holds a readout
+    stack per run of copies of a summand.  Laurent rings have only objects.
     """
 
     base: RingDescriptor
@@ -326,17 +327,19 @@ def _refuse_sum(inner: AlgebraModel):
 
 
 def _split(target: AlgebraModel, images) -> list:
-    """(model, images) pairs, one per summand of a direct sum target with
-    the images' components in it, nested sums flattened; [(target,
-    images)] for any other model."""
+    """(model, [images' components in each summand]) per run of adjacent
+    summands of a direct sum target that are one model object, nested sums
+    flattened; [(target, [images])] for any other model."""
     if not isinstance(target, DirectSumModel):
-        return [(target, images)]
-    return [pair for i, mod in enumerate(target.models)
-            for pair in _split(mod, [im[i] for im in images])]
+        return [(target, [images])]
+    runs = [run for i, mod in enumerate(target.models)
+            for run in _split(mod, [im[i] for im in images])]
+    return [(mod, [ims for _, run in group for ims in run])
+            for mod, group in groupby(runs, lambda run: run[0])]
 
 
 def _nest(target: AlgebraModel, parts):
-    """_split inverted, parts an iterator over the summands' images."""
+    """_split inverted, parts an iterator over each summand's images."""
     if not isinstance(target, DirectSumModel):
         return next(parts)
     return list(zip(*(_nest(mod, parts) for mod in target.models)))
@@ -458,11 +461,11 @@ class QuaternionTensorModel(HypercomplexModel):
 # -- flattening and rank ---------------------------------------------------
 
 def flat_rows(y) -> np.ndarray:
-    """One real row per readout of a stack y (N, size, cols): its entries,
-    the real parts and then the imaginary parts side by side."""
-    rows = y.reshape(len(y), -1)
+    """One real row per readout of a stack y (..., size, cols): its
+    entries, the real parts and then the imaginary parts side by side."""
+    rows = y.reshape(y.shape[:-2] + (-1,))
     if np.iscomplexobj(rows):
-        return np.hstack([rows.real, rows.imag])
+        return np.concatenate([rows.real, rows.imag], -1)
     return rows
 
 
@@ -497,9 +500,9 @@ class MorphismReport:
 
 class Morphism:
     """An E-linear map S(f) -> target determined by generator images, a
-    value: over finite rings one read-only readout stack per summand of the
-    target (_summands), derived once from the images or given as stacks,
-    whose images, a tuple, are built when first read."""
+    value: over finite rings a read-only readout stack (K, n, size, cols) per
+    run of K copies of a summand of the target (_split), derived once from
+    the images or given as stacks, whose images are built when first read."""
 
     def __init__(self, source: SchurFunction, target: AlgebraModel,
                  images=None, stacks=None):
@@ -514,17 +517,17 @@ class Morphism:
     @property
     def images(self) -> tuple:
         if self._images is None:
-            self._images = tuple(_nest(self.target, iter(
-                [mod.from_readout(y) for mod, y in self._summands])))
+            self._images = tuple(_nest(self.target, iter([
+                mod.from_readout(z) for mod, y in self._summands for z in y])))
         return self._images
 
     @cached_property
     def _summands(self):
-        """(model, readouts) per summand of the target (_split); None over
+        """(model, readouts) per run of the target (_split); None over
         Laurent rings."""
         if self.source.descriptor.is_finite:
-            return [(mod, _frozen(mod.readout(images)))
-                    for mod, images in _split(self.target, self._images)]
+            return [(mod, _frozen(np.stack([mod.readout(x) for x in run])))
+                    for mod, run in _split(self.target, self._images)]
 
     @cached_property
     def _generator_rows(self):
@@ -562,15 +565,16 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
     f, g = m.source, m.source.group
     # the rows b image_t over a real basis b of E, summand by summand
     basis = dense_array(f.descriptor, real_basis(f.descriptor))
-    rows = np.hstack([flat_rows(_act(basis, y[:, None]).reshape(
-        (-1,) + y.shape[1:])) for _, y in m._summands])
+    rows = np.hstack([flat_rows(np.moveaxis(_act(basis, y[:, :, None]), 0, 2)
+                                ).reshape(g.order * len(basis), -1)
+                      for _, y in m._summands])
     source_dim = g.order * len(basis)
     target_dim = m.target.total_real_dim()
     rank = (int(np.linalg.matrix_rank(rows)) if np.isfinite(rows).all()
             else -1)
     # a full check in one block takes as many array operations as S's rows
-    entries = max(len(y) * (y[0].size * (len(y) + len(basis)) + len(y[0])
-                            ** 2) for _, y in m._summands)
+    entries = max(g.order * (y[:, 0].size * (g.order + len(basis)) + len(y)
+                             * y.shape[2] ** 2) for _, y in m._summands)
     bound = (residual_bound(m) if rank == source_dim == target_dim
              and 2 + 2 * len(g.generators) <= g.order
              and entries > VERIFY_ENTRIES else np.nan)
@@ -640,19 +644,36 @@ def extend_generator_images(f: SchurFunction, gen_images: dict,
         raise ValueError("given generators do not generate the group")
     if not finite:
         return Morphism(f, target, [images[t] for t in range(g.order)])
-    from .dense import VERIFY_ENTRIES, _act, _matmul, cocycle_blocks
+    from .dense import VERIFY_ENTRIES, _act, _flat, _matmul, cocycle_blocks
     fstar = cocycle_blocks(f)[0].conj().swapaxes(-1, -2)
     stacks = []
-    for mod, known in _split(target, list(given.values())):
-        known = mod.readout(known)
-        y = np.empty((g.order,) + known.shape[1:], known.dtype)
-        y[list(given)] = known
+    for mod, run in _split(target, list(given.values())):
+        known = np.stack([mod.readout(ims) for ims in run])
+        y = np.empty((len(known), g.order) + known.shape[2:], known.dtype)
+        y[:, list(given)] = known
         for t, r, s in (np.array(level).T for level in levels if level):
-            for b in row_blocks(len(t), y.shape[1] ** 2, VERIFY_ENTRIES):
-                y[t[b]] = _act(fstar[r[b], s[b]],
-                               _matmul(mod.dense(y[r[b]]), y[s[b]]))
+            for b in row_blocks(len(t), len(y) * y.shape[2] ** 2,
+                                VERIFY_ENTRIES):
+                y[:, t[b]] = _act(fstar[r[b], s[b]], _matmul(
+                    _flat(mod.dense, y[:, r[b]]), y[:, s[b]]))
         stacks.append(y)
     return Morphism(f, target, stacks=stacks)
+
+
+def _copies(f: SchurFunction, units, coeffs) -> Morphism:
+    """The map onto len(coeffs) copies of E whose image_t has component k
+    coeffs[k, t] units[t]: signs by negation, complex numbers by four real
+    products each, as RingValue.scale multiplies a scalar."""
+    e, scale = RingModel(f.descriptor), np.iscomplexobj(coeffs)
+    target = DirectSumModel(*([e] * len(coeffs)))
+    if not f.descriptor.is_finite:
+        return Morphism(f, target, [tuple(
+            u.scale(c) if scale else -u if c < 0 else u for c in col)
+            for u, col in zip(units, coeffs.T)])
+    from .dense import _products
+    y, c = e.readout(units), coeffs[..., None, None]
+    return Morphism(f, target, stacks=[_products(y, c) if scale else np.where(
+        c < 0, e.readout([-u for u in units]), y)])
 
 
 # -- coefficientwise S-isomorphism -----------------------------------------
@@ -681,10 +702,8 @@ def z2_split(f: SchurFunction, x: RingValue = None,
             raise ValueError("no central unitary square root of f(1,1)")
     if not (x * x).close(c, tol):
         raise ValueError("x^2 != f(1,1)")
-    e = RingModel(f.descriptor)
-    target = DirectSumModel(e, e)
-    images = [target.unit(), (x, -x)]
-    return Morphism(f, target, images)
+    return _copies(f, [RingValue.unit(f.descriptor), x],
+                   np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 def z2_complexify(f: SchurFunction, tol: float = DEFAULT_TOL) -> Morphism:
@@ -731,14 +750,11 @@ def klein_split4(alpha, beta, gamma, x=None, y=None,
     x, y = _klein_roots(alpha, beta, gamma, x, y,
                         beta * gamma, alpha * gamma, tol)
     z = x * y * gamma.star()
-    e = RingModel(f.descriptor)
-    target = DirectSumModel(e, e, e, e)
-    images = [None] * 4
-    images[0] = target.unit()
-    images[KLEIN_A] = (x, x, -x, -x)
-    images[KLEIN_B] = (y, -y, y, -y)
-    images[KLEIN_C] = (z, -z, -z, z)
-    return Morphism(f, target, images)
+    l, m = np.array([1.0, 1, -1, -1]), np.array([1.0, -1, 1, -1])
+    cols = {0: (unit, l * l), KLEIN_A: (x, l), KLEIN_B: (y, m),
+            KLEIN_C: (z, l * m)}
+    units, signs = zip(*(cols[t] for t in range(4)))
+    return _copies(f, units, np.array(signs).T)
 
 
 def klein_complex_pair(alpha, beta, gamma, variant: int = 1, x=None, y=None,
@@ -851,14 +867,9 @@ def char_decompose_z2n(f: SchurFunction, tol: float = DEFAULT_TOL) -> Morphism:
             if not v.close(unit, tol):
                 raise ValueError("character decomposition needs the "
                                  "constant cocycle")
-    e = RingModel(f.descriptor)
-    target = DirectSumModel(*([e] * n))
-    images = []
-    for s in range(n):
-        images.append(tuple(
-            unit if (t & s).bit_count() % 2 == 0 else -unit
-            for t in range(n)))
-    return Morphism(f, target, images)
+    return _copies(f, [unit] * n, np.array([
+        [-1.0 if (t & s).bit_count() % 2 else 1.0 for s in range(n)]
+        for t in range(n)]))
 
 
 # -- cyclic decomposition over C -------------------------------------------
@@ -871,7 +882,7 @@ def cyclic_decompose(f: SchurFunction, alphas, beta: RingValue = None,
         w_k X = sum_{j=1}^{n} beta^j (prod_{l<j} alpha_l^*) e^{2 pi i jk/n} X_j
 
     (j = n standing for the identity) where beta^n = prod_j alpha_j."""
-    if f.descriptor.is_real:
+    if _has_real_factor(f.descriptor):
         raise ValueError("cyclic_decompose needs a complex coefficient ring")
     g = f.group
     n = g.order
@@ -891,24 +902,21 @@ def cyclic_decompose(f: SchurFunction, alphas, beta: RingValue = None,
         bn = bn * beta
     if not bn.close(prod, tol):
         raise ValueError("beta^n != prod alpha")
-    e = RingModel(f.descriptor)
-    target = DirectSumModel(*([e] * n))
     # coefficient in front of X_j, independent of k
-    pref = []
-    acc = unit
-    bpow = unit
+    pref, acc, bpow = [], unit, unit
     for j in range(1, n + 1):
         bpow = bpow * beta
         pref.append(bpow * acc)                   # beta^j prod_{l<j} alpha_l^*
         if j <= n - 1:
             acc = acc * alphas[j - 1].star()
-    images = [None] * n
-    for j in range(1, n + 1):
-        t = j % n                                 # group index of V_j
-        images[t] = tuple(
-            pref[j - 1].scale(cmath.exp(2j * cmath.pi * j * k / n))
-            for k in range(n))
-    return Morphism(f, target, images)
+    # V_j has group index t = j % n
+    phases = np.array([[cmath.exp(2j * cmath.pi * (t or n) * k / n)
+                        for t in range(n)] for k in range(n)])
+    return _copies(f, pref[-1:] + pref[:-1], phases)
+
+
+def _has_real_factor(d: RingDescriptor) -> bool:
+    return d.is_real or any(map(_has_real_factor, d.factors))
 
 
 # -- tensor structure ------------------------------------------------------

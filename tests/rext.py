@@ -1,10 +1,21 @@
-"""Reference images of the periodicity maps, one model operation at a
-time: the breadth-first extension of generator images by object products,
-and split_odd's images by IsometryPair.conjugate.  The tests hold the
-readouts that isolab.extend_generator_images and clifford.split_odd build
-in batches against them."""
-from twistalg import generator
-from twistalg.isolab import _split
+"""Reference images of the maps built on readouts, one model operation at
+a time: the breadth-first extension of generator images by object
+products, split_odd's images by IsometryPair.conjugate, and the maps onto
+copies of E (z2_split, klein_split4, char_decompose_z2n,
+cyclic_decompose) one RingValue per image entry.  The tests hold the
+readouts that isolab and clifford build in batches against them, and the
+stacked verifier against the verifier that checks one summand at a
+time."""
+import cmath
+
+import numpy as np
+
+from twistalg import KLEIN_A, KLEIN_B, KLEIN_C, RingValue, generator
+from twistalg.dense import (VERIFY_ENTRIES, _act, _matmul, _row_max,
+                            cocycle_blocks, dense_array)
+from twistalg.groups import row_blocks
+from twistalg.isolab import _split, flat_rows
+from twistalg.rings import real_basis
 
 
 def reference_extension(f, gen_images, target) -> list:
@@ -37,5 +48,91 @@ def reference_split_images(pair) -> list:
 
 
 def readouts(target, images) -> list:
-    """One readout stack per summand of target, as a Morphism holds them."""
-    return [mod.readout(ims) for mod, ims in _split(target, images)]
+    """One readout stack per run of target, as a Morphism holds them."""
+    return [np.stack([mod.readout(ims) for ims in run])
+            for mod, run in _split(target, images)]
+
+
+# -- the constructors onto copies of E, one RingValue per image entry -------
+
+def reference_z2_split(f, x) -> list:
+    unit = RingValue.unit(f.descriptor)
+    return [(unit, unit), (x, -x)]
+
+
+def reference_klein_split4(x, y, z) -> list:
+    images = [(RingValue.unit(x.descriptor),) * 4, None, None, None]
+    images[KLEIN_A] = (x, x, -x, -x)
+    images[KLEIN_B] = (y, -y, y, -y)
+    images[KLEIN_C] = (z, -z, -z, z)
+    return images
+
+
+def reference_char_decompose(f) -> list:
+    unit, n = RingValue.unit(f.descriptor), f.group.order
+    return [tuple(unit if (t & s).bit_count() % 2 == 0 else -unit
+                  for t in range(n)) for s in range(n)]
+
+
+def reference_cyclic_decompose(f, alphas, beta) -> list:
+    n, unit = f.group.order, RingValue.unit(f.descriptor)
+    pref, acc, bpow = [], unit, unit
+    for j in range(1, n + 1):
+        bpow = bpow * beta
+        pref.append(bpow * acc)
+        if j <= n - 1:
+            acc = acc * alphas[j - 1].star()
+    images = [None] * n
+    for j in range(1, n + 1):
+        images[j % n] = tuple(
+            pref[j - 1].scale(cmath.exp(2j * cmath.pi * j * k / n))
+            for k in range(n))
+    return images
+
+
+# -- the verifier one summand at a time --------------------------------------
+
+def reference_residuals(f, m, rows=None):
+    """dense.dense_residuals with each run of summands split into its
+    copies, each checked on its own readouts (n, size, cols)."""
+    rows = np.arange(f.group.order) if rows is None else np.array(rows, int)
+    blocks, tilde = cocycle_blocks(f)
+    basis = dense_array(f.descriptor, real_basis(f.descriptor))
+    unit, res, star = zip(*(_one_summand(f.group, blocks, tilde, basis, rows,
+                                         mod, z)
+                            for mod, y in m._summands for z in y))
+    return float(np.max(unit)), np.maximum.reduce(res), float(np.max(star))
+
+
+def _one_summand(g, blocks, tilde, basis, rows, tgt, y):
+    n, nb = g.order, len(basis)
+    size, cols = y.shape[1:]
+    one = tgt.readout([tgt.unit()])[0]
+    unit_res = float(_row_max(y[[g.identity]] - one)[0])
+    star = _row_max(tgt.star_readout(y) - _act(tilde, y[g.inv]))
+    right = np.concatenate([y, _act(basis, one)]).transpose(1, 0, 2).reshape(
+        size, (n + nb) * cols)
+    out = np.empty((len(rows), 3))
+    out[:, 2] = star[rows]
+    for blk in row_blocks(len(rows), (n + nb) * size * cols + size * size,
+                          VERIFY_ENTRIES):
+        s = rows[blk]
+        lhs = _matmul(tgt.dense(y[s]), right).reshape(-1, size, n + nb, cols)
+        lhs[:, :, n:] -= _act(basis, y[s][:, None]).transpose(0, 2, 1, 3)
+        out[blk, 1] = _row_max(lhs[:, :, n:])
+        t = g.mul[g.inv[s]]
+        prod = lhs[np.arange(len(s))[:, None], :, t]
+        prod -= _act(blocks[s[:, None], t], y)
+        out[blk, 0] = _row_max(prod)
+    return unit_res, out, float(star.max(initial=0.0))
+
+
+def reference_rank(m) -> int:
+    """The real rank of the rows b image_t, summand by summand side by
+    side; -1 if an image is not finite."""
+    d = m.source.descriptor
+    basis = dense_array(d, real_basis(d))
+    rows = np.hstack([flat_rows(_act(basis, z[:, None]).reshape(
+        (-1,) + z.shape[1:])) for _, y in m._summands for z in y])
+    return (int(np.linalg.matrix_rank(rows)) if np.isfinite(rows).all()
+            else -1)

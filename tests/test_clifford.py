@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from twistalg import (COMPLEX, QUATERNION, REAL, AlgebraElement, CliffordSpec,
                       MatrixModel, Morphism, QuaternionTensorModel, RingValue,
                       TwistedModel, alg_mul, alg_star, clifford_cocycle,
-                      complexify_odd, corner_projection,
-                      extend_even_projection, extend_two_matrix,
+                      complexify_odd, corner_projection, cyclic_decompose,
+                      dense, extend_even_projection, extend_two_matrix,
                       extend_two_quaternion, generator, is_projection,
-                      laurent, matrix_corner_elements, matrix_ring,
-                      product_ring, projection_family, regular_matrix,
-                      split_odd, transposition_sign, unit, universal_map,
-                      validate, verify_morphism)
+                      laurent, make_f_alpha, matrix_corner_elements,
+                      matrix_ring, product_ring, projection_family,
+                      regular_matrix, split_odd, transposition_sign, unit,
+                      universal_map, validate, verify_morphism)
 from twistalg.isolab import ComplexifiedModel, RingModel
 
 from rext import readouts, reference_extension, reference_split_images
@@ -590,6 +591,13 @@ def test_split_odd_sparse_conjugate_matches_rmat(kind, size, data):
         assert pair.conjugate(y, sign).coeffs == rmat_conjugate(pair, y, sign)
 
 
+def order_64_cyclic_decompose():
+    rng = np.random.default_rng(64)
+    alphas = [RingValue.scalar(COMPLEX, np.exp(2j * np.pi * x))
+              for x in rng.random(63)]
+    return cyclic_decompose(make_f_alpha(64, alphas), alphas)
+
+
 def test_verify_morphism_memory_is_bounded():
     # order 64 over R: about 0.5 MB a block of rows at a time, 8.5 MB with
     # all 64 rows in one block
@@ -602,6 +610,30 @@ def test_verify_morphism_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert rep.bijective()
+    assert rep.rows == "generators"
+    assert peak <= 1.5e6
+
+
+@pytest.mark.parametrize("rows", ["generators", "all"])
+def test_verify_cyclic_decompose_memory_is_bounded(rows):
+    # the 64 copies of C of the order-64 cyclic decomposition count in each
+    # block's budget, as built (the generator certificate, 0.4 MB) and with
+    # every row checked (1.1 MB)
+    m = order_64_cyclic_decompose()
+    verify_morphism(order_64_cyclic_decompose())    # load what it uses
+    bound = mock.patch.object(dense, "residual_bound", lambda m: np.nan)
+    tracemalloc.start()
+    try:
+        if rows == "all":
+            with bound:
+                rep = verify_morphism(m)
+        else:
+            rep = verify_morphism(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.bijective()
+    assert rep.rows == rows
     assert peak <= 1.5e6
 
 

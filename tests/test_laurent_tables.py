@@ -135,6 +135,57 @@ def test_parameters_whose_products_drop_a_term_stay_list_held():
         ["{(0,): (1+0j)}", "{(1,): (1e-08+0j)}", "{}"]]
 
 
+def reference_scalar_coefficients(ext):
+    """cocycle._scalar_f_alpha(ext, laurent=True) as it tested for a
+    dropped term after every half-step: None at the first one."""
+    n = len(ext)
+    step = ext[(np.arange(n)[:, None] + np.arange(n - 1)) % n]
+    star = ext[:-1].conjugate()
+    re, im = np.ones((n, n)), np.zeros((n, n))
+    for q in range(1, n):
+        x, y = re[:, q - 1], im[:, q - 1]
+        for a in (step[:, q - 1], star[q - 1]):
+            x, y = x * a.real - y * a.imag, x * a.imag + y * a.real
+            x, y = x + 0.0, y + 0.0
+            if not (np.hypot(x, y) > _COEFF_EPS).all():
+                return None
+        re[:, q], im[:, q] = x, y
+    out = np.empty((n, n), complex)
+    out.real, out.imag = re, im
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 64])
+@pytest.mark.parametrize("coeffs", ["phases", "units", "dropped"])
+def test_coefficients_test_every_half_step_once(n, coeffs):
+    """The Laurent coefficients, stored a half-step at a time and tested
+    for a dropped term once, are those of the test after every half-step,
+    bit for bit: random phases and exact units whose zero parts carry a
+    sign; with a parameter of modulus 1e-20 beside one of 1e20, None."""
+    rng = np.random.default_rng([n, len(coeffs)])
+    for _ in range(8):
+        ext = (np.exp(2j * np.pi * rng.random(n)) if coeffs != "units"
+               else np.array(UNITS, complex)[rng.integers(len(UNITS),
+                                                          size=n)])
+        if coeffs == "dropped":
+            ext[rng.integers(1, n)] = 1e20j
+            ext[1] = 1e-20
+        ext[0] = 1
+        got = cocycle._scalar_f_alpha(ext, laurent=True)
+        want = reference_scalar_coefficients(ext)
+        assert (got is None) == (want is None)
+        assert got is None or got.tobytes() == want.tobytes()
+        assert (got is None) == (coeffs == "dropped")
+
+
+def test_a_term_dropped_at_a_half_step_only_is_dropped():
+    """With parameters 1e-5, 1e5 and 1e-9 on Z/4 a half-step product
+    drops a term where no full step does: the table is None."""
+    ext = np.array([1, 1e-5, 1e5, 1e-9], complex)
+    assert reference_scalar_coefficients(ext) is None
+    assert cocycle._scalar_f_alpha(ext, laurent=True) is None
+
+
 def test_a_non_monomial_parameter_takes_the_object_loop(monkeypatch):
     d = laurent(1)
     alphas = [RingValue.monomial(d, 1j, (1,)),
