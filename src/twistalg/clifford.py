@@ -344,12 +344,12 @@ def split_odd(spec: CliffordSpec, tol: float = DEFAULT_TOL):
             tuple(pair.conjugate(generator(f2, t), sgn) for sgn in (1, -1))
             for t in range(n2)])
     row2 = (full ^ np.arange(n1)) | top      # the second row of column a
-    from .dense import _matmul, cocycle_blocks, dense_array, readout_columns
+    from .dense import _matmul, dense_array, readout_columns
     forms = dense_array(d, [c] + entries)
     adj = forms.conj().swapaxes(-1, -2)
     cols, e, g2 = readout_columns(d), f.group.identity, f2.group
     j = g2.mul[g2.inv]                                  # j[t, i] = t^-1 i
-    table = cocycle_blocks(f2)[0][np.arange(n2)[:, None], j]
+    table = f2._dense[0][np.arange(n2)[:, None], j]
     # for the signs +-: (R(V_t) theta_e)_i = f(t, j) theta_je; theta* of
     # it adds the two terms of each row a in ascending order, as conjugate
     sgn = np.array([1, -1])[:, None, None, None, None]

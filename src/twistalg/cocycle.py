@@ -110,8 +110,9 @@ class SchurFunction:
 
     @cached_property
     def _dense(self):
-        """dense.cocycle_blocks: the dense forms (value_blocks, tilde) of a
-        table over a finite ring, tilde[t] = f(t, t^{-1})^*."""
+        """The dense forms (table, tilde) of a table over a finite ring:
+        table[s, u] = f(s, u) (dense.value_blocks) and tilde[t] =
+        f(t, t^{-1})^*."""
         from .centre import blocks
         from .dense import value_blocks
         d, c = self.descriptor, self._centre

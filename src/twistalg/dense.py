@@ -148,13 +148,6 @@ def value_blocks(d: RingDescriptor, values) -> np.ndarray:
         len(values), -1, b, b)
 
 
-def cocycle_blocks(f):
-    """The dense forms (table, tilde) of a Schur function f over a finite
-    ring: table[s, u] = f(s, u) and tilde[t] = f(t, t^{-1})^*, derived once
-    and kept on f (SchurFunction._dense)."""
-    return f._dense
-
-
 def star_readout(d: RingDescriptor, y: np.ndarray) -> np.ndarray:
     """Readouts (..., b, r) of values to the readouts of their stars."""
     if d.kind == "complex":
@@ -245,7 +238,7 @@ def dense_residuals(f, summands, rows=None):
     a block of rows s at a time, K copies at once, by the readouts of
     every image_t and of every b 1."""
     rows = np.arange(f.group.order) if rows is None else np.array(rows, int)
-    blocks, tilde = cocycle_blocks(f)
+    blocks, tilde = f._dense
     basis = dense_array(f.descriptor, real_basis(f.descriptor))
     unit, res, star = zip(*(_summand_residuals(f.group, blocks, tilde, basis,
                                                rows, *summand)
@@ -262,7 +255,7 @@ def _flat(fn, y):
 def _summand_residuals(g, blocks, tilde, basis, rows, tgt, y):
     n, nb = g.order, len(basis)
     k, _, size, cols = y.shape                      # y: (K, n, size, cols)
-    one = tgt.readout([tgt.unit()])[0]
+    one = tgt.unit_readout
     unit_res = float(_row_max(y[:, g.identity] - one).max())
     star = _row_max((_flat(tgt.star_readout, y)
                      - _act(tilde, y[:, g.inv])).swapaxes(0, 1))

@@ -26,7 +26,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .algebra import AlgebraElement, alg_mul, alg_star, generator
+from .algebra import AlgebraElement, alg_mul, generator
 from .cocycle import (KLEIN_A, KLEIN_B, KLEIN_C, Lambda, SchurFunction,
                       _frozen, _residual, coboundary, cocycle_mul,
                       klein_table, tensor_cocycle)
@@ -39,6 +39,10 @@ from .rings import (COMPLEX, DEFAULT_TOL, RingDescriptor, RingValue,
 
 class AlgebraModel:
     """Common interface: elements are opaque; all operations live here.
+
+    A leaf model (RingModel, TwistedModel) defines zero, unit and its dense
+    form; the arithmetic defaults to its elements' operators, slots to [a].
+    A composite model defines the structure constants and layout of _Parts.
 
     Over finite coefficient rings each model also has a dense
     *-representation on (size, size) arrays (twistalg.dense, loaded on
@@ -55,28 +59,6 @@ class AlgebraModel:
     """
 
     base: RingDescriptor
-
-    def slots(self, a):
-        raise NotImplementedError
-
-    def diff(self, a, b) -> float:
-        return max((x - y).abs_bound()
-                   for x, y in zip(self.slots(a), self.slots(b)))
-
-    def total_real_dim(self):
-        if self.base.is_finite:
-            return len(self.slots(self.unit())) * real_dim(self.base)
-
-
-class RingModel(AlgebraModel):
-    def __init__(self, descriptor: RingDescriptor):
-        self.base = descriptor
-
-    def zero(self):
-        return RingValue.zero(self.base)
-
-    def unit(self):
-        return RingValue.unit(self.base)
 
     def add(self, a, b):
         return a + b
@@ -95,6 +77,30 @@ class RingModel(AlgebraModel):
 
     def slots(self, a):
         return [a]
+
+    def diff(self, a, b) -> float:
+        return max((x - y).abs_bound()
+                   for x, y in zip(self.slots(a), self.slots(b)))
+
+    def total_real_dim(self):
+        if self.base.is_finite:
+            return len(self.slots(self.unit())) * real_dim(self.base)
+
+    @cached_property
+    def unit_readout(self):
+        """readout([unit()])[0], read-only."""
+        return _frozen(self.readout([self.unit()])[0])
+
+
+class RingModel(AlgebraModel):
+    def __init__(self, descriptor: RingDescriptor):
+        self.base = descriptor
+
+    def zero(self):
+        return RingValue.zero(self.base)
+
+    def unit(self):
+        return RingValue.unit(self.base)
 
     def dense(self, y):
         from .dense import readout_dense
@@ -124,18 +130,6 @@ class TwistedModel(AlgebraModel):
     def unit(self):
         return generator(self.f, self.f.group.identity)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return alg_mul(a, b)
-
-    def star(self, a):
-        return alg_star(a)
-
     def scale_left(self, x: RingValue, a):
         return a.scale_ring(x)
 
@@ -144,10 +138,10 @@ class TwistedModel(AlgebraModel):
 
     def dense(self, y):
         """The regular representation, dense.regular_dense."""
-        from .dense import cocycle_blocks, readout_dense, regular_dense
+        from .dense import readout_dense, regular_dense
         n = self.f.group.order
         xd = readout_dense(self.base, y.reshape(len(y), n, -1, y.shape[2]))
-        return regular_dense(self.f.group, cocycle_blocks(self.f)[0], xd)
+        return regular_dense(self.f.group, self.f._dense[0], xd)
 
     def readout(self, elems):
         from .dense import readout_array
@@ -164,8 +158,8 @@ class TwistedModel(AlgebraModel):
 
     def star_readout(self, y):
         # (X^*)_t = tilde f(t) (X_{t^{-1}})^*, as alg_star
-        from .dense import _matmul, cocycle_blocks, star_readout
-        _, tilde = cocycle_blocks(self.f)
+        from .dense import _matmul, star_readout
+        _, tilde = self.f._dense
         g = self.f.group
         blocks = y.reshape(len(y), g.order, y.shape[1] // g.order,
                            y.shape[2])[:, g.inv]
@@ -193,63 +187,98 @@ class CornerModel(TwistedModel):
         basis, p = real_basis(self.base), self.p
         elems = [alg_mul(alg_mul(p, generator(self.f, u).scale_ring(b)), p)
                  for u in range(self.f.group.order) for b in basis]
-        return int(np.linalg.matrix_rank(flat_rows(self.readout(elems))))
+        y = self.readout(elems)
+        return real_rank(flat_rows(y), y[0].size, self.base)
 
 
-class MatrixModel(AlgebraModel):
+class _Parts(AlgebraModel):
+    """A composite model: an element is a list of parts, part r in the
+    model part_models[r], flattened by parts and rebuilt by whole.  Each
+    subclass's __init__ sets: products, (p, q, r, sign) for a_p b_q times
+    sign added to part r of a b in list order (the first term assigned);
+    adjoints, (q, sign) per part r of a^*, sign a_q^*; units, the parts of
+    the unit that are their model's unit, not zero.  Sums, negatives and
+    scale_left act part by part.  With one inner model, readouts are its
+    readouts of the parts, (N parts, m, w) by _part_readouts, joined by
+    _join."""
+
+    def parts(self, a):
+        return list(a)
+
+    def whole(self, parts):
+        return tuple(parts)
+
+    def _map(self, op, *elems, lead=()):
+        return self.whole([getattr(m, op)(*lead, *xs) for m, *xs in zip(
+            self.part_models, *map(self.parts, elems))])
+
+    def zero(self):
+        return self._map("zero")
+
+    def unit(self):
+        return self.whole([m.unit() if r in self.units else m.zero()
+                           for r, m in enumerate(self.part_models)])
+
+    def add(self, a, b):
+        return self._map("add", a, b)
+
+    def neg(self, a):
+        return self._map("neg", a)
+
+    def mul(self, a, b):
+        a, b = self.parts(a), self.parts(b)
+        out = [None] * len(self.part_models)
+        for p, q, r, sign in self.products:
+            m = self.part_models[r]
+            term = m.mul(a[p], b[q])
+            if sign < 0:
+                term = m.neg(term)
+            out[r] = term if out[r] is None else m.add(out[r], term)
+        return self.whole(out)
+
+    def star(self, a):
+        a = self.parts(a)
+        return self.whole([m.star(a[q]) if sign > 0 else m.neg(m.star(a[q]))
+                           for m, (q, sign) in zip(self.part_models,
+                                                   self.adjoints)])
+
+    def scale_left(self, x, a):
+        return self._map("scale_left", a, lead=(x,))
+
+    def slots(self, a):
+        return [x for m, e in zip(self.part_models, self.parts(a))
+                for x in m.slots(e)]
+
+    def readout(self, elems):
+        return self._join(self.inner.readout(
+            [x for a in elems for x in self.parts(a)]))
+
+    def from_readout(self, y):
+        x = self.inner.from_readout(self._part_readouts(y))
+        p = len(self.part_models)
+        return [self.whole(x[i:i + p]) for i in range(0, len(x), p)]
+
+
+class MatrixModel(_Parts):
     """k x k matrices with entries in an inner model."""
 
     def __init__(self, k: int, inner: AlgebraModel):
         _refuse_sum(inner)
-        self.k = k
-        self.inner = inner
-        self.base = inner.base
+        self.k, self.inner, self.base = k, inner, inner.base
+        n = range(k)
+        self.part_models = [inner] * (k * k)
+        self.products = [(i * k + l, l * k + j, i * k + j, 1)
+                         for i in n for j in n for l in n]
+        self.adjoints = [(j * k + i, 1) for i in n for j in n]
+        self.units = [i * k + i for i in n]
 
-    def _map(self, fn, *elems):
-        return [[fn(*(e[i][j] for e in elems)) for j in range(self.k)]
-                for i in range(self.k)]
+    def parts(self, a):
+        return [e for row in a for e in row]
 
-    def zero(self):
-        return [[self.inner.zero() for _ in range(self.k)]
-                for _ in range(self.k)]
+    def whole(self, parts):
+        return [parts[i:i + self.k] for i in range(0, len(parts), self.k)]
 
-    def unit(self):
-        out = self.zero()
-        for i in range(self.k):
-            out[i][i] = self.inner.unit()
-        return out
-
-    def add(self, a, b):
-        return self._map(self.inner.add, a, b)
-
-    def neg(self, a):
-        return self._map(self.inner.neg, a)
-
-    def mul(self, a, b):
-        out = self.zero()
-        for i in range(self.k):
-            for j in range(self.k):
-                acc = self.inner.zero()
-                for l in range(self.k):
-                    acc = self.inner.add(acc, self.inner.mul(a[i][l], b[l][j]))
-                out[i][j] = acc
-        return out
-
-    def star(self, a):
-        return [[self.inner.star(a[j][i]) for j in range(self.k)]
-                for i in range(self.k)]
-
-    def scale_left(self, x, a):
-        return self._map(lambda e: self.inner.scale_left(x, e), a)
-
-    def slots(self, a):
-        out = []
-        for row in a:
-            for e in row:
-                out.extend(self.inner.slots(e))
-        return out
-
-    def _entries(self, y, swap=False):
+    def _part_readouts(self, y, swap=False):
         # block (i, j) of each readout, row-major (block (j, i) with swap)
         k = self.k
         y = y.reshape(len(y), k, y.shape[1] // k, k, y.shape[2] // k)
@@ -263,61 +292,27 @@ class MatrixModel(AlgebraModel):
         return y.transpose(0, 1, 3, 2, 4).reshape(len(y), k * m, k * w)
 
     def dense(self, y):
-        return self._join(self.inner.dense(self._entries(y)))
-
-    def readout(self, elems):
-        return self._join(self.inner.readout(
-            [e for a in elems for row in a for e in row]))
-
-    def from_readout(self, y):
-        k, e = self.k, iter(self.inner.from_readout(self._entries(y)))
-        return [[[next(e) for _ in range(k)] for _ in range(k)] for _ in y]
+        return self._join(self.inner.dense(self._part_readouts(y)))
 
     def star_readout(self, y):
         # entry (i, j) of a^* is the star of entry (j, i)
-        return self._join(self.inner.star_readout(self._entries(y, True)))
+        return self._join(self.inner.star_readout(
+            self._part_readouts(y, True)))
 
 
-class DirectSumModel(AlgebraModel):
+class DirectSumModel(_Parts):
     def __init__(self, *models: AlgebraModel):
         if not models:
             raise ValueError("direct sum needs at least one summand")
-        self.models = models
+        self.models = self.part_models = models
         self.base = models[0].base
-
-    def _map(self, op, *elems):
-        return tuple(getattr(m, op)(*(e[i] for e in elems))
-                     for i, m in enumerate(self.models))
-
-    def zero(self):
-        return tuple(m.zero() for m in self.models)
-
-    def unit(self):
-        return tuple(m.unit() for m in self.models)
-
-    def add(self, a, b):
-        return self._map("add", a, b)
-
-    def mul(self, a, b):
-        return self._map("mul", a, b)
-
-    def star(self, a):
-        return self._map("star", a)
-
-    def scale_left(self, x, a):
-        return tuple(m.scale_left(x, a[i]) for i, m in enumerate(self.models))
-
-    def slots(self, a):
-        out = []
-        for m, e in zip(self.models, a):
-            out.extend(m.slots(e))
-        return out
+        self.products = [(i, i, i, 1) for i in range(len(models))]
+        self.adjoints = [(i, 1) for i in range(len(models))]
+        self.units = range(len(models))
 
     def total_real_dim(self):
         dims = [m.total_real_dim() for m in self.models]
-        if any(d is None for d in dims):
-            return None
-        return sum(dims)
+        return None if None in dims else sum(dims)
 
 
 def _refuse_sum(inner: AlgebraModel):
@@ -359,7 +354,7 @@ _QMUL = [
 ]
 
 
-class HypercomplexModel(AlgebraModel):
+class HypercomplexModel(_Parts):
     """A (x) E for A = C or H and a real inner model E: tuples
     (x_0, ..., x_{d-1}) representing sum_p e_p x_p over the units e_p of A,
     multiplied by the subclass's unit table.  Every unit but e_0 = 1 is
@@ -372,74 +367,35 @@ class HypercomplexModel(AlgebraModel):
         _refuse_sum(inner)
         if not inner.base.is_real:
             raise ValueError(f"{self.name} needs a real inner model")
-        self.inner = inner
-        self.base = inner.base
+        self.inner, self.base = inner, inner.base
+        self.part_models = [inner] * len(self.table)
+        self.products = [(p, q, r, sign) for p, row in enumerate(self.table)
+                         for q, (r, sign) in enumerate(row)]
+        self.adjoints = [(p, -1 if p else 1) for p in range(len(self.table))]
+        self.units = [0]
 
-    def zero(self):
-        return tuple(self.inner.zero() for _ in self.table)
-
-    def unit(self):
-        return (self.inner.unit(),) + tuple(self.inner.zero()
-                                            for _ in self.table[1:])
-
-    def add(self, a, b):
-        return tuple(self.inner.add(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.inner.neg(x) for x in a)
-
-    def mul(self, a, b):
-        inn = self.inner
-        out = [None] * len(self.table)
-        for p, row in enumerate(self.table):
-            for q, (r, sign) in enumerate(row):
-                term = inn.mul(a[p], b[q])
-                if sign < 0:
-                    term = inn.neg(term)
-                out[r] = term if out[r] is None else inn.add(out[r], term)
-        return tuple(out)
-
-    def star(self, a):
-        inn = self.inner
-        return (inn.star(a[0]),) + tuple(inn.neg(inn.star(x)) for x in a[1:])
-
-    def scale_left(self, x, a):
-        return tuple(self.inner.scale_left(x, e) for e in a)
-
-    def slots(self, a):
-        out = []
-        for e in a:
-            out.extend(self.inner.slots(e))
-        return out
-
-    def _parts(self, y):                # X_0, ..., X_{d-1}, stacked
+    def _part_readouts(self, y):        # X_0, ..., X_{d-1}, stacked
         return y.reshape(-1, y.shape[1] // len(self.table), y.shape[2])
+
+    def _join(self, y):
+        # column block 0 of the dense form: X_0, ..., X_{d-1} stacked
+        return y.reshape(-1, len(self.table) * y.shape[1], y.shape[2])
 
     def dense(self, y):
         """sum_p L(e_p) (x) X_p, where L(e_p)[r, q] = sign for
         table[p][q] = (r, sign) is left multiplication by the unit e_p;
         for C this is [[A, -B], [B, A]]."""
-        x = self.inner.dense(self._parts(y))      # part p of a at a d + p
+        x = self.inner.dense(self._part_readouts(y))  # part p of a at a d + p
         d, m = len(self.table), x.shape[1]
         out = np.zeros((len(y), d * m, d * m), dtype=x.dtype)
-        for p, row in enumerate(self.table):
-            for q, (r, sign) in enumerate(row):
-                out[:, r * m:(r + 1) * m, q * m:(q + 1) * m] = \
-                    x[p::d] if sign > 0 else -x[p::d]
+        for p, q, r, sign in self.products:
+            out[:, r * m:(r + 1) * m, q * m:(q + 1) * m] = \
+                x[p::d] if sign > 0 else -x[p::d]
         return out
-
-    def readout(self, elems):
-        # column block 0 of the dense form: X_0, ..., X_{d-1} stacked
-        y = self.inner.readout([x for a in elems for x in a])
-        return y.reshape(len(elems), -1, y.shape[2])
-
-    def from_readout(self, y):
-        d, x = len(self.table), self.inner.from_readout(self._parts(y))
-        return [tuple(x[i:i + d]) for i in range(0, len(x), d)]
 
     def star_readout(self, y):
         d = len(self.table)
-        st = self.inner.star_readout(self._parts(y))
+        st = self.inner.star_readout(self._part_readouts(y))
         st = st.reshape((len(y), d) + st.shape[1:])
         return np.concatenate([st[:, :1], -st[:, 1:]],
                               axis=1).reshape(y.shape)
@@ -467,6 +423,18 @@ def flat_rows(y) -> np.ndarray:
     if np.iscomplexobj(rows):
         return np.concatenate([rows.real, rows.imag], -1)
     return rows
+
+
+def real_rank(rows, entries: int, d: RingDescriptor) -> int:
+    """matrix_rank of rows, flat_rows of readouts with this many entries of
+    ring d, with numpy's default threshold for the values' real_dim(d)
+    real coordinates each, not the rows' width (a readout of a product
+    ring also holds zeros off its factors' blocks)."""
+    from .dense import dense_size, readout_columns
+    cols = entries // (dense_size(d) * len(readout_columns(d))) * real_dim(d)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return int((sv > sv.max() * max(len(rows), cols)
+                * np.finfo(float).eps).sum())
 
 
 # -- morphisms -------------------------------------------------------------
@@ -509,8 +477,14 @@ class Morphism:
         self.source, self.target = source, target
         self._images = None if stacks is not None else tuple(images)
         if stacks is not None:
+            runs = _split(target, [])
+            if [np.shape(y) for y in stacks] != [
+                    (len(run), source.group.order) + mod.unit_readout.shape
+                    for mod, run in runs]:
+                raise ValueError("need one readout stack (K, n, size, cols) "
+                                 "per run of K copies of a summand")
             self._summands = [(mod, _frozen(y)) for (mod, _), y in
-                              zip(_split(target, []), stacks)]
+                              zip(runs, stacks)]
         elif len(self._images) != source.group.order:
             raise ValueError("need one image per group element")
 
@@ -570,8 +544,8 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
                       for _, y in m._summands])
     source_dim = g.order * len(basis)
     target_dim = m.target.total_real_dim()
-    rank = (int(np.linalg.matrix_rank(rows)) if np.isfinite(rows).all()
-            else -1)
+    rank = (real_rank(rows, sum(y[:, 0].size for _, y in m._summands),
+                      f.descriptor) if np.isfinite(rows).all() else -1)
     # a full check in one block takes as many array operations as S's rows
     entries = max(g.order * (y[:, 0].size * (g.order + len(basis)) + len(y)
                              * y.shape[2] ** 2) for _, y in m._summands)
@@ -644,8 +618,8 @@ def extend_generator_images(f: SchurFunction, gen_images: dict,
         raise ValueError("given generators do not generate the group")
     if not finite:
         return Morphism(f, target, [images[t] for t in range(g.order)])
-    from .dense import VERIFY_ENTRIES, _act, _flat, _matmul, cocycle_blocks
-    fstar = cocycle_blocks(f)[0].conj().swapaxes(-1, -2)
+    from .dense import VERIFY_ENTRIES, _act, _flat, _matmul
+    fstar = f._dense[0].conj().swapaxes(-1, -2)
     stacks = []
     for mod, run in _split(target, list(given.values())):
         known = np.stack([mod.readout(ims) for ims in run])
@@ -695,13 +669,8 @@ def z2_split(f: SchurFunction, x: RingValue = None,
     x^2 = f(1,1)."""
     if f.group.order != 2:
         raise ValueError("z2_split needs a group of order 2")
-    c = f.values[1][1]
-    if x is None:
-        x = c.nth_root(2, tol)
-        if x is None:
-            raise ValueError("no central unitary square root of f(1,1)")
-    if not (x * x).close(c, tol):
-        raise ValueError("x^2 != f(1,1)")
+    x = _root(f.values[1][1], 2, x, tol,
+              "no central unitary square root of f(1,1)", "x^2 != f(1,1)")
     return _copies(f, [RingValue.unit(f.descriptor), x],
                    np.array([[1.0, 1.0], [1.0, -1.0]]))
 
@@ -723,21 +692,33 @@ def z2_complexify(f: SchurFunction, tol: float = DEFAULT_TOL) -> Morphism:
 
 # -- Klein four-group ------------------------------------------------------
 
-def _klein_roots(alpha, beta, gamma, x, y, sq_a, sq_b, tol):
-    """Resolve roots x, y with x^2 = sq_a, y^2 = sq_b."""
+def _root(c: RingValue, k: int, x, tol, missing: str, wrong: str):
+    """x, by default c's central unitary k-th root (else refused with the
+    text missing), refused with the text wrong unless x^k is tol-close to c."""
     if x is None:
-        x = sq_a.nth_root(2, tol)
+        x = c.nth_root(k, tol)
         if x is None:
-            raise ValueError("no central unitary root for x")
-    if y is None:
-        y = sq_b.nth_root(2, tol)
-        if y is None:
-            raise ValueError("no central unitary root for y")
-    if not (x * x).close(sq_a, tol):
-        raise ValueError("root hypothesis x^2 violated")
-    if not (y * y).close(sq_b, tol):
-        raise ValueError("root hypothesis y^2 violated")
-    return x, y
+            raise ValueError(missing)
+    xk = RingValue.unit(c.descriptor)
+    for _ in range(k):
+        xk = xk * x
+    if not xk.close(c, tol):
+        raise ValueError(wrong)
+    return x
+
+
+def _klein_roots(x, y, sq_a, sq_b, tol):
+    """Resolve roots x, y with x^2 = sq_a, y^2 = sq_b."""
+    return (_root(sq_a, 2, x, tol, "no central unitary root for x",
+                  "root hypothesis x^2 violated"),
+            _root(sq_b, 2, y, tol, "no central unitary root for y",
+                  "root hypothesis y^2 violated"))
+
+
+def _klein_map(f: SchurFunction, target: AlgebraModel, a, b, c) -> Morphism:
+    """The map onto target with V_0, V_a, V_b, V_c -> 1, a, b, c."""
+    images = {0: target.unit(), KLEIN_A: a, KLEIN_B: b, KLEIN_C: c}
+    return Morphism(f, target, [images[t] for t in range(4)])
 
 
 def klein_split4(alpha, beta, gamma, x=None, y=None,
@@ -747,8 +728,7 @@ def klein_split4(alpha, beta, gamma, x=None, y=None,
     z = x y gamma^*."""
     unit = RingValue.unit(alpha.descriptor)
     f = klein_table(alpha, beta, gamma, unit, tol=tol)
-    x, y = _klein_roots(alpha, beta, gamma, x, y,
-                        beta * gamma, alpha * gamma, tol)
+    x, y = _klein_roots(x, y, beta * gamma, alpha * gamma, tol)
     z = x * y * gamma.star()
     l, m = np.array([1.0, 1, -1, -1]), np.array([1.0, -1, 1, -1])
     cols = {0: (unit, l * l), KLEIN_A: (x, l), KLEIN_B: (y, m),
@@ -776,22 +756,17 @@ def klein_complex_pair(alpha, beta, gamma, variant: int = 1, x=None, y=None,
     unit = RingValue.unit(alpha.descriptor)
     f = klein_table(alpha, beta, gamma, unit, tol=tol)
     sq_b = alpha * gamma if variant == 1 else -(alpha * gamma)
-    x, y = _klein_roots(alpha, beta, gamma, x, y, -(beta * gamma), sq_b, tol)
+    x, y = _klein_roots(x, y, -(beta * gamma), sq_b, tol)
     z = x * y * gamma.star()
     inner = RingModel(f.descriptor)
     comp = ComplexifiedModel(inner)
     target = DirectSumModel(comp, comp)
     zero = inner.zero()
-    images = [None] * 4
-    images[0] = target.unit()
-    images[KLEIN_A] = ((zero, x), (zero, x))
     if variant == 1:
-        images[KLEIN_B] = ((y, zero), (-y, zero))
-        images[KLEIN_C] = ((zero, z), (zero, -z))
+        b, c = ((y, zero), (-y, zero)), ((zero, z), (zero, -z))
     else:
-        images[KLEIN_B] = ((zero, y), (zero, -y))
-        images[KLEIN_C] = ((-z, zero), (z, zero))
-    return Morphism(f, target, images)
+        b, c = ((zero, y), (zero, -y)), ((-z, zero), (z, zero))
+    return _klein_map(f, target, ((zero, x), (zero, x)), b, c)
 
 
 def klein_quaternion(alpha, beta, gamma, x=None, y=None,
@@ -802,18 +777,13 @@ def klein_quaternion(alpha, beta, gamma, x=None, y=None,
         raise ValueError("klein_quaternion needs a real coefficient ring")
     unit = RingValue.unit(alpha.descriptor)
     f = klein_table(alpha, beta, gamma, -unit, tol=tol)
-    x, y = _klein_roots(alpha, beta, gamma, x, y,
-                        -(beta * gamma), alpha * gamma, tol)
+    x, y = _klein_roots(x, y, -(beta * gamma), alpha * gamma, tol)
     z = x * y * gamma.star()
     inner = RingModel(f.descriptor)
     target = QuaternionTensorModel(inner)
     zero = inner.zero()
-    images = [None] * 4
-    images[0] = target.unit()
-    images[KLEIN_A] = (zero, x, zero, zero)
-    images[KLEIN_B] = (zero, zero, y, zero)
-    images[KLEIN_C] = (zero, zero, zero, z)
-    return Morphism(f, target, images)
+    return _klein_map(f, target, (zero, x, zero, zero), (zero, zero, y, zero),
+                      (zero, zero, zero, z))
 
 
 def klein_matrix(alpha, beta, gamma, x=None, y=None,
@@ -829,12 +799,8 @@ def klein_matrix(alpha, beta, gamma, x=None, y=None,
     """
     unit = RingValue.unit(alpha.descriptor)
     f = klein_table(alpha, beta, gamma, -unit, tol=tol)
-    if x is None:
-        x = (beta * gamma).nth_root(2, tol)
-        if x is None:
-            raise ValueError("no central unitary root for x")
-    if not (x * x).close(beta * gamma, tol):
-        raise ValueError("root hypothesis x^2 = beta gamma violated")
+    x = _root(beta * gamma, 2, x, tol, "no central unitary root for x",
+              "root hypothesis x^2 = beta gamma violated")
     if y is None:
         y = unit
     if not y.is_unitary(tol) or not y.is_central(tol):
@@ -843,12 +809,9 @@ def klein_matrix(alpha, beta, gamma, x=None, y=None,
     inner = RingModel(f.descriptor)
     target = MatrixModel(2, inner)
     zero = inner.zero()
-    images = [None] * 4
-    images[0] = target.unit()
-    images[KLEIN_A] = [[x, zero], [zero, -x]]
-    images[KLEIN_B] = [[zero, alpha * y], [-(gamma * y.star()), zero]]
-    images[KLEIN_C] = [[zero, alpha * z], [beta * z.star(), zero]]
-    return Morphism(f, target, images)
+    return _klein_map(f, target, [[x, zero], [zero, -x]],
+                      [[zero, alpha * y], [-(gamma * y.star()), zero]],
+                      [[zero, alpha * z], [beta * z.star(), zero]])
 
 
 # -- characters of (Z/2)^n -------------------------------------------------
@@ -893,15 +856,9 @@ def cyclic_decompose(f: SchurFunction, alphas, beta: RingValue = None,
     prod = unit
     for a in alphas:
         prod = prod * a
-    if beta is None:
-        beta = prod.nth_root(n, tol)
-        if beta is None:
-            raise ValueError("no central unitary n-th root of prod alpha")
-    bn = unit
-    for _ in range(n):
-        bn = bn * beta
-    if not bn.close(prod, tol):
-        raise ValueError("beta^n != prod alpha")
+    beta = _root(prod, n, beta, tol,
+                 "no central unitary n-th root of prod alpha",
+                 "beta^n != prod alpha")
     # coefficient in front of X_j, independent of k
     pref, acc, bpow = [], unit, unit
     for j in range(1, n + 1):
@@ -1066,8 +1023,6 @@ def z2z4_decompose(tol: float = DEFAULT_TOL) -> Morphism:
     f = z2z4_cocycle(COMPLEX)
     inner = RingModel(COMPLEX)
     target = DirectSumModel(MatrixModel(2, inner), inner, inner, inner, inner)
-    unit = inner.unit()
-    zero = inner.zero()
 
     def mat(a, b, c, d):
         return [[RingValue.scalar(COMPLEX, a), RingValue.scalar(COMPLEX, b)],

@@ -12,10 +12,10 @@ import numpy as np
 
 from twistalg import KLEIN_A, KLEIN_B, KLEIN_C, RingValue, generator
 from twistalg.dense import (VERIFY_ENTRIES, _act, _matmul, _row_max,
-                            cocycle_blocks, dense_array)
+                            dense_array, readout_array)
 from twistalg.groups import row_blocks
 from twistalg.isolab import _split, flat_rows
-from twistalg.rings import real_basis
+from twistalg.rings import real_basis, real_dim
 
 
 def reference_extension(f, gen_images, target) -> list:
@@ -96,7 +96,7 @@ def reference_residuals(f, m, rows=None):
     """dense.dense_residuals with each run of summands split into its
     copies, each checked on its own readouts (n, size, cols)."""
     rows = np.arange(f.group.order) if rows is None else np.array(rows, int)
-    blocks, tilde = cocycle_blocks(f)
+    blocks, tilde = f._dense
     basis = dense_array(f.descriptor, real_basis(f.descriptor))
     unit, res, star = zip(*(_one_summand(f.group, blocks, tilde, basis, rows,
                                          mod, z)
@@ -134,5 +134,11 @@ def reference_rank(m) -> int:
     basis = dense_array(d, real_basis(d))
     rows = np.hstack([flat_rows(_act(basis, z[:, None]).reshape(
         (-1,) + z.shape[1:])) for _, y in m._summands for z in y])
-    return (int(np.linalg.matrix_rank(rows)) if np.isfinite(rows).all()
-            else -1)
+    if not np.isfinite(rows).all():
+        return -1
+    # numpy's default threshold, for the real coordinates of the values
+    values = sum(z[0].size for _, y in m._summands for z in y) // len(
+        readout_array(d, [RingValue.unit(d)])[0].flat)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return int((sv > sv.max() * max(len(rows), values * real_dim(d))
+                * np.finfo(float).eps).sum())

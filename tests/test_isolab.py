@@ -853,6 +853,35 @@ def test_verifier_matches_object_loop_on_non_central_tables(ring, data):
         for t in range(n)]))
 
 
+# r_t of a map V_t -> r_t V_t over C x M_2(C): the C part, the M_2(C) part
+RANK_EDGE = [(0.5848995986266756, [[1.0, 0.0], [0.0, 0.0]]),
+             (1.0, [[0.6125050989878358, 0.0],
+                    [0.9930091838957232, -0.7704089683984896]]),
+             (0.5624893862866572, [[0.8730821380706215, 0.0],
+                                   [0.0, 2.8655726734161846e-14]]),
+             (0.5, [[0.8669862893761895, 0.0], [0.0, 0.0]]),
+             (0.9298443941258915, [[0.8312524349130528, 0.0], [0.0, 0.0]]),
+             (0.8827254531960467, [[1.0, 0.0], [0.0, 0.0]])]
+
+
+def test_image_rank_threshold_counts_real_coordinates():
+    """A case the test above found: S3 over C x M_2(C), V_t -> r_t V_t.
+    Four singular values of the rank rows are 2.87e-14, between numpy's
+    default threshold for the readouts' 108 columns (3.25e-14) and the
+    one for the images' 60 real coordinates (1.80e-14), which the slots
+    hold; the rank is 44, not 40."""
+    d = RINGS["CxM2"]
+    c, m2 = d.factors
+    f = trivial_cocycle(S3, d)
+    target = TwistedModel(f)
+    m = Morphism(f, target, [target.scale_left(RingValue.tuple_value(d, [
+        RingValue.scalar(c, a), RingValue.mat(m2, b)]), generator(f, t))
+        for t, (a, b) in enumerate(RANK_EDGE)])
+    rep, ref = assert_matches_reference(m)
+    assert rep.image_rank == ref.image_rank == 44
+    assert not rep.injective
+
+
 def sum_component(f, data, depth=0):
     """A morphism out of S(f): the identity, a lambda isomorphism, or (at
     the top level) a direct sum of two of these."""
@@ -925,6 +954,7 @@ def test_direct_sum_verifier_memory():
 
 def model_classes():
     """Every AlgebraModel subclass of isolab with a dense form: all but
+    the abstract _Parts, whose subclasses give its structure constants,
     HypercomplexModel, whose subclasses give its unit table, and
     DirectSumModel, which the verifier checks one summand at a time."""
     todo, out = [isolab.AlgebraModel], []
@@ -932,7 +962,8 @@ def model_classes():
         for sub in todo.pop().__subclasses__():
             todo.append(sub)
             if (sub.__module__ == isolab.__name__ and sub not in (
-                    isolab.HypercomplexModel, isolab.DirectSumModel)):
+                    isolab._Parts, isolab.HypercomplexModel,
+                    isolab.DirectSumModel)):
                 out.append(sub)
     return out
 
@@ -1051,3 +1082,137 @@ def test_every_algebra_model_dense_form_matches_object_arithmetic(
     both = model.dense(y)
     assert np.array_equal(both[1], model.dense(y[1:])[0])
     assert np.array_equal(both[0], dense_a)
+
+
+# -- composite object arithmetic over Laurent rings --------------------------
+# Over Laurent rings the models compute with objects only, so their
+# arithmetic is pinned here against the formulas written out, leaf by leaf:
+# the same operations in the same order, so every slot is repr-equal.
+
+LAURENT_RINGS = {"L1": laurent(1), "L2": laurent(2),
+                 "L1R": laurent(1, "real")}
+COMPOSITES = [(kind, ring) for ring in LAURENT_RINGS
+              for kind in ["matrix", "sum"] + (["complexified", "quaternion"]
+                                               if ring == "L1R" else [])]
+
+
+def laurent_value(d, rng):
+    """1-3 terms with exponents in [-2, 2]^m, real coefficients over a real
+    ring."""
+    terms = {}
+    for _ in range(rng.integers(1, 4)):
+        c = rng.uniform(-1, 1) + (0 if d.is_real else 1j * rng.uniform(-1, 1))
+        terms[tuple(rng.integers(-2, 3, d.m).tolist())] = c
+    return RingValue.poly(d, terms)
+
+
+def laurent_leaf(d, rng):
+    """E itself or S(f_alpha) on Z/2 or Z/3 with monomial parameters."""
+    if rng.random() < 0.5:
+        return RingModel(d)
+    n = int(rng.integers(2, 4))
+    alphas = [RingValue.monomial(d, rng.choice([-1.0, 1.0]) if d.is_real
+                                 else np.exp(2j * np.pi * rng.random()),
+                                 rng.integers(-1, 2, d.m))
+              for _ in range(n - 1)]
+    return TwistedModel(make_f_alpha(n, alphas, d))
+
+
+def laurent_element(model, rng):
+    d = model.base
+    if isinstance(model, RingModel):
+        return laurent_value(d, rng)
+    if isinstance(model, TwistedModel):
+        return AlgebraElement(model.f, [laurent_value(d, rng)
+                                        for _ in range(model.f.group.order)])
+    if isinstance(model, MatrixModel):
+        return [[laurent_element(model.inner, rng) for _ in range(model.k)]
+                for _ in range(model.k)]
+    if isinstance(model, DirectSumModel):
+        return tuple(laurent_element(m, rng) for m in model.models)
+    return tuple(laurent_element(model.inner, rng) for _ in model.table)
+
+
+def leafwise(fn, *xs):
+    """fn on each ring value or algebra element of nested lists or tuples,
+    keeping the nesting."""
+    if isinstance(xs[0], (list, tuple)):
+        return type(xs[0])(leafwise(fn, *ys) for ys in zip(*xs))
+    return fn(*xs)
+
+
+def written_out_mul(model, a, b):
+    if isinstance(model, MatrixModel):
+        k = range(model.k)
+        return [[sum_in_order([a[i][l] * b[l][j] for l in k]) for j in k]
+                for i in k]
+    if isinstance(model, ComplexifiedModel):
+        (a0, a1), (b0, b1) = a, b
+        return (a0 * b0 + -(a1 * b1), a0 * b1 + a1 * b0)
+    if isinstance(model, QuaternionTensorModel):
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+        return (a0 * b0 + -(a1 * b1) + -(a2 * b2) + -(a3 * b3),
+                a0 * b1 + a1 * b0 + a2 * b3 + -(a3 * b2),
+                a0 * b2 + -(a1 * b3) + a2 * b0 + a3 * b1,
+                a0 * b3 + a1 * b2 + -(a2 * b1) + a3 * b0)
+    return tuple(x * y for x, y in zip(a, b))
+
+
+def sum_in_order(terms):
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+def written_out_star(model, a):
+    if isinstance(model, MatrixModel):
+        k = range(model.k)
+        return [[a[j][i].star() for j in k] for i in k]
+    if isinstance(model, DirectSumModel):
+        return tuple(x.star() for x in a)
+    return (a[0].star(),) + tuple(-x.star() for x in a[1:])
+
+
+def assert_repr_equal(got, want):
+    """Equal nesting, and each ring value or coefficient repr-equal."""
+    if isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_repr_equal(g, w)
+    elif isinstance(want, AlgebraElement):
+        assert got.cocycle is want.cocycle
+        assert list(map(repr, got.coeffs)) == list(map(repr, want.coeffs))
+    else:
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("kind,ring", COMPOSITES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_laurent_composite_arithmetic_is_the_written_out_formula(kind, ring,
+                                                                data):
+    """mul, star, add, neg and scale_left of MatrixModel (k <= 3), the
+    complexification and H (x) E (real rings) and DirectSumModel, over E
+    and S(f) inners, against the products summed in l order, the unit
+    tables of C and H multiplied out, and sums part by part."""
+    d = LAURENT_RINGS[ring]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "matrix":
+        model = MatrixModel(int(rng.integers(1, 4)), laurent_leaf(d, rng))
+    elif kind == "complexified":
+        model = ComplexifiedModel(laurent_leaf(d, rng))
+    elif kind == "quaternion":
+        model = QuaternionTensorModel(laurent_leaf(d, rng))
+    else:
+        model = DirectSumModel(*(laurent_leaf(d, rng)
+                                 for _ in range(rng.integers(1, 4))))
+    a, b = laurent_element(model, rng), laurent_element(model, rng)
+    x = laurent_value(d, rng)
+    assert_repr_equal(model.mul(a, b), written_out_mul(model, a, b))
+    assert_repr_equal(model.star(a), written_out_star(model, a))
+    assert_repr_equal(model.add(a, b), leafwise(lambda u, v: u + v, a, b))
+    assert_repr_equal(model.neg(a), leafwise(lambda u: -u, a))
+    assert_repr_equal(model.scale_left(x, a), leafwise(
+        lambda u: u.scale_ring(x) if isinstance(u, AlgebraElement)
+        else x * u, a))

@@ -14,7 +14,6 @@ from twistalg.cocycle import (Lambda, SchurFunction, ValidationReport,
                               _cocycle_check, _entry_checks,
                               _monomial_f_alpha, coboundary, make_f_alpha,
                               validate)
-from twistalg.dense import cocycle_blocks
 from twistalg.rings import COMPLEX, REAL, RingValue, laurent
 from twistalg.serialize import (cocycle_to_json, parse_cocycle,
                                 parse_descriptor, parse_group, parse_value)
@@ -190,7 +189,7 @@ def test_array_table_reads_as_the_list_table(group, d):
     assert [v[:2] for v in got] == [v[:2] for v in want.violations]
     assert np.allclose([v[2] for v in got], [v[2] for v in want.violations],
                        rtol=1e-15, atol=0)
-    for a, b in zip(cocycle_blocks(f), cocycle_blocks(ref)):
+    for a, b in zip(f._dense, ref._dense):
         assert np.array_equal(a, b)
     coeffs = [RingValue.scalar(d, c) for c in rng.normal(size=n)]
     x, y = AlgebraElement(f, coeffs), AlgebraElement(ref, coeffs)

@@ -237,6 +237,23 @@ def test_copies_of_one_model_share_a_stack():
         y.tobytes() for _, y in m._summands]
 
 
+@pytest.mark.parametrize("stacks", [
+    [np.ones((1, 2, 1, 1), complex)],
+    [np.ones((2, 1, 1), complex)] * 2,
+    [],
+], ids=["one copy for two", "one stack per summand", "none"])
+def test_stacks_must_fit_the_runs_of_the_target(stacks):
+    """Two copies of C take one stack (2, n, 1, 1): a stack of one copy
+    verified as a map of rank 2 of 4, a stack (n, 1, 1) per summand and no
+    stacks at all failed inside the verifier."""
+    d = COMPLEX
+    f = trivial_cocycle(make_subset_group([1]), d)
+    e = RingModel(d)
+    Morphism(f, DirectSumModel(e, e), stacks=[np.ones((2, 2, 1, 1), complex)])
+    with pytest.raises(ValueError, match="one readout stack"):
+        Morphism(f, DirectSumModel(e, e), stacks=stacks)
+
+
 def test_a_nan_unit_residual_of_any_copy_refuses_the_map():
     """The unit residual is NaN when the unit image of any copy is, not
     only of the first: the maximum over the copies keeps NaN."""
