@@ -116,37 +116,27 @@ def _scalar(real: bool, literal) -> complex:
 
 def values(d: RingDescriptor, centre: np.ndarray) -> tuple:
     """The rows of RingValues of a table of ring d held by centre."""
-    n, m = centre.shape[:2]
-    flat = _values(d, iter(centre.reshape(n * m, -1).T))
-    return tuple(tuple(flat[i:i + m]) for i in range(0, n * m, m))
-
-
-def _values(d: RingDescriptor, cols) -> list:
-    """RingValues of ring d from its centre factors' columns in cols."""
-    if d.kind == "product":
-        parts = [_values(e, cols) for e in d.factors]
-        return [RingValue(d, p) for p in zip(*parts)]
-    c = next(cols)
-    c = c.real if d.is_real else c
-    if d.kind in ("complex", "real"):
-        return [RingValue(d, x) for x in c.tolist()]
-    if d.kind == "quaternion":
-        p = np.zeros((len(c), 4))
-        p[:, 0] = c
-    else:
-        p = np.zeros((len(c), d.k, d.k), dtype=c.dtype)
-        p[:, np.arange(d.k), np.arange(d.k)] = c[:, None]
-    return [RingValue(d, q) for q in p]
+    from .dense import from_readout
+    y, m = readouts(d, centre), centre.shape[1]
+    flat = from_readout(d, y.reshape((-1,) + y.shape[2:]))
+    return tuple(tuple(flat[i:i + m]) for i in range(0, len(flat), m))
 
 
 def blocks(d: RingDescriptor, centre: np.ndarray) -> np.ndarray:
     """dense.value_blocks of a table of ring d held by centre."""
-    from .dense import dense_dtype, dense_size
-    out = np.zeros(centre.shape[:2] + (dense_size(d),) * 2,
-                   dtype=dense_dtype(d))
-    o = 0
-    for e, c in zip(leaves(d), np.moveaxis(centre, -1, 0)):
-        i = np.arange(o, o + dense_size(e))
-        out[..., i, i] = c[..., None]
-        o += len(i)
+    from .dense import readout_dense
+    return readout_dense(d, readouts(d, centre))
+
+
+def readouts(d: RingDescriptor, centre: np.ndarray) -> np.ndarray:
+    """The readouts (n, m, b, r) of the values c 1 of a table of ring d
+    held by centre: each leaf's c on its readout's diagonal."""
+    from .dense import dense_dtype, dense_size, readout_columns
+    shape = centre.shape[:2] + (dense_size(d), len(readout_columns(d)))
+    out = np.zeros(shape, dtype=dense_dtype(d))
+    o = c = 0
+    for e, z in zip(leaves(d), np.moveaxis(centre, -1, 0)):
+        i = np.arange(len(readout_columns(e)))
+        out[..., o + i, c + i] = z[..., None]
+        o, c = o + dense_size(e), c + len(i)
     return out

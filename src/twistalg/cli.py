@@ -215,10 +215,15 @@ def cmd_iso(args) -> int:
         _emit({"verified": False, "error": str(exc)}, args)
         return EXIT_DOMAIN
     rep = isolab.verify_morphism(morphism, tol=args.tol)
-    verified = (rep.ok(args.tol) and rep.injective in (True, None)
-                and rep.surjective in (True, None))
+    verified = _verified(rep, args.tol)
     _emit({"verified": verified, "report": _report_payload(rep)}, args)
     return EXIT_OK if verified else EXIT_DOMAIN
+
+
+def _verified(rep, tol) -> bool:
+    """A morphism's verdict: residuals within tol, and bijective where a
+    rank was taken (over Laurent rings none is, injective is None)."""
+    return rep.ok(tol) and False not in (rep.injective, rep.surjective)
 
 
 def cmd_clifford(args) -> int:
@@ -256,7 +261,7 @@ def cmd_clifford(args) -> int:
             raise ConfigError(f"unknown periodicity op {op!r}")
         rep = isolab.verify_morphism(m, tol=args.tol)
         payload["periodicity"] = {"op": op, "report": _report_payload(rep)}
-        ok = ok and rep.bijective(args.tol)
+        ok = ok and _verified(rep, args.tol)
     _emit(payload, args)
     return EXIT_OK if ok else EXIT_DOMAIN
 

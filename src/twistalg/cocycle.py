@@ -304,10 +304,10 @@ _EPS = 2.0 ** -51
 def _certified(g: GroupTable, forms, exps, cols, exact: bool,
                tol: float) -> bool:
     """True if no triple breaks the cocycle identity, proved from the rows
-    r in S + {e} of a generating set S of g; False leaves it to the full
-    check.  Only for 1 x 1 forms (central by nature; a stack of them is a
-    table per centre factor, for each of which the proof holds) whose entry
-    checks passed, and only where S + {e} is at most half the rows: then
+    r in a generating set S of g; False leaves it to the full check.  Only
+    for 1 x 1 forms (central by nature; a stack of them is a table per
+    centre factor, for each of which the proof holds) whose entry checks
+    passed, and only where S is non-empty and at most half the rows: then
     the rows an acceptance saves outnumber those a refusal adds.
 
     Proof.  Over 1 x 1 forms the table is c(s,t) z^a(s,t) with c complex
@@ -319,10 +319,12 @@ def _certified(g: GroupTable, forms, exps, cols, exact: bool,
     at least (1-e)^2 (1-T) > tol (T below), so they agree on the rows of
     S; the full check compares int64 sums, i.e. in Z/2^64, where the
     identity holds as well, so they agree on every row.  Coefficients:
-    every r != e is a positive word g r' in S of length L <= D = g.depth,
-    so if |w - 1| and |1/w - 1| are at most eta on the rows of S,
-    |w(r,s,t) - 1| <= (1 + eta)^(3L-2) - 1 <= Delta := (1 + eta)^(3D) - 1
-    by induction on L.
+    let |w - 1| and |1/w - 1| be at most eta on the rows of S.  At r = e
+    the identity reads w(e,s,t) = w(g,e,st) / w(g,e,s) for g in S, so
+    |w(e,s,t) - 1| and |1/w(e,s,t) - 1| are at most (1 + eta)^2 - 1.
+    Every other r is a positive word g r' in S of length L <= D = g.depth
+    (r in S for L = 1), so |w(r,s,t) - 1| <= (1 + eta)^(3L-2) - 1 by
+    induction on L.  All are at most Delta := (1 + eta)^(3D) - 1.
 
     Rounding, e = _EPS: the unitary check passed, |fl(fl(v v*) - 1)| <=
     tol, so ||v|^2 - 1| <= t' + e |v|^2 with t' = tol / (1-e)^2, and every
@@ -338,18 +340,14 @@ def _certified(g: GroupTable, forms, exps, cols, exact: bool,
     Elsewhere |P - Q| = |Q| |w - 1| <= (1+T) Delta, so every residual is
     at most (1+e)^2 (1+T) (Delta + 2e) <= tol, the test below, made in
     logarithms (no overflow) with a 2^-40 margin for its own rounding.
-    The rows of S + {e} are checked as the full check would check them."""
-    e, n = _EPS, g.order
+    It fails for rho > tol (then Delta >= eta > tol) and for a NaN rho.
+    The rows of S are checked as the full check would check them."""
+    e, rows = _EPS, np.array(g.generators, dtype=int)
     big_t = (tol / (1 - e) ** 2 + e) / (1 - e)
-    if forms.shape[-1] != 1 or not big_t < 0.5:
+    if (forms.shape[-1] != 1 or not big_t < 0.5 or not len(rows)
+            or 2 * len(rows) > g.order):
         return False
-    rows = np.array([g.identity] + g.generators)
-    if 2 * len(rows) > n:
-        return False
-    res = _row_residuals(g, forms, exps, cols, exact, rows)
-    rho = float(np.max(res[1:]))
-    if not (res[0] <= tol and rho <= tol):
-        return False
+    rho = float(np.max(_row_residuals(g, forms, exps, cols, exact, rows)))
     eta = (rho / (1 - e) ** 2 + 2 * e * (1 + big_t)) / (1 - big_t)
     room = tol / ((1 + e) ** 2 * (1 + big_t)) - 2 * e     # for Delta
     return room > 0 and (3 * g.depth * math.log1p(eta * (1 + 2.0 ** -40))

@@ -23,10 +23,12 @@ K copies of a summand of a direct sum in one batched pass.
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .groups import row_blocks
-from .rings import RingDescriptor, RingValue, real_basis
+from .rings import RingDescriptor, RingValue
 
 # entries of the largest arrays a blocked loop holds per block; a row of
 # dense_residuals (8,256 entries at order 64) takes about three of them
@@ -70,6 +72,29 @@ def readout_columns(d: RingDescriptor) -> list:
     if d.kind in ("complex", "real", "quaternion"):
         return [0]
     raise ValueError(f"no dense form for kind {d.kind}")
+
+
+def readout_slots(d: RingDescriptor) -> list:
+    """(row, column, real) of each readout entry that holds a coordinate,
+    leaf by leaf, row by row; real if it holds one, not two (1 and i)."""
+    if d.kind == "product":
+        return [(o.start + i, c.start + j, real) for _, e, o, c in
+                _factor_slots(d) for i, j, real in readout_slots(e)]
+    return [(i, j, d.is_real) for i in range(dense_size(d))
+            for j in range(len(readout_columns(d)))]
+
+
+@cache
+def basis_readouts(d: RingDescriptor) -> np.ndarray:
+    """The readouts of rings.real_basis(d), read-only: a 1 in each slot of
+    readout_slots, each complex one's followed by an i."""
+    i, j, u = zip(*[(i, j, u) for i, j, real in readout_slots(d)
+                    for u in ((1,) if real else (1, 1j))])
+    y = np.zeros((len(u), dense_size(d), len(readout_columns(d))),
+                 dtype=dense_dtype(d))
+    y[np.arange(len(u)), i, j] = u
+    y.flags.writeable = False
+    return y
 
 
 def value_dense(v: RingValue) -> np.ndarray:
@@ -239,7 +264,7 @@ def dense_residuals(f, summands, rows=None):
     every image_t and of every b 1."""
     rows = np.arange(f.group.order) if rows is None else np.array(rows, int)
     blocks, tilde = f._dense
-    basis = dense_array(f.descriptor, real_basis(f.descriptor))
+    basis = readout_dense(f.descriptor, basis_readouts(f.descriptor))
     unit, res, star = zip(*(_summand_residuals(f.group, blocks, tilde, basis,
                                                rows, *summand)
                             for summand in summands))

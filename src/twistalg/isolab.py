@@ -200,7 +200,7 @@ class _Parts(AlgebraModel):
     the unit that are their model's unit, not zero.  Sums, negatives and
     scale_left act part by part.  With one inner model, readouts are its
     readouts of the parts, (N parts, m, w) by _part_readouts, joined by
-    _join."""
+    _join; star_readout places and signs their stars' as adjoints says."""
 
     def parts(self, a):
         return list(a)
@@ -258,6 +258,13 @@ class _Parts(AlgebraModel):
         p = len(self.part_models)
         return [self.whole(x[i:i + p]) for i in range(0, len(x), p)]
 
+    def star_readout(self, y):
+        x = self.inner.star_readout(self._part_readouts(y))
+        x = x.reshape((len(y), -1) + x.shape[1:])
+        x = np.stack([x[:, q] if sign > 0 else -x[:, q]
+                      for q, sign in self.adjoints], 1)
+        return self._join(x.reshape((-1,) + x.shape[2:]))
+
 
 class MatrixModel(_Parts):
     """k x k matrices with entries in an inner model."""
@@ -278,12 +285,11 @@ class MatrixModel(_Parts):
     def whole(self, parts):
         return [parts[i:i + self.k] for i in range(0, len(parts), self.k)]
 
-    def _part_readouts(self, y, swap=False):
-        # block (i, j) of each readout, row-major (block (j, i) with swap)
+    def _part_readouts(self, y):
+        # block (i, j) of each readout, row-major
         k = self.k
         y = y.reshape(len(y), k, y.shape[1] // k, k, y.shape[2] // k)
-        return y.transpose((0, 3, 1, 2, 4) if swap else (0, 1, 3, 2, 4)
-                           ).reshape(-1, y.shape[2], y.shape[4])
+        return y.transpose(0, 1, 3, 2, 4).reshape(-1, y.shape[2], y.shape[4])
 
     def _join(self, y):
         # entry (i, j) of each element becomes block (i, j)
@@ -293,11 +299,6 @@ class MatrixModel(_Parts):
 
     def dense(self, y):
         return self._join(self.inner.dense(self._part_readouts(y)))
-
-    def star_readout(self, y):
-        # entry (i, j) of a^* is the star of entry (j, i)
-        return self._join(self.inner.star_readout(
-            self._part_readouts(y, True)))
 
 
 class DirectSumModel(_Parts):
@@ -392,13 +393,6 @@ class HypercomplexModel(_Parts):
             out[:, r * m:(r + 1) * m, q * m:(q + 1) * m] = \
                 x[p::d] if sign > 0 else -x[p::d]
         return out
-
-    def star_readout(self, y):
-        d = len(self.table)
-        st = self.inner.star_readout(self._part_readouts(y))
-        st = st.reshape((len(y), d) + st.shape[1:])
-        return np.concatenate([st[:, :1], -st[:, 1:]],
-                              axis=1).reshape(y.shape)
 
 
 class ComplexifiedModel(HypercomplexModel):
@@ -534,11 +528,11 @@ def verify_morphism(m: Morphism, tol: float = DEFAULT_TOL) -> MorphismReport:
     "generators"); else, and where S + {e} is over half the rows, all."""
     if m._summands is None:
         return MorphismReport(*object_residuals(m), -1, -1, None, None, None)
-    from .dense import (VERIFY_ENTRIES, _act, dense_array, dense_residuals,
-                        residual_bound)
+    from .dense import (VERIFY_ENTRIES, _act, basis_readouts, dense_residuals,
+                        readout_dense, residual_bound)
     f, g = m.source, m.source.group
     # the rows b image_t over a real basis b of E, summand by summand
-    basis = dense_array(f.descriptor, real_basis(f.descriptor))
+    basis = readout_dense(f.descriptor, basis_readouts(f.descriptor))
     rows = np.hstack([flat_rows(np.moveaxis(_act(basis, y[:, :, None]), 0, 2)
                                 ).reshape(g.order * len(basis), -1)
                       for _, y in m._summands])
@@ -1020,36 +1014,14 @@ def z2z4_decompose(tol: float = DEFAULT_TOL) -> Morphism:
 
     with phi_{j,k} Z = Z_0 + (-1)^j Z_(0,2) + i^j Z_(k,1) - i^j Z_(k,3).
     """
-    f = z2z4_cocycle(COMPLEX)
     inner = RingModel(COMPLEX)
     target = DirectSumModel(MatrixModel(2, inner), inner, inner, inner, inner)
-
-    def mat(a, b, c, d):
-        return [[RingValue.scalar(COMPLEX, a), RingValue.scalar(COMPLEX, b)],
-                [RingValue.scalar(COMPLEX, c), RingValue.scalar(COMPLEX, d)]]
-
-    zmat = mat(0, 0, 0, 0)
-    matrix_part = {0: mat(1, 0, 0, 1), 6: mat(1, 0, 0, -1),
-                   4: mat(0, 1, 1, 0), 2: mat(0, -1, 1, 0)}
-
-    def phi_part(t):
-        k, q = divmod(t, 4)
-        out = []
-        for j, kk in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            if t == 0:
-                c = 1
-            elif (k, q) == (0, 2):
-                c = (-1) ** j
-            elif q == 1 and k == kk:
-                c = 1j ** j
-            elif q == 3 and k == kk:
-                c = -(1j ** j)
-            else:
-                c = 0
-            out.append(RingValue.scalar(COMPLEX, c))
-        return tuple(out)
-
-    images = []
-    for t in range(8):
-        images.append((matrix_part.get(t, zmat),) + phi_part(t))
-    return Morphism(f, target, images)
+    mats = np.zeros((8, 2, 2), dtype=complex)       # Z_(k,q) at 4 k + q
+    mats[[0, 6, 4, 2]] = [[[1, 0], [0, 1]], [[1, 0], [0, -1]],
+                          [[0, 1], [1, 0]], [[0, -1], [1, 0]]]
+    phi = np.array([[1, 1, 1, -1, 0, 0, 0, 0],      # phi_{j,k} in row 2 j + k
+                    [1, 0, 1, 0, 0, 1, 0, -1],
+                    [1, 1j, -1, -1j, 0, 0, 0, 0],
+                    [1, 0, -1, 0, 0, 1j, 0, -1j]])
+    return Morphism(z2z4_cocycle(COMPLEX), target,
+                    stacks=[mats[None], phi[..., None, None]])

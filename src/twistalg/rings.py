@@ -460,44 +460,11 @@ def torus_sampler(d: RingDescriptor, values, grid: int):
 
 def real_dim(d: RingDescriptor) -> int:
     """Dimension of E as a real vector space (finite kinds only)."""
-    if d.kind == "complex":
-        return 2
-    if d.kind == "real":
-        return 1
-    if d.kind == "matrix":
-        return d.k * d.k * (2 if d.field == "complex" else 1)
-    if d.kind == "quaternion":
-        return 4
-    if d.kind == "product":
-        return sum(real_dim(f) for f in d.factors)
-    raise ValueError(f"{d} is not finite-dimensional")
+    from .dense import basis_readouts
+    return len(basis_readouts(d))
 
 
 def real_basis(d: RingDescriptor):
-    """A real-vector-space basis of E made of RingValues."""
-    if d.kind == "complex":
-        return [RingValue(d, 1 + 0j), RingValue(d, 1j)]
-    if d.kind == "real":
-        return [RingValue(d, 1.0)]
-    if d.kind == "matrix":
-        out = []
-        for p in range(d.k):
-            for q in range(d.k):
-                e = np.zeros((d.k, d.k),
-                             dtype=complex if d.field == "complex" else float)
-                e[p, q] = 1
-                out.append(RingValue(d, e))
-                if d.field == "complex":
-                    out.append(RingValue(d, e * 1j))
-        return out
-    if d.kind == "quaternion":
-        return [RingValue.quaternion(np.eye(4)[i]) for i in range(4)]
-    if d.kind == "product":
-        out = []
-        for i, f in enumerate(d.factors):
-            for b in real_basis(f):
-                comps = [RingValue.zero(g) for g in d.factors]
-                comps[i] = b
-                out.append(RingValue(d, tuple(comps)))
-        return out
-    raise ValueError(f"{d} has no finite basis")
+    """A real basis of E as RingValues, read off dense.basis_readouts."""
+    from .dense import basis_readouts, from_readout
+    return from_readout(d, basis_readouts(d))

@@ -558,6 +558,51 @@ def test_clifford_periodicity(tmp_path, capsys):
     assert rep["injective"] is True and rep["surjective"] is True
 
 
+LAURENT_PERIODICITY = {
+    "descriptor": {"kind": "laurent", "m": 1},
+    "rho": [[[[1], "1"]], [[[0], "-1"]]],
+    "periodicity": {"op": "extend_two_matrix", "alpha1": [[[0], "1"]],
+                    "alpha2": [[[0], "1"]]}}
+
+
+def test_clifford_accepts_a_laurent_periodicity_map(tmp_path, capsys):
+    # no rank is taken over Laurent rings, so the residuals decide, as in iso
+    cfg = write(tmp_path, "lp.json", LAURENT_PERIODICITY)
+    code, out = run(capsys, "clifford", "--config", cfg)
+    assert code == 0
+    payload = json.loads(out)
+    rep = payload["periodicity"]["report"]
+    assert rep["injective"] is None and rep["surjective"] is None
+    assert [rep[k] for k in ("unit_residual", "mult_residual",
+                             "star_residual")] == ["0", "0", "0"]
+    assert payload["relations"]["residual"] == "0"
+
+
+def test_clifford_refuses_a_laurent_map_off_the_generators_rows(
+        tmp_path, capsys, monkeypatch):
+    # f({1,2}, {1}) of the extended table flipped: the generators' rows, and
+    # so the relations and universal_map, pass; the verifier's row {1,2} not
+    import twistalg.clifford
+    build = twistalg.clifford.clifford_cocycle
+
+    def flipped(spec):
+        f = build(spec)
+        if f.group.order < 16:
+            return f
+        rows = [list(row) for row in f.values]
+        rows[3][1] = -rows[3][1]
+        return SchurFunction(f.group, f.descriptor, rows)
+
+    monkeypatch.setattr(twistalg.clifford, "clifford_cocycle", flipped)
+    cfg = write(tmp_path, "lp.json", LAURENT_PERIODICITY)
+    code, out = run(capsys, "clifford", "--config", cfg)
+    assert code == 1
+    payload = json.loads(out)
+    rep = payload["periodicity"]["report"]
+    assert rep["injective"] is None and rep["mult_residual"] == "2"
+    assert payload["relations"]["residual"] == "0"
+
+
 def test_output_is_byte_deterministic(tmp_path, capsys):
     cfg = write(tmp_path, "d.json", {
         "cocycle": {"descriptor": "complex", "f_alpha": ["i", "-1", "-i"]}})

@@ -1026,6 +1026,13 @@ def random_element(model, rng):
     return tuple(random_element(model.inner, rng) for _ in model.table)
 
 
+def twisted_inside(model):
+    """Whether model or a model nested in it is a twisted algebra."""
+    while not isinstance(model, TwistedModel) and hasattr(model, "inner"):
+        model = model.inner
+    return isinstance(model, TwistedModel)
+
+
 def assert_close(x, y):
     assert x.shape == y.shape
     assert np.abs(x - y).max() <= 1e-12
@@ -1073,8 +1080,12 @@ def test_every_algebra_model_dense_form_matches_object_arithmetic(
     # the readout carries exactly the coordinates diff compares
     assert abs(np.abs(ra - rb).max() - model.diff(a, b)) <= 1e-12
     assert_close(model.readout([model.mul(a, b)])[0], dense_a @ rb)
-    assert_close(model.readout([model.star(a)]),
-                 model.star_readout(model.readout([a])))
+    # stars exactly, but where a twisted star multiplies by tilde f
+    star = model.star_readout(model.readout([a]))
+    if twisted_inside(model):
+        assert_close(model.readout([model.star(a)]), star)
+    else:
+        assert np.array_equal(model.readout([model.star(a)]), star)
     # a *-representation
     assert_close(model.dense(model.readout([model.star(a)]))[0],
                  dense_a.conj().T)
