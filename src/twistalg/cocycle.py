@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add, sub
 
 import numpy as np
 
@@ -456,10 +457,11 @@ class Lambda:
         unit = RingValue.unit(descriptor)
         if not values[group.identity].close(unit, tol):
             raise ValueError("lambda(1) must be 1")
+        unitary = _unitary_monomials(descriptor, values, tol)
         for i, v in enumerate(values):
             if v.descriptor != descriptor:
                 raise ValueError("descriptor mismatch")
-            if not v.is_unitary(tol):
+            if not (v.is_unitary(tol) if unitary is None else unitary[i]):
                 raise ValueError(f"lambda({i}) is not unitary")
             if not v.is_central(tol):
                 raise ValueError(f"lambda({i}) is not central")
@@ -585,8 +587,8 @@ def _scalar_f_alpha(ext: np.ndarray, laurent: bool = False):
 
 
 def _unitary_monomials(d: RingDescriptor, alphas, tol: float):
-    """RingValue.is_unitary, bit for bit, of parameters c z^e of Laurent
-    ring d (make_f_alpha refuses one of another ring first), else None:
+    """RingValue.is_unitary, bit for bit, of values c z^e of Laurent ring
+    d (make_f_alpha and Lambda refuse one of another ring first), else None:
     c c^* and c^* c, four real products summed from 0j, are a a + b b for
     c = a + b i, imaginary part 0 (NaN where a a + b b is inf or NaN); a
     product or a difference from 1 of modulus <= _COEFF_EPS is dropped."""
@@ -713,7 +715,8 @@ def equivalent_cyclic(alphas, betas, descriptor: RingDescriptor = None,
 
     f_alpha = f_beta * (delta lambda) holds iff prod_j alpha_j beta_j^* has
     an n-th root gamma in the central unitaries; then lambda(1) = gamma and
-    lambda(p) = gamma^p prod_{j=1}^{p-1} (alpha_j^* beta_j).
+    lambda(p) = gamma^p prod_{j=1}^{p-1} (alpha_j^* beta_j).  Products of
+    Laurent monomials run on their terms (_mono_mul).
     """
     alphas, betas = list(alphas), list(betas)
     if len(alphas) != len(betas):
@@ -726,7 +729,7 @@ def equivalent_cyclic(alphas, betas, descriptor: RingDescriptor = None,
     unit = RingValue.unit(descriptor)
     prod = unit
     for a, b in zip(alphas, betas):
-        prod = prod * a * b.star()
+        prod = _mono_mul(_mono_mul(prod, a), b, star=True)
     gamma = prod.nth_root(n, tol)
     if gamma is None:
         return None
@@ -735,11 +738,27 @@ def equivalent_cyclic(alphas, betas, descriptor: RingDescriptor = None,
     gp = unit
     for p in range(n):
         if p > 0:
-            gp = gp * gamma
+            gp = _mono_mul(gp, gamma)
             if p > 1:
-                corr = corr * alphas[p - 2].star() * betas[p - 2]
-        values.append(gp * corr if p > 0 else unit)
+                corr = _mono_mul(_mono_mul(corr, alphas[p - 2], star=True),
+                                 betas[p - 2])
+        values.append(_mono_mul(gp, corr) if p > 0 else unit)
     return Lambda(make_cyclic(n), descriptor, values, tol=tol)
+
+
+def _mono_mul(x: RingValue, y: RingValue, star=False) -> RingValue:
+    """x * y (x * y.star() with star), bit for bit, on the terms where x
+    and y are monomials c z^e of one Laurent ring: the coefficient summed
+    from 0j (-0.0 becomes 0.0) and the exponents added, unless _clean_poly
+    would drop the term."""
+    p, q, d = x.payload, y.payload, x.descriptor
+    if d is y.descriptor and d.kind == "laurent" and len(p) == len(q) == 1:
+        (e1, c1), (e2, c2) = *p.items(), *q.items()
+        c = complex(0j + c1 * (c2.conjugate() if star else c2))
+        if not abs(c) <= _COEFF_EPS:
+            return RingValue(d, {tuple(map(int, map(sub if star else add,
+                                                    e1, e2))): c})
+    return x * (y.star() if star else y)
 
 
 def winding(u: RingValue, variable: int = 0, tol: float = DEFAULT_TOL) -> int:

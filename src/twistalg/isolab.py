@@ -31,8 +31,8 @@ from .cocycle import (KLEIN_A, KLEIN_B, KLEIN_C, Lambda, SchurFunction,
                       _frozen, _residual, coboundary, cocycle_mul,
                       klein_table, tensor_cocycle)
 from .groups import direct_product, make_cyclic, make_subset_group, row_blocks
-from .rings import (COMPLEX, DEFAULT_TOL, RingDescriptor, RingValue,
-                    real_basis, real_dim)
+from .rings import (_COEFF_EPS, COMPLEX, DEFAULT_TOL, RingDescriptor,
+                    RingValue, real_basis, real_dim)
 
 
 # -- algebra models --------------------------------------------------------
@@ -819,14 +819,26 @@ def char_decompose_z2n(f: SchurFunction, tol: float = DEFAULT_TOL) -> Morphism:
     if not np.array_equal(g.mul, idx[:, None] ^ idx[None, :]):
         raise ValueError("group indices must compose by XOR")
     unit = RingValue.unit(f.descriptor)
-    for row in f.values:
-        for v in row:
-            if not v.close(unit, tol):
-                raise ValueError("character decomposition needs the "
-                                 "constant cocycle")
+    if not _constant(f, unit, tol):
+        raise ValueError("character decomposition needs the constant "
+                         "cocycle")
     return _copies(f, [unit] * n, np.array([
         [-1.0 if (t & s).bit_count() % 2 else 1.0 for s in range(n)]
         for t in range(n)]))
+
+
+def _constant(f: SchurFunction, unit: RingValue, tol: float) -> bool:
+    """Whether every value of f is close (RingValue.close) to unit, bit for
+    bit on the held arrays: |c - 1| for a centre c; for monomials c z^e,
+    |c - 1| (0 if at most _COEFF_EPS: the sum drops it) where e = 0 and
+    max(|c|, 1) elsewhere.  Any NaN fails."""
+    if f._centre is not None:
+        return bool((np.abs(f._centre - 1) <= tol).all())
+    if f._monomials is None:
+        return all(v.close(unit, tol) for row in f.values for v in row)
+    c, e = f._monomials
+    res = np.where(e.any(axis=-1), np.maximum(np.abs(c), 1.0), np.abs(c - 1))
+    return bool((np.where(res <= _COEFF_EPS, 0.0, res) <= tol).all())
 
 
 # -- cyclic decomposition over C -------------------------------------------

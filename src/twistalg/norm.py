@@ -92,8 +92,9 @@ def _cyclic_norm(f, coeffs, grid: int):
     (isolab.cyclic_decompose): together a *-isomorphism onto C^n, so
     isometric, and ||x|| = max_k |sum_t X_{e_t} lambda^t c_t^{-1}
     omega^{kt}|, one FFT.  Over R it is the norm of the complexification;
-    over Laurent rings it holds at each torus point, from samples of the
-    n - 1 values f(e_t, gen) and the n coefficients only."""
+    over Laurent rings it holds at each torus point z, where c_t = C_t
+    z^{E_t} is a monomial and lambda = Lambda z^{E_n / n} one of its n-th
+    roots (any root gives the same maximum over k): _torus_samples."""
     g, d, n = f.group, f.descriptor, f.group.order
     if d.kind not in ("complex", "real", "laurent") or (
             gen := _generator(g)) is None or f._arrays is None:
@@ -103,21 +104,51 @@ def _cyclic_norm(f, coeffs, grid: int):
         e.append(int(g.mul[e[-1], gen]))
     forms, exps = f._arrays[:2]
     coef = forms[..., 0, 0][np.ix_(e, e)].astype(complex)
-    exps = exps[np.ix_(e, e)]
-    if not _rebuilt(coef, exps):
+    potentials = _rebuilt(coef, exps[np.ix_(e, e)])
+    if potentials is None:
         return None
+    c, ex = potentials
+    chars = np.exp(1j * np.angle(c[-1:]) / n * np.arange(n))
+    chars[1:] *= c[1:n].conj()            # Lambda^t C_t^{-1}, t < n
     from numpy.fft import fft          # its first use adds about 0.5 MB RSS
     if d.kind == "laurent":
-        from .dense import BLOCK_ENTRIES
-        a_at = torus_sampler(d, [f.value(s, gen) for s in e[1:]], grid)
-        x_at = torus_sampler(d, [coeffs[s] for s in e], grid)
-        samples = ((a_at(k), x_at(k))
-                   for k in row_blocks(grid ** d.m, n, BLOCK_ENTRIES))
+        samples = _torus_samples(d, [coeffs[s] for s in e], chars, ex, grid)
     else:
-        samples = [(coef[None, 1:, 1 % n], np.array(
-            [[coeffs[s].payload for s in e]], dtype=complex))]
-    return max(float(np.abs(fft(x * _characters(a), axis=-1)).max())
-               for a, x in samples)
+        samples = [np.array([[coeffs[s].payload for s in e]],
+                            dtype=complex) * chars]
+    return max(float(np.abs(fft(y, axis=-1)).max()) for y in samples)
+
+
+def _torus_samples(d, xs, chars, ex, grid: int):
+    """Blocks of samples X_t lambda^t c_t^{-1} (points, n), t < n, at the
+    grid^m torus points z_k = w^k, w = exp(2 pi i / grid), from the terms
+    of the coefficients xs = X_t, chars = Lambda^t C_t^{-1} and the
+    exponents ex = E_0 .. E_n of c_t: each term x z^e is the monomial
+    x chars_t z^{e - E_t + t E_n / n}, read from a table of the
+    (n grid)-th roots of unity, the j-th terms of all X_t in one pass.  A
+    block of P points samples P * terms terms into (P, n) arrays, with P
+    about BLOCK_ENTRIES / max(n, terms)."""
+    from .dense import BLOCK_ENTRIES
+    n = len(xs)
+    big, terms = n * grid, [list(x.payload.items()) for x in xs]
+    ex = ex % big
+    slots = []              # the j-th terms of all X_t: columns, c, e
+    for j in range(max(map(len, terms), default=0)):
+        cols = np.array([t for t, tt in enumerate(terms) if len(tt) > j])
+        e = np.array([[v % grid for v in terms[t][j][0]] for t in cols],
+                     dtype=np.int64).reshape(len(cols), d.m)
+        c = np.array([terms[t][j][1] for t in cols], dtype=complex)
+        slots.append((cols, c * chars[cols],
+                      n * (e - ex[cols]) + cols[:, None] * ex[n]))
+    w = np.exp(1j * (2 * np.pi * np.arange(big) / big))
+    size = max(n, sum(len(t) for t in terms))
+    for k in row_blocks(grid ** d.m, size, BLOCK_ENTRIES):
+        z = np.stack(np.unravel_index(np.arange(k.start, k.stop),
+                                      (grid,) * d.m), axis=-1)
+        y = np.zeros((len(z), n), dtype=complex)
+        for cols, c, e in slots:
+            y[:, cols] += c * w[(z @ e.T) % big]
+        yield y
 
 
 def _generator(g):
@@ -135,24 +166,13 @@ def _generator(g):
     return int(np.argmax(ok)) if ok.any() else None
 
 
-def _characters(a) -> np.ndarray:
-    """lambda^t c_t^{-1}, t < n, at each row of samples a (..., n - 1) of
-    f(e_t, gen), 0 < t < n; each c_t scaled to modulus 1."""
-    c = np.cumprod(np.concatenate(
-        [np.ones(a.shape[:-1] + (1,)), a], axis=-1), axis=-1)  # c_1 .. c_n
-    c /= np.abs(c)
-    n = c.shape[-1]
-    lam_t = np.exp(1j * np.angle(c[..., -1:]) / n * np.arange(n))
-    lam_t[..., 1:] *= c[..., :-1].conj()
-    return lam_t
-
-
 @np.errstate(all="ignore")
-def _rebuilt(coef, exps) -> bool:
-    """Whether the monomials coef z^exps, (n, n) and (n, n, m) at (e_s, e_t),
-    are the cocycle c_{s+t} c_s^{-1} c_t^{-1} rebuilt from their column
-    t = 1 (c_{t+n} = c_n c_t; each c_t scaled to modulus 1): exponents
-    exactly, coefficients within n * _CYCLIC_EPS.  NaN fails."""
+def _rebuilt(coef, exps):
+    """The potentials (c, ex) of the monomials coef z^exps, (n, n) and
+    (n, n, m) at (e_s, e_t), if they are the cocycle c_{s+t} c_s^{-1}
+    c_t^{-1} rebuilt from their column t = 1, else None: c = c_0 .. c_n
+    (c_{t+n} = c_n c_t; each scaled to modulus 1) and ex their exponents,
+    equal exactly, coefficients within n * _CYCLIC_EPS.  NaN fails."""
     n, m = exps.shape[1:]
     c = np.cumprod(np.concatenate([[1, 1], coef[1:, 1 % n]]))   # c_0 .. c_n
     c /= np.abs(c)
@@ -163,5 +183,6 @@ def _rebuilt(coef, exps) -> bool:
     ex_st = np.concatenate([ex[:n], ex[n] + ex[:n - 1]])[st]
     inv = c[:n].conj()
     dev = np.abs(coef - c_st * inv[:, None] * inv).max()
-    return bool(dev <= n * _CYCLIC_EPS and np.array_equal(
-        exps, ex_st - ex[:n, None] - ex[:n]))
+    ok = dev <= n * _CYCLIC_EPS and np.array_equal(
+        exps, ex_st - ex[:n, None] - ex[:n])
+    return (c, ex) if ok else None

@@ -259,6 +259,71 @@ def test_char_decompose_rejects_nontrivial():
         char_decompose_z2n(f)
 
 
+CONSTANT_MESSAGE = "character decomposition needs the constant cocycle"
+
+
+def constant_tables(tol):
+    """(name, table, table off by 2 tol in one entry) on Z/2 x Z/2, held as
+    a centre (C, M_2(C), C x R), as lists (C, H) and as Laurent monomials."""
+    g, n = direct_product(make_cyclic(2), make_cyclic(2)), 4
+    off = 1 + 2 * tol
+    for d in (COMPLEX, matrix_ring(2), product_ring(COMPLEX, REAL)):
+        centre = np.ones((n, n, 2) if d.kind == "product" else (n, n),
+                         dtype=complex)
+        bad = centre.copy()
+        bad[KLEIN_B, KLEIN_C, ...] = off
+        yield str(d), SchurFunction(g, d, centre), SchurFunction(g, d, bad)
+    for d in (COMPLEX, QUATERNION):
+        unit = RingValue.unit(d)
+        rows = [[unit] * n for _ in range(n)]
+        bad = [list(r) for r in rows]
+        bad[KLEIN_C][KLEIN_A] = unit.scale(off)
+        yield f"{d} lists", SchurFunction(g, d, rows), SchurFunction(g, d, bad)
+    d = laurent(2)
+    coef, exps = np.ones((2, 2), dtype=complex), np.zeros((2, 2, 2), np.int64)
+    bad = coef.copy()
+    bad[1, 1] = off
+    yield str(d), SchurFunction(make_cyclic(2), d, (coef, exps)), \
+        SchurFunction(make_cyclic(2), d, (bad, exps))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_char_decompose_checks_constancy_on_the_held_arrays(tol):
+    for name, f, bad in constant_tables(tol):
+        assert f._values is None or "lists" in name
+        assert verify_morphism(char_decompose_z2n(f, tol)).ok, name
+        with pytest.raises(ValueError, match=CONSTANT_MESSAGE):
+            char_decompose_z2n(bad, tol)
+        assert bad._values is None or "lists" in name
+
+
+def test_held_constancy_is_the_object_check():
+    """isolab._constant on held arrays equals RingValue.close of every
+    value against 1, at the edges: differences of modulus at most
+    _COEFF_EPS that the Laurent sum drops, exponents away from 0, NaN."""
+    d, g = laurent(1), make_cyclic(2)
+    unit = RingValue.unit(d)
+    cases = [1 + 5e-15, 1 + 1e-14, 1 + 3e-14, 1 - 2e-16j, 1e-7, 2.0, -1.0,
+             complex("nan+0j"), complex("inf+0j")]
+    for c in cases:
+        for e in (0, 1):
+            coef = np.ones((2, 2), dtype=complex)
+            exps = np.zeros((2, 2, 1), dtype=np.int64)
+            coef[1, 1], exps[1, 1] = c, e
+            f = SchurFunction(g, d, (coef, exps))
+            for tol in (1e-15, 2e-14, 1e-9, 0.5, 1.0, 2.0, np.inf):
+                want = all(v.close(unit, tol) for row in f.values for v in row)
+                assert isolab._constant(f, unit, tol) == want, (c, e, tol)
+    for c in cases[:7]:
+        centre = np.ones((2, 2), dtype=complex)
+        centre[1, 1] = c
+        f = SchurFunction(g, COMPLEX, centre)
+        one = RingValue.unit(COMPLEX)
+        for tol in (1e-15, 2e-14, 1e-9, 1.0):
+            want = all(v.close(one, tol) for row in f.values for v in row)
+            assert isolab._constant(f, one, tol) == want, (c, tol)
+
+
 def test_cyclic_decompose():
     for n in (2, 3, 5):
         rng = np.random.default_rng(n)

@@ -330,3 +330,45 @@ def test_cli_reports_are_byte_identical_to_the_object_loops(tmp_path,
     monkeypatch.setattr(cocycle, "_monomial_f_alpha", lambda d, ext: None)
     assert reports("object") == built
     assert len(built) == 12
+
+
+def classify_and_norm_configs(n, m):
+    """A classify config of four parameter vectors on Z/n, two of them in
+    one class, and a norm config of a Laurent f_alpha and an element with
+    a two-term coefficient on every group element."""
+    rng = np.random.default_rng([n, m])
+    vectors = [[laurent_literal(rng, m) for _ in range(n - 1)]
+               for _ in range(4)]
+    vectors[1] = vectors[0][:-1] + [[[[e + n for e in vectors[0][-1][0][0]],
+                                      "1"]]]
+    x = {"coeffs": {str(t): laurent_literal(rng, m) + laurent_literal(rng, m)
+                    for t in range(n)}}
+    cocycle_cfg = {"descriptor": {"kind": "laurent", "m": m},
+                   "f_alpha": vectors[2]}
+    return [("classify", {"descriptor": {"kind": "laurent", "m": m},
+                          "alphas": vectors}, ()),
+            ("norm", {"cocycle": cocycle_cfg, "x": x}, ("--grid", "8"))]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_cli_classify_and_norm_make_no_ring_value_per_entry(
+        tmp_path, monkeypatch, m):
+    """Laurent classify and norm jobs take no RingValue product, and make
+    a number of RingValues linear in n (a few per parameter, coefficient,
+    product of monomials and witness value), none per table entry."""
+    n = 64
+    made, products = [], []
+    init, mul = RingValue.__init__, RingValue.__mul__
+    monkeypatch.setattr(RingValue, "__init__",
+                        lambda self, *a: made.append(1) or init(self, *a))
+    monkeypatch.setattr(RingValue, "__mul__",
+                        lambda *a: products.append(1) or mul(*a))
+    for command, cfg, flags in classify_and_norm_configs(n, m):
+        path, report = tmp_path / "c.json", tmp_path / "r.json"
+        path.write_text(json.dumps(cfg))
+        made.clear()
+        assert main([command, "--config", str(path), "--out", str(report),
+                     *flags]) == 0
+        assert products == [], command
+        assert len(made) <= 24 * n < n * n, command
+    assert len(json.loads(report.read_text())) == 1
