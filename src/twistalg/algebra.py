@@ -4,9 +4,11 @@ An element is its coefficient family (X_t)_{t in T}; the product is
 
     (XY)_t = sum_s f(s, s^{-1}t) X_s Y_{s^{-1}t}
 
-and the involution is (X^*)_t = tilde f(t) (X_{t^{-1}})^*.  The regular
-representation identifies X with the |T| x |T| matrix whose (s,t) entry is
-f(st^{-1}, t) X_{st^{-1}}; its largest singular value on dense forms
+and the involution is (X^*)_t = tilde f(t) (X_{t^{-1}})^*.  Over finite
+rings both run on the readouts of the coefficients (dense.twisted_mul,
+dense.twisted_star), over Laurent rings one RingValue at a time.  The
+regular representation identifies X with the |T| x |T| matrix whose (s,t)
+entry is f(st^{-1}, t) X_{st^{-1}}; its largest singular value on dense forms
 (dense.regular_dense), or the largest over a grid of torus points over
 Laurent rings, is alg_norm.  On a cyclic group over C, R and Laurent rings
 alg_norm takes the same norm from the cyclic decomposition, one FFT
@@ -44,11 +46,13 @@ class AlgebraElement:
 
     @staticmethod
     def from_dict(f: SchurFunction, entries) -> "AlgebraElement":
-        coeffs = [RingValue.zero(f.descriptor)] * f.group.order
-        out = AlgebraElement(f, coeffs)
+        n = f.group.order
+        coeffs = [RingValue.zero(f.descriptor)] * n
         for t, v in entries.items():
-            out.coeffs[t] = v
-        return out
+            if not 0 <= t < n:
+                raise ValueError(f"coefficient index {t} outside 0..{n - 1}")
+            coeffs[t] = v
+        return AlgebraElement(f, coeffs)
 
     def copy(self) -> "AlgebraElement":
         return AlgebraElement(self.cocycle, self.coeffs)
@@ -100,9 +104,7 @@ class AlgebraElement:
 
 def generator(f: SchurFunction, t: int) -> AlgebraElement:
     """V_t; generator of the identity is the algebra unit."""
-    coeffs = [RingValue.zero(f.descriptor) for _ in range(f.group.order)]
-    coeffs[t] = RingValue.unit(f.descriptor)
-    return AlgebraElement(f, coeffs)
+    return AlgebraElement.from_dict(f, {t: RingValue.unit(f.descriptor)})
 
 
 def unit(f: SchurFunction) -> AlgebraElement:
@@ -114,18 +116,18 @@ def embed_scalar(f: SchurFunction, x: RingValue,
     """x V_1; x must be central so it commutes with every generator."""
     if not x.is_central(tol):
         raise ValueError("embed_scalar needs a central ring element")
-    coeffs = [RingValue.zero(f.descriptor) for _ in range(f.group.order)]
-    coeffs[f.group.identity] = x
-    return AlgebraElement(f, coeffs)
+    return AlgebraElement.from_dict(f, {f.group.identity: x})
 
 
 def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     x._need_same(y)
-    f, g = x.cocycle, x.cocycle.group
-    if f._scalars is not None:
-        return _scalar_mul(x, y)
+    f, g, d = x.cocycle, x.cocycle.group, x.cocycle.descriptor
+    if d.is_finite:
+        from .dense import from_readout, readout_array, twisted_mul
+        return AlgebraElement(f, from_readout(d, twisted_mul(
+            f, readout_array(d, x.coeffs), readout_array(d, y.coeffs))))
     support = [s for s in range(g.order) if not x.coeffs[s].is_zero(0.0)]
-    out = [RingValue.zero(f.descriptor) for _ in range(g.order)]
+    out = [RingValue.zero(d) for _ in range(g.order)]
     for s in support:
         xs = x.coeffs[s]
         si = g.inverse(s)
@@ -139,57 +141,14 @@ def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def alg_star(x: AlgebraElement) -> AlgebraElement:
-    f, g = x.cocycle, x.cocycle.group
-    if f._scalars is not None:
-        return _scalar_star(x)
+    f, g, d = x.cocycle, x.cocycle.group, x.cocycle.descriptor
+    if d.is_finite:
+        from .dense import from_readout, readout_array, twisted_star
+        return AlgebraElement(f, from_readout(d, twisted_star(
+            f, readout_array(d, x.coeffs))))
     coeffs = [f.tilde(t) * x.coeffs[g.inverse(t)].star()
               for t in range(g.order)]
     return AlgebraElement(f, coeffs)
-
-
-# -- scalar tables held as arrays ------------------------------------------
-# alg_mul and alg_star over C and R on f._scalars, rounded as the object
-# loops round: the same products and sums in the same order, each complex
-# product as Python's four real ones (numpy's complex multiply may fuse
-# them, FMA).  As in Python, inf and NaN coefficients raise no warning.
-
-def _coeff_array(x: AlgebraElement) -> np.ndarray:
-    return np.array([c.payload for c in x.coeffs],
-                    dtype=x.cocycle._scalars.dtype)
-
-
-def _from_scalars(f: SchurFunction, a: np.ndarray) -> AlgebraElement:
-    d = f.descriptor
-    return AlgebraElement(f, [RingValue(d, c) for c in a.tolist()])
-
-
-@np.errstate(invalid="ignore", over="ignore")
-def _scalar_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """alg_mul on the rows s of the support of x: terms f(s, u) X_s Y_u with
-    u = s^{-1} t, those with Y_u = 0 left out, summed over s in ascending
-    order from zero."""
-    from .dense import _products
-    f, g = x.cocycle, x.cocycle.group
-    xs, ys = _coeff_array(x), _coeff_array(y)
-    support = np.flatnonzero(xs != 0)
-    u = g.mul[g.inv[support]]                          # (|supp x|, n)
-    fu = np.take(f._scalars, support[:, None] * g.order + u)   # f(s, u)
-    yu = ys[u]
-    terms = _products(_products(fu, xs[support, None]), yu)
-    terms[yu == 0] = 0
-    out = np.zeros(g.order, dtype=xs.dtype)
-    for row in terms:
-        out += row
-    return _from_scalars(f, out)
-
-
-@np.errstate(invalid="ignore", over="ignore")
-def _scalar_star(x: AlgebraElement) -> AlgebraElement:
-    """alg_star on the array: tilde f(t) (X_{t^{-1}})^*."""
-    from .dense import _products
-    f, inv = x.cocycle, x.cocycle.group.inv
-    tilde = f._scalars[np.arange(len(inv)), inv].conj()
-    return _from_scalars(f, _products(tilde, _coeff_array(x)[inv].conj()))
 
 
 def coefficient(x: AlgebraElement, s: int, t: int) -> RingValue:
@@ -328,13 +287,9 @@ def restrict_to_subgroup(x: AlgebraElement, elements,
     """The same element over the restricted cocycle; coefficients outside
     the subgroup must vanish."""
     sub_f, pos = restrict_cocycle(x.cocycle, elements)
-    coeffs = [RingValue.zero(x.cocycle.descriptor)] * sub_f.group.order
-    out = AlgebraElement(sub_f, coeffs)
     for t, c in enumerate(x.coeffs):
-        if t in pos:
-            out.coeffs[pos[t]] = c
-        elif not c.is_zero(tol):
+        if t not in pos and not c.is_zero(tol):
             raise ValueError(
                 f"nonzero coefficient at {x.cocycle.group.labels[t]} "
                 "outside the subgroup")
-    return out
+    return AlgebraElement.from_dict(sub_f, {pos[t]: x.coeffs[t] for t in pos})

@@ -130,8 +130,11 @@ def blocks(d: RingDescriptor, centre: np.ndarray) -> np.ndarray:
 
 def readouts(d: RingDescriptor, centre: np.ndarray) -> np.ndarray:
     """The readouts (n, m, b, r) of the values c 1 of a table of ring d
-    held by centre: each leaf's c on its readout's diagonal."""
+    held by centre: each leaf's c on its readout's diagonal; the centre
+    itself, in place, where they are 1 x 1."""
     from .dense import dense_dtype, dense_size, readout_columns
+    if dense_size(d) == 1:
+        return centre[..., None]
     shape = centre.shape[:2] + (dense_size(d), len(readout_columns(d)))
     out = np.zeros(shape, dtype=dense_dtype(d))
     o = c = 0

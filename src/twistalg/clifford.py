@@ -152,10 +152,8 @@ def projection_family(f: SchurFunction, entries,
         total = total + x.star() * x
     if (total - unit_v.scale(0.25)).abs_bound() > tol:
         raise ValueError("sum |X_t|^2 != 1/4")
-    p = AlgebraElement.zero(f)
-    p.coeffs[g.identity] = unit_v.scale(0.5)
-    for t, eps, x in entries:
-        p.coeffs[t] = x if eps == 1 else -x
+    p = AlgebraElement.from_dict(f, {g.identity: unit_v.scale(0.5)} | {
+        t: x if eps == 1 else -x for t, eps, x in entries})
     if not is_projection(p, tol):
         raise ValueError("constructed element failed the projection check")
     return p, unit(f) - p
@@ -210,13 +208,9 @@ def matrix_corner_elements(spec: CliffordSpec, alpha1: RingValue,
     f2 = clifford_cocycle(spec2)
     pair_mask = (1 << spec.size) | (1 << (spec.size + 1))
     c = (alpha1.star() * alpha2.star()).scale(0.5)
-    p = AlgebraElement.zero(f2)
-    p.coeffs[0] = RingValue.unit(spec.descriptor).scale(0.5)
-    p.coeffs[pair_mask] = c
-    q = AlgebraElement.zero(f2)
-    q.coeffs[0] = RingValue.unit(spec.descriptor).scale(0.5)
-    q.coeffs[pair_mask] = -c
-    return p, q
+    half = RingValue.unit(spec.descriptor).scale(0.5)
+    return (AlgebraElement.from_dict(f2, {0: half, pair_mask: c}),
+            AlgebraElement.from_dict(f2, {0: half, pair_mask: -c}))
 
 
 def extend_two_quaternion(spec: CliffordSpec, alpha1: RingValue,

@@ -103,12 +103,6 @@ class SchurFunction:
         return tuple(tuple(RingValue(self.descriptor, {tuple(e): c})
                            for e, c in zip(*r)) for r in zip(exps, coef))
 
-    @property
-    def _scalars(self):
-        """The (n, n) array of a C or R table held as its centre."""
-        c, scalar = self._centre, self.descriptor.kind in ("complex", "real")
-        return c[..., 0] if c is not None and scalar else None
-
     @cached_property
     def _dense(self):
         """The dense forms (table, tilde) of a table over a finite ring:
@@ -119,7 +113,8 @@ class SchurFunction:
         d, c = self.descriptor, self._centre
         table = value_blocks(d, self.values) if c is None else blocks(d, c)
         tilde = table[np.arange(self.group.order), self.group.inv]
-        return _frozen(table), _frozen(tilde.conj().swapaxes(-1, -2))
+        return (_frozen(np.ascontiguousarray(table)),
+                _frozen(tilde.conj().swapaxes(-1, -2)))
 
     @cached_property
     def _arrays(self):
@@ -196,15 +191,6 @@ def _array_table(f: SchurFunction):
             _frozen(exps.reshape(n, n, -1)), slice(None), False)
 
 
-def _times(a, y, exact=False):
-    """a y for forms a (..., b, b), readouts y: elementwise if b = 1 (with
-    exact, each complex product as four real ones)."""
-    if a.shape[-1] == 1 and not exact:
-        return a * y
-    from .dense import _matmul, _products
-    return _matmul(a, y) if a.shape[-1] > 1 else _products(a, y)
-
-
 def _residual(lhs, lhs_exps, rhs, rhs_exps):
     """RingValue.abs_bound of lhs z^a - rhs z^b over readouts (..., b, r)
     and exponents (..., m): max |lhs - rhs| where a = b; elsewhere (b = 1)
@@ -223,6 +209,7 @@ def _array_entry_checks(rep: ValidationReport, f: SchurFunction, forms, exps,
     order, same residuals; NaN fails.  The unit check (Python's abs, not
     numpy's array abs) and centrality of forms larger than 1 x 1 (a centre
     is central) take one value at a time."""
+    from .dense import _times
     g, b, e = f.group, forms.shape[-1], f.group.identity
     unit, v = RingValue.unit(f.descriptor), f.value(e, e)
     if not v.close(unit, tol):
@@ -261,7 +248,8 @@ def _at_products(a, mul):
 def _cocycle_sides(mul, forms, y, exps, rows, exact=False):
     """lhs = f(r,s) f(rs,t) and rhs = f(r,st) f(s,t) over r in rows (a
     slice or an index array) and all s, t, as readouts and exponents; exact
-    as in _times."""
+    as in dense._times."""
+    from .dense import _times
     if forms.shape[-1] == 1 and not exact:
         # numpy's complex a * b may round unlike b * a
         lhs = y[mul[rows]]

@@ -6,9 +6,10 @@ and products of these) has one faithful *-representation on square arrays,
 value_dense.  Real rings give real arrays.  Each algebra model of
 twistalg.isolab builds its own dense form (dense, readout, star_readout)
 from these ring-level forms and the exact elementwise arithmetic here,
-algebra.alg_norm shares the twisted model's regular_dense, and
-cocycle.validate checks tables over finite rings not held as their centre
-(twistalg.centre) on their value_blocks.
+algebra.alg_norm shares the twisted model's regular_dense, algebra.alg_mul
+and alg_star (and the twisted model's star_readout) are twisted_mul and
+twisted_star on readouts, and cocycle.validate checks tables over finite
+rings not held as their centre (twistalg.centre) on their value_blocks.
 All of them import this module on first use, so importing twistalg does
 not load it, and it imports nothing from isolab.
 
@@ -220,6 +221,14 @@ def _complex(re, im):
     return out
 
 
+def _times(a, y, exact=False):
+    """a y for forms a (..., b, b), readouts y: elementwise if b = 1 (with
+    exact, each complex product as four real ones)."""
+    if a.shape[-1] == 1 and not exact:
+        return a * y
+    return _matmul(a, y) if a.shape[-1] > 1 else _products(a, y)
+
+
 def _act(blocks, y):
     """Left multiplication of readouts y (..., D, r) by ring values given
     as dense forms blocks (..., b, b): each group of b rows of y by its
@@ -247,6 +256,43 @@ def regular_dense(g, table, coeffs):
     r = g.mul[:, g.inv]
     blocks = _matmul(table[..., r, np.arange(n), :, :], coeffs[..., r, :, :])
     return blocks.swapaxes(-3, -2).reshape(blocks.shape[:-4] + (n * b,) * 2)
+
+
+# -- the twisted product and star ------------------------------------------
+# On readouts (n, b, r) of the coefficients of elements of S(f), rounded as
+# the object loop over RingValues rounds: every product as b x b forms take
+# it (_times, exact), so over C and R Python's four real products.  As in
+# Python, inf and NaN coefficients raise no warning.
+
+@np.errstate(invalid="ignore", over="ignore")
+def twisted_mul(f, x, y):
+    """The readouts of XY: (XY)_t = sum_s f(s, u) X_s Y_u, u = s^{-1} t,
+    each term (f(s, u) X_s) Y_u, those with X_s = 0 or Y_u = 0 left out
+    (NaN is no zero), summed over s in ascending order from zero; a block
+    of rows s at a time."""
+    g, d, (n, b, r) = f.group, f.descriptor, x.shape
+    table = f._dense[0].reshape(n * n, b, b)
+    out, zero = np.zeros(x.size, x.dtype), ~y.any((1, 2))
+    support = np.flatnonzero(x.any((1, 2)))
+    # take: about twice as fast as fancy indexing on these arrays
+    for blk in row_blocks(len(support), n * b * max(b, r), BLOCK_ENTRIES):
+        s = support[blk]
+        u = g.mul[g.inv[s]]                             # (rows, n) by t
+        fx = _times(table.take(s[:, None] * n + u, 0), x[s, None], exact=True)
+        terms = _times(readout_dense(d, fx), y.take(u, 0), exact=True)
+        terms[zero.take(u)] = 0
+        for row in terms.reshape(len(s), -1):
+            out += row
+    return out.reshape(x.shape)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def twisted_star(f, y):
+    """The readouts (..., n, b, r) of X^* from those of X:
+    (X^*)_t = tilde f(t) (X_{t^{-1}})^*."""
+    inv = f.group.inv
+    return _times(f._dense[1], star_readout(f.descriptor, y[..., inv, :, :]),
+                  exact=True)
 
 
 # -- the morphism check ----------------------------------------------------

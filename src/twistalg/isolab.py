@@ -157,14 +157,10 @@ class TwistedModel(AlgebraModel):
                 for i in range(0, len(c), n)]
 
     def star_readout(self, y):
-        # (X^*)_t = tilde f(t) (X_{t^{-1}})^*, as alg_star
-        from .dense import _matmul, star_readout
-        _, tilde = self.f._dense
-        g = self.f.group
-        blocks = y.reshape(len(y), g.order, y.shape[1] // g.order,
-                           y.shape[2])[:, g.inv]
-        return _matmul(tilde, star_readout(self.base, blocks)).reshape(
-            y.shape)
+        from .dense import twisted_star
+        n = self.f.group.order
+        return twisted_star(self.f, y.reshape(len(y), n, -1, y.shape[2])
+                            ).reshape(y.shape)
 
 
 class CornerModel(TwistedModel):

@@ -293,7 +293,8 @@ class RingValue:
             return max((abs(c) for c in self.payload.values()), default=0.0)
         if d.kind in ("matrix", "quaternion"):
             return float(np.max(np.abs(self.payload))) if self.payload.size else 0.0
-        return max(a.abs_bound() for a in self.payload)
+        bounds = [a.abs_bound() for a in self.payload]   # NaN is no zero
+        return math.nan if any(map(math.isnan, bounds)) else max(bounds)
 
     def is_finite(self) -> bool:
         """Whether no number in the value is NaN or infinite."""

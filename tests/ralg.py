@@ -1,7 +1,9 @@
 """Reference arithmetic of the twisted group algebra, one RingValue at a
-time: the object loops of alg_mul and alg_star, which the tests hold the
-array products on scalar tables against.  They read the table through
-SchurFunction.value, so an array-held table stays an array."""
+time: the object loops of alg_mul and alg_star, which src/ keeps only for
+Laurent rings, and which the tests hold the readout products of every
+finite ring (dense.twisted_mul, dense.twisted_star) against.  They read
+the table through SchurFunction.value, so an array-held table stays an
+array."""
 from twistalg import RingValue
 
 

@@ -317,6 +317,19 @@ def test_restrict_to_subgroup():
         restrict_to_subgroup(bad, [0, 2, 4])
 
 
+def test_from_dict_checks_descriptors_and_indices():
+    f = random_f(3, seed=32)
+    # a real value in a complex algebra is refused, as by __init__: it
+    # would multiply as a real number
+    with pytest.raises(ValueError, match="descriptor mismatch"):
+        AlgebraElement.from_dict(f, {1: RingValue.scalar(REAL, 2.0)})
+    for t in (-1, 3):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            AlgebraElement.from_dict(f, {t: phase(0.1)})
+    x = AlgebraElement.from_dict(f, {2: phase(0.1)})
+    assert [c.payload for c in x.coeffs] == [0j, 0j, phase(0.1).payload]
+
+
 def test_restriction_is_algebra_homomorphism():
     f = random_f(6, seed=31)
     elems = [0, 3]

@@ -167,8 +167,8 @@ def drifted(g, amp):
     u = rng.uniform(-1, 1, (n, n))
     u = np.triu(u) + np.triu(u, 1).T
     u[0] = u[:, 0] = 0
-    return SchurFunction(g, COMPLEX, make_table(g, "complex", 3)._scalars
-                         * np.exp(1j * amp * u))
+    table = make_table(g, "complex", 3)._centre[..., 0]
+    return SchurFunction(g, COMPLEX, table * np.exp(1j * amp * u))
 
 
 @pytest.mark.parametrize("name", ["Z/64", "D16", "Z/4xZ/8"])
@@ -181,7 +181,7 @@ def test_drift_below_tol_on_the_generator_rows_is_refused(name, violations,
     n, f = g.order, drifted(g, 1e-6)
     rows = np.array([0] + g.generators)
     res = cocycle._residual(*cocycle._cocycle_sides(
-        g.mul, f._scalars[..., None, None], f._scalars[..., None, None],
+        g.mul, f._centre[..., None], f._centre[..., None],
         np.zeros((n, n, 0), dtype=np.int64), slice(None)))
     top, gen_top = res.max(), res[rows].max()
     assert gen_top < top
@@ -213,7 +213,7 @@ def test_the_proof_inducts_over_the_depth(decisions):
     n, f = g.order, drifted(g, 4e-12)
     rows = np.array([0] + g.generators)
     gen_top = cocycle._residual(*cocycle._cocycle_sides(
-        g.mul, f._scalars[..., None, None], f._scalars[..., None, None],
+        g.mul, f._centre[..., None], f._centre[..., None],
         np.zeros((n, n, 0), dtype=np.int64), rows)).max()
     assert g.depth == 10
     assert 3 * g.depth * gen_top < 0.5e-9 < 1e-9 < 3 * (n - 1) * gen_top
@@ -260,7 +260,7 @@ def test_corrupted_table_runs_the_all_triples_loop(monkeypatch):
     """The benchmark's corrupted table: one off-identity entry of an order-64
     coboundary rotated."""
     g = make_cyclic(64)
-    table = make_table(g, "complex", 6)._scalars.copy()
+    table = make_table(g, "complex", 6)._centre[..., 0].copy()
     table[17, 40] *= np.exp(1.3j)
     full, calls = cocycle._array_cocycle_check, []
 

@@ -822,3 +822,77 @@ def test_installed_console_script(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["valid"] is True
+
+
+@pytest.mark.parametrize("op, ring", [("complexify_odd", "real"),
+                                      ("split_odd", "complex"),
+                                      ("split_odd", "real")])
+def test_clifford_odd_periodicity_ops(tmp_path, capsys, op, ring):
+    cfg = write(tmp_path, "co.json", {"descriptor": ring, "rho": ["1", "-1"],
+                                      "periodicity": {"op": op}})
+    code, out = run(capsys, "clifford", "--config", cfg)
+    assert code == 0
+    per = json.loads(out)["periodicity"]
+    assert per["op"] == op
+    rep = per["report"]
+    assert rep["injective"] is True and rep["surjective"] is True
+    assert max(float(rep[k]) for k in ("unit_residual", "mult_residual",
+                                       "star_residual")) < 1e-12
+
+
+def test_clifford_complexify_odd_refuses_a_complex_ring(tmp_path, capsys):
+    cfg = write(tmp_path, "co.json", {"descriptor": "complex",
+                                      "rho": ["1", "-1"],
+                                      "periodicity": {"op": "complexify_odd"}})
+    assert main(["clifford", "--config", cfg]) == 1
+    assert "needs a real coefficient ring" in capsys.readouterr().err
+
+
+M2 = {"kind": "matrix", "k": 2}
+M2R_H = {"kind": "product", "factors": [dict(M2, field="real"),
+                                        "quaternion"]}
+ONE, MINUS = [["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]]
+
+
+@pytest.mark.parametrize("descriptor, rho, written", [
+    (M2, [ONE, MINUS], dict(M2, field="complex")),
+    (M2R_H, [[ONE, ["1", "0", "0", "0"]], [MINUS, ["-1", "0", "0", "0"]]],
+     {"kind": "product", "factors": [dict(M2, field="real"),
+                                     "quaternion"]}),
+])
+def test_clifford_json_over_matrix_and_product_rings(tmp_path, capsys,
+                                                     descriptor, rho,
+                                                     written):
+    # the report writes the descriptor and every table value as JSON that
+    # reads back to the same table
+    cfg = write(tmp_path, "cm.json", {"descriptor": descriptor, "rho": rho})
+    code, out = run(capsys, "clifford", "--config", cfg)
+    assert code == 0
+    table = json.loads(out)["cocycle"]
+    assert table["descriptor"] == written
+    assert table["table"][1][1] == rho[0] and table["table"][2][2] == rho[1]
+    f = parse_cocycle(table)
+    g = parse_cocycle({"descriptor": descriptor, "clifford_rho": rho})
+    assert [list(row) for row in f.values] == [list(row) for row in g.values]
+
+
+def test_product_group_kind(tmp_path, capsys):
+    from twistalg.groups import direct_product, make_cyclic
+    z2, z3 = {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}
+    group = {"kind": "product", "factors": [z2, z3, z2]}
+    cfg = write(tmp_path, "pg.json", {"cocycle": {
+        "descriptor": "complex", "group": group,
+        "table": [["1"] * 12 for _ in range(12)]}})
+    code, out = run(capsys, "validate", "--config", cfg)
+    assert code == 0 and json.loads(out)["valid"] is True
+    f = parse_cocycle({"descriptor": "complex", "group": group,
+                       "table": [["1"] * 12 for _ in range(12)]})
+    want = direct_product(direct_product(make_cyclic(2), make_cyclic(3)),
+                          make_cyclic(2))
+    assert (f.group.mul == want.mul).all()
+    assert f.group.labels == want.labels
+    cfg = write(tmp_path, "pg1.json", {"cocycle": {
+        "descriptor": "complex", "group": {"kind": "product",
+                                           "factors": [z2]},
+        "table": [["1"] * 2 for _ in range(2)]}})
+    assert main(["validate", "--config", cfg]) == 2

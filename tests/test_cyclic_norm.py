@@ -144,7 +144,7 @@ def test_table_read_from_config_matches_svd():
         "descriptor": "complex", "group": {"kind": "cyclic", "n": n},
         "table": [[f"{z.real:.17g}{z.imag:+.17g}i" for z in row]
                   for row in table]})))
-    assert f._scalars is not None
+    assert f._centre is not None
     assert_cyclic(element(f, rng))
 
 
@@ -183,7 +183,7 @@ def test_generator_other_than_index_one():
                                     inv[-perm % 6], None, [2])
     rng = np.random.default_rng(13)
     f = make_f_alpha(6, [unit_value(COMPLEX, rng) for _ in range(5)])
-    h = SchurFunction(g, COMPLEX, f._scalars[np.ix_(perm, perm)])
+    h = SchurFunction(g, COMPLEX, f._centre[..., 0][np.ix_(perm, perm)])
     assert validate(h).ok
     assert_cyclic(element(h, rng))
 
@@ -256,7 +256,7 @@ def test_table_off_modulus_within_the_bound_matches_svd():
     modulus 1, where the products c_t drift by up to 3 n^2 eps."""
     n, rng = 128, np.random.default_rng(41)
     f = make_f_alpha(n, [unit_value(COMPLEX, rng) for _ in range(n - 1)])
-    table = f._scalars.copy()
+    table = f._centre[..., 0].copy()
     table[1:, 1:] *= 1 + 3 * n * 2.0 ** -52
     assert_cyclic(element(SchurFunction(f.group, COMPLEX, table), rng))
 
@@ -306,7 +306,7 @@ def test_non_cyclic_groups_stay_on_svd():
 def test_table_valid_only_within_tol_stays_on_svd():
     rng = np.random.default_rng(29)
     f = make_f_alpha(5, [unit_value(COMPLEX, rng) for _ in range(4)])
-    table = f._scalars.copy()
+    table = f._centre[..., 0].copy()
     table[2, 3] += 1e-10
     h = SchurFunction(f.group, COMPLEX, table)
     assert validate(h).ok

@@ -152,6 +152,29 @@ def test_norms():
     assert q.norm() == pytest.approx(2.0)
 
 
+def test_norm_over_a_product_is_the_largest_factors():
+    d = product_ring(COMPLEX, M2, QUATERNION, L1)
+    v = RingValue(d, (sc(3 + 4j), RingValue.mat(M2, [[0, 7], [0, 0]]),
+                      RingValue.quaternion([1, 1, 1, 1]),
+                      RingValue.poly(L1, {(1,): 1, (0,): 2})))
+    assert [a.norm(16) for a in v.payload] == pytest.approx([5, 7, 2, 3])
+    assert v.norm(16) == v.payload[1].norm(16)
+    small = RingValue.mat(M2, [[0, 1], [0, 0]])
+    v = RingValue(d, (v.payload[0], small) + v.payload[2:])
+    assert v.norm(16) == v.payload[0].norm(16) == 5.0
+
+
+@pytest.mark.parametrize("factor", [COMPLEX, REAL, M2, QUATERNION])
+def test_abs_bound_of_a_product_keeps_a_nan_factor(factor):
+    # NaN is no zero, in a later factor as in the first
+    nan = RingValue.unit(factor).scale(float("nan"))
+    for d, parts in [(product_ring(COMPLEX, factor), (sc(0), nan)),
+                     (product_ring(factor, REAL), (nan, sc(0, REAL)))]:
+        v = RingValue(d, parts)
+        assert np.isnan(v.abs_bound())
+        assert not v.is_zero(0.0) and not v.close(RingValue.zero(d), 1.0)
+
+
 def test_abs_bound_laurent_is_coefficientwise():
     # largest coefficient magnitude; zero iff the value is zero
     a = RingValue.poly(L1, {(1,): 1, (0,): -2})
@@ -188,6 +211,20 @@ def test_nth_root_matrix_central_only():
     r = c.nth_root(3)
     assert r is not None and (r * r * r).close(c)
     assert RingValue.mat(M2, [[0, 1], [1, 0]]).nth_root(2) is None
+
+
+def test_nth_root_over_a_product_is_taken_per_factor():
+    d = product_ring(COMPLEX, REAL, M2, QUATERNION, L1)
+    v = RingValue(d, (sc(np.exp(1.2j)), RingValue.scalar(REAL, -1.0),
+                      RingValue.mat(M2, np.exp(1j) * np.eye(2)),
+                      RingValue.quaternion([-1, 0, 0, 0]),
+                      RingValue.monomial(L1, 1j, (3,))))
+    r = v.nth_root(3)
+    assert r is not None and (r * r * r).close(v)
+    assert [repr(a) for a in r.payload] == [
+        repr(a.nth_root(3)) for a in v.payload]
+    assert v.nth_root(2) is None            # -1 in R has no square root
+    assert RingValue(d, (sc(2),) + v.payload[1:]).nth_root(3) is None
 
 
 @pytest.mark.parametrize("value", [

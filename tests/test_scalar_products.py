@@ -96,11 +96,11 @@ def test_the_object_loop_keeps_list_held_tables():
     x, y = element(f, a), element(f, b)
     want_mul, want_star = alg_mul(x, y).coeffs, alg_star(x).coeffs
     f.values
-    assert f._scalars is not None
+    assert f._centre is not None
     same_bits(alg_mul(x, y).coeffs, want_mul)
     same_bits(alg_star(x).coeffs, want_star)
     h = SchurFunction(S3, COMPLEX, f.values)
-    assert h._scalars is None
+    assert h._centre is None
     x, y = element(h, a), element(h, b)
     same_bits(alg_mul(x, y).coeffs, want_mul)
     same_bits(alg_star(x).coeffs, want_star)
@@ -157,5 +157,5 @@ def test_cli_products_at_order_128_build_no_table_of_values(
     assert main([command, "--config", str(cfg)]) == 0
     assert len(json.loads(capsys.readouterr().out)["result"]["coeffs"]) == n
     [f] = tables
-    assert f._scalars is not None and f._values is None
+    assert f._centre is not None and f._values is None
     assert made[0] <= 8 * n

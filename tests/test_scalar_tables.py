@@ -101,7 +101,7 @@ def test_array_parse_matches_the_parse_value_loop(ring, literals):
         obj = {"descriptor": ring, "group": {"kind": "cyclic", "n": n},
                "table": table}
         f = parse_cocycle(obj)
-        assert f._scalars is not None
+        assert f._centre is not None
         assert_same_payloads(f.values, reference_parse(obj).values)
 
 
@@ -215,7 +215,7 @@ def test_f_alpha_array_is_bit_identical_to_the_object_loop(n, ring):
                   for s, k in zip(rng.choice([-1.0, 1.0], n - 1),
                                   rng.integers(-3, 4, n - 1))]
     f = make_f_alpha(n, alphas, d)
-    assert f._scalars is not None
+    assert f._centre is not None
     assert_same_payloads(f.values, reference_f_alpha(n, alphas, d))
 
 
@@ -284,11 +284,11 @@ def test_table_mutated_through_values_fails_validate(ring, factor):
     v = f.values[1][2] * parse_value(d, factor)
     with pytest.raises(TypeError):
         f.values[1][2] = v
-    assert f._scalars is not None and validate(f).ok
+    assert f._centre is not None and validate(f).ok
     rows = [list(row) for row in f.values]
     rows[1][2] = v
     f = SchurFunction(f.group, d, rows)
-    assert f._scalars is None
+    assert f._centre is None
     rep = validate(f)
     assert not rep.ok
     assert {c for c, _, _ in rep.violations} == {"cocycle"}
