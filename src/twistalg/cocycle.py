@@ -191,15 +191,21 @@ def _array_table(f: SchurFunction):
             _frozen(exps.reshape(n, n, -1)), slice(None), False)
 
 
+def _dropped(res):
+    """res, a value of at most _COEFF_EPS read as 0 (rings._clean_poly)."""
+    return np.where(res <= _COEFF_EPS, 0.0, res)
+
+
 def _residual(lhs, lhs_exps, rhs, rhs_exps):
     """RingValue.abs_bound of lhs z^a - rhs z^b over readouts (..., b, r)
     and exponents (..., m): max |lhs - rhs| where a = b; elsewhere (b = 1)
-    the larger coefficient of the two terms.  lhs may be overwritten."""
+    the larger coefficient of the two terms; over a Laurent ring (m > 0)
+    _dropped, as dropping each term would give.  lhs may be overwritten."""
     res = np.abs(np.subtract(lhs, rhs,
                              out=None if lhs_exps.shape[-1] else lhs))
     if lhs_exps.shape[-1]:
         moved = np.any(lhs_exps != rhs_exps, axis=-1)[..., None, None]
-        res = np.where(moved, np.maximum(np.abs(lhs), np.abs(rhs)), res)
+        res = _dropped(np.where(moved, np.maximum(abs(lhs), abs(rhs)), res))
     return res[..., 0, 0] if res.shape[-2:] == (1, 1) else res.max((-2, -1))
 
 
@@ -330,14 +336,18 @@ def _certified(g: GroupTable, forms, exps, cols, exact: bool,
     at most (1+e)^2 (1+T) (Delta + 2e) <= tol, the test below, made in
     logarithms (no overflow) with a 2^-40 margin for its own rounding.
     It fails for rho > tol (then Delta >= eta > tol) and for a NaN rho.
-    The rows of S are checked as the full check would check them."""
+    The rows of S are checked as the full check would check them.  Over a
+    Laurent ring residuals are _dropped, so tol and rho are taken at least
+    _COEFF_EPS: a residual the proof bounds by _COEFF_EPS reads 0."""
     e, rows = _EPS, np.array(g.generators, dtype=int)
+    floor = _COEFF_EPS if exps.shape[-1] else 0.0
+    tol = max(tol, floor)
     big_t = (tol / (1 - e) ** 2 + e) / (1 - e)
     if (forms.shape[-1] != 1 or not big_t < 0.5 or not len(rows)
             or 2 * len(rows) > g.order):
         return False
     rho = float(np.max(_row_residuals(g, forms, exps, cols, exact, rows)))
-    eta = (rho / (1 - e) ** 2 + 2 * e * (1 + big_t)) / (1 - big_t)
+    eta = (max(rho, floor) / (1 - e) ** 2 + 2 * e * (1 + big_t)) / (1 - big_t)
     room = tol / ((1 + e) ** 2 * (1 + big_t)) - 2 * e     # for Delta
     return room > 0 and (3 * g.depth * math.log1p(eta * (1 + 2.0 ** -40))
                          <= math.log1p(room * (1 - 2.0 ** -40)))
@@ -578,16 +588,15 @@ def _unitary_monomials(d: RingDescriptor, alphas, tol: float):
     """RingValue.is_unitary, bit for bit, of values c z^e of Laurent ring
     d (make_f_alpha and Lambda refuse one of another ring first), else None:
     c c^* and c^* c, four real products summed from 0j, are a a + b b for
-    c = a + b i, imaginary part 0 (NaN where a a + b b is inf or NaN); a
-    product or a difference from 1 of modulus <= _COEFF_EPS is dropped."""
+    c = a + b i, imaginary part 0 (NaN where a a + b b is inf or NaN); the
+    product and its difference from 1 are _dropped."""
     if d.kind != "laurent" or not all(
             type(a.payload) is dict and len(a.payload) == 1 for a in alphas):
         return None
     c = np.array([v for a in alphas for v in a.payload.values()], complex)
     with np.errstate(invalid="ignore", over="ignore"):
         p = c.real * c.real + c.imag * c.imag
-        res = np.where(p <= _COEFF_EPS, 1.0, np.abs(p - 1.0))
-    return np.where(res <= _COEFF_EPS, 0.0, res) <= tol
+    return _dropped(np.abs(_dropped(p) - 1.0)) <= tol
 
 
 def _monomial_f_alpha(d: RingDescriptor, ext):

@@ -31,8 +31,8 @@ from .cocycle import (KLEIN_A, KLEIN_B, KLEIN_C, Lambda, SchurFunction,
                       _frozen, _residual, coboundary, cocycle_mul,
                       klein_table, tensor_cocycle)
 from .groups import direct_product, make_cyclic, make_subset_group, row_blocks
-from .rings import (_COEFF_EPS, COMPLEX, DEFAULT_TOL, RingDescriptor,
-                    RingValue, real_basis, real_dim)
+from .rings import (COMPLEX, DEFAULT_TOL, RingDescriptor, RingValue,
+                    real_basis, real_dim)
 
 
 # -- algebra models --------------------------------------------------------
@@ -824,17 +824,15 @@ def char_decompose_z2n(f: SchurFunction, tol: float = DEFAULT_TOL) -> Morphism:
 
 
 def _constant(f: SchurFunction, unit: RingValue, tol: float) -> bool:
-    """Whether every value of f is close (RingValue.close) to unit, bit for
-    bit on the held arrays: |c - 1| for a centre c; for monomials c z^e,
-    |c - 1| (0 if at most _COEFF_EPS: the sum drops it) where e = 0 and
-    max(|c|, 1) elsewhere.  Any NaN fails."""
-    if f._centre is not None:
-        return bool((np.abs(f._centre - 1) <= tol).all())
-    if f._monomials is None:
+    """Whether every value of f is close (RingValue.close) to unit: on the
+    array form of the table (f._arrays) as validate's normalization check
+    reads it (cocycle._residual), else one value at a time.  Any NaN
+    fails."""
+    if f._arrays is None:
         return all(v.close(unit, tol) for row in f.values for v in row)
-    c, e = f._monomials
-    res = np.where(e.any(axis=-1), np.maximum(np.abs(c), 1.0), np.abs(c - 1))
-    return bool((np.where(res <= _COEFF_EPS, 0.0, res) <= tol).all())
+    forms, exps, cols = f._arrays[:3]
+    return bool((_residual(forms[..., cols].copy(), exps, np.eye(
+        forms.shape[-1])[:, cols], exps[0, 0] * 0) <= tol).all())
 
 
 # -- cyclic decomposition over C -------------------------------------------

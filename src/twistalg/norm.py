@@ -1,9 +1,10 @@
 """The C*-norm of an element of S(f), for algebra.alg_norm: on a cyclic
 group over C, R and Laurent rings through the paper's cyclic decomposition,
 one FFT; otherwise the largest singular value of the regular representation
-(dense.regular_dense).  alg_norm imports this module on first use, so
-importing twistalg does not compile it, and numpy.fft loads only where the
-cyclic path runs.
+(dense.regular_dense); over Laurent rings at the points of a torus sample
+(_torus_samples, which RingValue.norm takes too).  alg_norm imports this
+module on first use, so importing twistalg does not compile it, and
+numpy.fft loads only where the cyclic path runs.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import numpy as np
 
 from .cocycle import SchurFunction
 from .groups import row_blocks
-from .rings import torus_sampler
 
 
 def norm(f, coeffs, grid: int) -> float:
@@ -44,15 +44,15 @@ def _factors(f) -> list:
 def _svd_norm(f, coeffs, grid: int) -> float:
     """norm of one factor as the largest singular value of the regular
     representation, at each torus point over Laurent rings."""
-    from .dense import (BLOCK_ENTRIES, dense_array, quaternion_complex,
-                        regular_dense)
+    from .dense import dense_array, quaternion_complex, regular_dense
     g, d, n = f.group, f.descriptor, f.group.order
     if d.kind == "laurent":
-        # scalar samples, one block of torus points at a time
-        values = [v for row in f.values for v in row]
-        f_at, x_at = (torus_sampler(d, v, grid) for v in (values, coeffs))
-        forms = ((f_at(k).reshape(-1, n, n, 1, 1), x_at(k)[..., None, None])
-                 for k in row_blocks(grid ** d.m, n * n, BLOCK_ENTRIES))
+        # scalar samples of the values and of x, one block of points at a time
+        xs = [v for row in f.values for v in row] + list(coeffs)
+        blocks = _torus_samples(d, xs, np.ones(len(xs)),
+                                np.zeros((len(xs) + 1, d.m), int), grid)
+        forms = ((y[:, :n * n].reshape(-1, n, n, 1, 1),
+                  y[:, n * n:, None, None]) for y in blocks)
     else:
         forms = [(f._dense[0], dense_array(d, coeffs))]
         if d.kind == "quaternion":
@@ -127,7 +127,8 @@ def _torus_samples(d, xs, chars, ex, grid: int):
     x chars_t z^{e - E_t + t E_n / n}, read from a table of the
     (n grid)-th roots of unity, the j-th terms of all X_t in one pass.  A
     block of P points samples P * terms terms into (P, n) arrays, with P
-    about BLOCK_ENTRIES / max(n, terms)."""
+    about BLOCK_ENTRIES / max(n, terms).  Unit characters (np.ones) and
+    zero exponents give the samples of the values xs themselves."""
     from .dense import BLOCK_ENTRIES
     n = len(xs)
     big, terms = n * grid, [list(x.payload.items()) for x in xs]
@@ -138,8 +139,9 @@ def _torus_samples(d, xs, chars, ex, grid: int):
         e = np.array([[v % grid for v in terms[t][j][0]] for t in cols],
                      dtype=np.int64).reshape(len(cols), d.m)
         c = np.array([terms[t][j][1] for t in cols], dtype=complex)
-        slots.append((cols, c * chars[cols],
-                      n * (e - ex[cols]) + cols[:, None] * ex[n]))
+        # a character 1 leaves c as it is: inf (1 + 0j) is inf + NaN i
+        np.multiply(c, chars[cols], out=c, where=chars[cols] != 1)
+        slots.append((cols, c, n * (e - ex[cols]) + cols[:, None] * ex[n]))
     w = np.exp(1j * (2 * np.pi * np.arange(big) / big))
     size = max(n, sum(len(t) for t in terms))
     for k in row_blocks(grid ** d.m, size, BLOCK_ENTRIES):

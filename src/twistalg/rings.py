@@ -9,7 +9,6 @@ a fresh value.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,8 +292,7 @@ class RingValue:
             return max((abs(c) for c in self.payload.values()), default=0.0)
         if d.kind in ("matrix", "quaternion"):
             return float(np.max(np.abs(self.payload))) if self.payload.size else 0.0
-        bounds = [a.abs_bound() for a in self.payload]   # NaN is no zero
-        return math.nan if any(map(math.isnan, bounds)) else max(bounds)
+        return float(np.max([a.abs_bound() for a in self.payload]))  # NaN wins
 
     def is_finite(self) -> bool:
         """Whether no number in the value is NaN or infinite."""
@@ -326,8 +324,10 @@ class RingValue:
         return all(a.is_central(tol) for a in self.payload)
 
     def norm(self, grid: int = DEFAULT_GRID) -> float:
-        """The C*-norm; over Laurent rings the maximum over the grid^m
-        torus sample, a lower bound on the supremum over the torus."""
+        """The C*-norm, the largest factor's over products (NaN if one is
+        NaN); over Laurent rings the maximum over the grid^m torus sample
+        (norm._torus_samples with unit characters), a lower bound on the
+        supremum over the torus."""
         d = self.descriptor
         if d.kind in ("complex", "real"):
             return abs(self.payload)
@@ -338,9 +338,10 @@ class RingValue:
         if d.kind == "quaternion":
             return float(np.linalg.norm(self.payload))
         if d.kind == "laurent":
-            sample = torus_sampler(d, [self], grid)
-            return float(np.max(np.abs(sample(slice(0, grid ** d.m)))))
-        return max(a.norm(grid) for a in self.payload)
+            from .norm import _torus_samples
+            return float(np.max([np.abs(y).max() for y in _torus_samples(
+                d, [self], np.ones(1), np.zeros((2, d.m), int), grid)]))
+        return float(np.max([a.norm(grid) for a in self.payload]))  # NaN wins
 
     # -- laurent helpers ---------------------------------------------------
 
@@ -432,31 +433,6 @@ class RingValue:
 
     def __hash__(self):
         raise TypeError("RingValue is not hashable")
-
-
-def torus_sampler(d: RingDescriptor, values, grid: int):
-    """A function from a slice of flat (C order) indices k into the grid^m
-    uniform torus sample to the (len(k), len(values)) samples of Laurent
-    values of ring d at z_k = (w^{k_1}, ..., w^{k_m}), w = exp(2 pi i / grid).
-    A term c z^e reads c w^{(k . e) mod grid} from a table of the roots of
-    unity, and the j-th terms of all values add in one pass."""
-    size = max((len(v.payload) for v in values), default=0)
-    exps = np.zeros((size, len(values), d.m), dtype=np.int64)
-    coef = np.zeros((size, len(values)), dtype=complex)
-    for i, v in enumerate(values):
-        for j, (e, c) in enumerate(v.payload.items()):
-            exps[j, i], coef[j, i] = [x % grid for x in e], c
-    w = np.exp(1j * (2 * np.pi * np.arange(grid) / grid))
-
-    def sample(points: slice):
-        k = np.stack(np.unravel_index(np.arange(points.start, points.stop),
-                                      (grid,) * d.m), axis=-1)
-        out = np.zeros((len(k), len(values)), dtype=complex)
-        for e, c in zip(exps, coef):
-            out += c * w[(k @ e.T) % grid]
-        return out
-
-    return sample
 
 
 def real_dim(d: RingDescriptor) -> int:

@@ -1,15 +1,18 @@
-"""Reference classification and cyclic norm, one RingValue at a time:
-equivalent_cyclic as the loop of RingValue products it was, with Lambda's
-checks value by value (RingValue.is_unitary), and the cyclic-decomposition
-norm as it was, over Laurent rings from torus samples of the table's
-generator column f(e_t, gen) (rings.torus_sampler) and a cumulative
-product of the characters at every torus point.  The tests hold the array
-paths of twistalg.cocycle and twistalg.norm against them."""
+"""Reference classification, torus samples and cyclic norm, one RingValue
+at a time: equivalent_cyclic as the loop of RingValue products it was, with
+Lambda's checks value by value (RingValue.is_unitary); torus_sampler, the
+samples of Laurent values on the grid^m torus as a table of the grid-th
+roots of unity gives them (the reference for norm._torus_samples, which
+RingValue.norm and the SVD norm take); and the cyclic-decomposition norm
+as it was, over Laurent rings from torus samples of the table's generator
+column f(e_t, gen) and a cumulative product of the characters at every
+torus point.  The tests hold the array paths of twistalg.cocycle and
+twistalg.norm against them."""
 import numpy as np
 
 from twistalg.groups import row_blocks
 from twistalg.norm import _generator, _rebuilt
-from twistalg.rings import DEFAULT_TOL, RingValue, torus_sampler
+from twistalg.rings import DEFAULT_TOL, RingValue
 
 
 def reference_equivalent_cyclic(alphas, betas, descriptor=None,
@@ -51,6 +54,52 @@ def reference_equivalent_cyclic(alphas, betas, descriptor=None,
         if not v.is_central(tol):
             raise ValueError(f"lambda({i}) is not central")
     return values
+
+
+def torus_sampler(d, values, grid: int):
+    """A function from a slice of flat (C order) indices k into the grid^m
+    uniform torus sample to the (len(k), len(values)) samples of Laurent
+    values of ring d at z_k = (w^{k_1}, ..., w^{k_m}), w = exp(2 pi i / grid).
+    A term c z^e reads c w^{(k . e) mod grid} from a table of the roots of
+    unity, and the j-th terms of all values add in one pass."""
+    size = max((len(v.payload) for v in values), default=0)
+    exps = np.zeros((size, len(values), d.m), dtype=np.int64)
+    coef = np.zeros((size, len(values)), dtype=complex)
+    for i, v in enumerate(values):
+        for j, (e, c) in enumerate(v.payload.items()):
+            exps[j, i], coef[j, i] = [x % grid for x in e], c
+    w = np.exp(1j * (2 * np.pi * np.arange(grid) / grid))
+
+    def sample(points: slice):
+        k = np.stack(np.unravel_index(np.arange(points.start, points.stop),
+                                      (grid,) * d.m), axis=-1)
+        out = np.zeros((len(k), len(values)), dtype=complex)
+        for e, c in zip(exps, coef):
+            out += c * w[(k @ e.T) % grid]
+        return out
+
+    return sample
+
+
+def reference_norm(v, grid: int) -> float:
+    """RingValue.norm of a Laurent value as it was: the largest modulus of
+    its samples at all grid^m torus points at once."""
+    sample = torus_sampler(v.descriptor, [v], grid)
+    return float(np.max(np.abs(sample(slice(0, grid ** v.descriptor.m)))))
+
+
+def reference_svd_norm(f, coeffs, grid: int) -> float:
+    """norm._svd_norm over a Laurent ring as it was: the table's values and
+    the coefficients sampled apart, n^2 table samples a point, and the
+    largest singular value of the regular representation at each point."""
+    from twistalg.dense import BLOCK_ENTRIES, regular_dense
+    g, d, n = f.group, f.descriptor, f.group.order
+    f_at = torus_sampler(d, [v for row in f.values for v in row], grid)
+    x_at = torus_sampler(d, coeffs, grid)
+    return max(float(np.linalg.norm(regular_dense(
+        g, f_at(k).reshape(-1, n, n, 1, 1), x_at(k)[..., None, None]),
+        2, axis=(-2, -1)).max())
+        for k in row_blocks(grid ** d.m, n * n, BLOCK_ENTRIES))
 
 
 def _characters(a):

@@ -368,3 +368,25 @@ def test_coefficient_descriptor_mismatch():
     assert other is not COMPLEX
     x = AlgebraElement(f, [RingValue.unit(other), RingValue.zero(other)])
     assert x.close(unit(f))
+
+
+# -- small public helpers ----------------------------------------------------
+
+def test_repr_names_the_nonzero_coefficients_and_copy_is_equal():
+    f = make_f_alpha(3, [phase(0.5), phase(1.0)])
+    x = AlgebraElement(f, [RingValue.scalar(COMPLEX, 2),
+                           RingValue.zero(COMPLEX),
+                           RingValue.scalar(COMPLEX, 1j)])
+    assert repr(x) == "AlgebraElement(0: (2+0j), 2: 1j)"
+    y = x.copy()
+    assert y is not x and y.cocycle is f and y.coeffs is not x.coeffs
+    assert [c.payload for c in y.coeffs] == [c.payload for c in x.coeffs]
+
+
+def test_center_check_refuses_a_non_central_coefficient():
+    d = matrix_ring(2)
+    f = trivial_cocycle(make_cyclic(2), d)
+    central = AlgebraElement.from_dict(f, {1: RingValue.unit(d).scale(2)})
+    assert center_check(central)
+    x = AlgebraElement.from_dict(f, {1: RingValue.mat(d, [[0, 1], [0, 0]])})
+    assert not center_check(x)

@@ -240,6 +240,24 @@ def test_exponents_must_match_on_the_generator_rows(decisions):
     assert decisions == [False]
 
 
+@pytest.mark.parametrize("tol", [5e-15, 1e-14])
+def test_dropped_generator_rows_prove_nothing(tol, decisions):
+    """Laurent residuals of at most _COEFF_EPS read 0 (cocycle._dropped).
+    On Z/2 with f(e, e) = exp(-i th) and f(e, a) = exp(i th), th = 9e-15,
+    the generator row's residuals (about th) read 0, while row e's (2 th)
+    break tol.  The proof takes tol and rho at least _COEFF_EPS, so it
+    refuses, and the full check reports row e."""
+    d, th = laurent(1), 9e-15
+    rows = [[np.exp(-1j * th), np.exp(1j * th)], [1, 1j]]
+    f = SchurFunction(make_cyclic(2), d, [[RingValue.monomial(d, c, (0,))
+                                           for c in row] for row in rows])
+    rep = validate(f, tol)
+    assert same(rep, exhaustive(f, tol))
+    assert [(c, w) for c, w, _ in rep.violations] == [
+        ("cocycle", (0, 0, 1)), ("cocycle", (0, 1, 1))]
+    assert decisions == [False]
+
+
 # -- the saving --------------------------------------------------------------
 
 def unit_phases(n, seed):

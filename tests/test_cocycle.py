@@ -721,3 +721,45 @@ def test_readers_keep_a_centre_held_table_on_its_centre():
     alg_star(x)
     assert f._centre is not None
     assert validate(f) == want and want.ok
+
+
+# -- small public helpers ----------------------------------------------------
+
+def test_report_text_when_valid_and_past_fifty_violations():
+    rep = ValidationReport()
+    assert str(rep) == "valid"
+    for t in range(53):
+        rep.add("unitary", (t, 0), 0.5)
+    lines = str(rep).splitlines()
+    assert lines[0] == "53 violation(s):" and len(lines) == 52
+    assert lines[1] == "  unitary at (0, 0): residual 5.000e-01"
+    assert lines[-1] == "  ... 3 more"
+
+
+def test_tensor_with_a_scalar_right_factor():
+    """The d2-scalar branch of _tensor_descriptor: E (x) C = E, each value
+    scaled by the scalar one."""
+    minus = RingValue.unit(M2).scale(-1)
+    f, g = make_f_alpha(2, [minus], M2), make_f_alpha(3, [phase(0.4),
+                                                         phase(1.1)])
+    h = tensor_cocycle(f, g)
+    assert h.descriptor == M2 and h.group.order == 6
+    for i in range(6):
+        for j in range(6):
+            (t1, s1), (t2, s2) = divmod(i, 3), divmod(j, 3)
+            want = f.values[t1][t2].scale(g.values[s1][s2].payload)
+            assert h.values[i][j].close(want, 0.0)
+
+
+def test_lambda_star_and_module_tilde():
+    g = make_cyclic(4)
+    lam = random_lambda(g, 5)
+    star = lam.star()
+    assert [v.payload for v in star.values] == \
+        [v.star().payload for v in lam.values]
+    assert coboundary(star).values[1][2].close(
+        coboundary(lam).values[1][2].star(), 1e-12)
+    f = make_f_alpha(4, [phase(0.3), phase(0.7), phase(1.9)])
+    for t in range(4):
+        assert cocycle.tilde(f, t).payload == \
+            f.values[t][g.inverse(t)].star().payload

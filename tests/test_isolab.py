@@ -1292,3 +1292,11 @@ def test_laurent_composite_arithmetic_is_the_written_out_formula(kind, ring,
     assert_repr_equal(model.scale_left(x, a), leafwise(
         lambda u: u.scale_ring(x) if isinstance(u, AlgebraElement)
         else x * u, a))
+
+
+def test_corner_over_a_laurent_ring_has_no_real_dimension():
+    """CornerModel.total_real_dim counts a real basis of E: none over an
+    infinite-dimensional E."""
+    d = laurent(1)
+    f = make_f_alpha(2, [RingValue.monomial(d, 1, (1,))], d)
+    assert CornerModel(generator(f, 0)).total_real_dim() is None

@@ -3,16 +3,19 @@ coefficient and exponent arrays (norm._torus_samples) against the SVD of
 the regular representation at each torus point (_svd_norm) and against
 the path it replaced, torus samples of RingValues and characters at every
 point (rcyclic.reference_cyclic_norm); over C and R, bit for bit the
-characters that path took."""
+characters that path took.  RingValue.norm and the SVD path's Laurent
+branch, which sample through norm._torus_samples too, against the sampler
+they took before (rcyclic.torus_sampler)."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rcyclic import reference_cyclic_norm
+from rcyclic import reference_cyclic_norm, reference_norm, reference_svd_norm
 from twistalg import (COMPLEX, REAL, AlgebraElement, Lambda, RingValue,
                       SchurFunction, alg_norm, coboundary, cocycle_mul,
-                      direct_product, laurent, make_cyclic, make_f_alpha)
+                      direct_product, klein_table, laurent, make_cyclic,
+                      make_f_alpha, make_subset_group)
 from twistalg.norm import _cyclic_norm, _svd_norm
 
 RINGS = [laurent(1), laurent(2), laurent(3), laurent(1, "real")]
@@ -147,3 +150,70 @@ def test_scalar_norms_are_the_reference_bit_for_bit(d, n):
         x = [RingValue.scalar(d, complex(*rng.normal(size=2)) if d is
                               COMPLEX else rng.normal()) for _ in range(n)]
         assert _cyclic_norm(f, x, 8) == reference_cyclic_norm(f, x, 8)
+
+
+# -- one torus sampler: RingValue.norm and the SVD path --------------------
+
+def _values(d, rng):
+    """Laurent values of 0 to 4 terms, and the same with an inf, -inf,
+    complex inf or NaN coefficient."""
+    out = [RingValue.zero(d)]
+    for terms in range(1, 5):
+        v = {tuple(rng.integers(-3, 4, size=d.m)): complex(*rng.normal(size=2))
+             for _ in range(terms)}
+        out.append(RingValue.poly(d, v))
+        e = next(iter(v))
+        for bad in (np.inf, -np.inf, complex(0, np.inf), np.nan):
+            out.append(RingValue.poly(d, {**v, e: bad}))
+    return out
+
+
+@pytest.mark.parametrize("d, grid", [
+    (laurent(1), 1), (laurent(1), 16), (laurent(1), 1024), (laurent(2), 8),
+    (laurent(2), 64), (laurent(3), 16), (laurent(1, "real"), 16)], ids=str)
+def test_ring_value_norm_is_the_reference_sampler_bit_for_bit(d, grid):
+    """RingValue.norm samples through norm._torus_samples with unit
+    characters; at 4096 points and 3 or more terms it takes more than one
+    block."""
+    rng = np.random.default_rng([grid, d.m, d.is_real])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for v in _values(d, rng):
+            want, got = reference_norm(v, grid), v.norm(grid)
+            assert repr(got) == repr(want), v
+
+
+def _non_cyclic_tables(d, rng):
+    """Klein tables on Z/2 x Z/2 with unit monomial parameters, and
+    coboundaries of unit monomials on Z/2 x Z/2, Z/2 x Z/4 and the subsets
+    of {1, 2, 3}: none has an element of order n."""
+    z2 = make_cyclic(2)
+
+    def unit():
+        c = rng.choice([-1.0, 1.0]) if d.is_real else np.exp(
+            2j * np.pi * rng.random())
+        return RingValue.monomial(d, c, rng.integers(-2, 3, size=d.m))
+    one = RingValue.unit(d)
+    yield klein_table(unit(), unit(), unit(), one if rng.random() < .5
+                      else one.scale(-1))
+    for g in (direct_product(z2, z2), direct_product(z2, make_cyclic(4)),
+              make_subset_group({1, 2, 3})):
+        yield coboundary(Lambda(g, d, [one] + [unit() for _ in
+                                               range(g.order - 1)]))
+
+
+@pytest.mark.parametrize("d", [laurent(1), laurent(2),
+                               laurent(1, "real")], ids=str)
+def test_non_cyclic_norms_match_the_reference_svd(d):
+    """alg_norm takes _svd_norm on these groups, with the table's values
+    and x's coefficients in one call to _torus_samples: equal to the two
+    samplers' SVD up to the last bits, which the (N grid)-th roots of unity
+    can move (N values sampled)."""
+    rng = np.random.default_rng([5, d.m, d.is_real])
+    grid = GRID[d.m]
+    for f in _non_cyclic_tables(d, rng):
+        assert _cyclic_norm(f, [RingValue.zero(d)] * f.group.order,
+                            grid) is None
+        for _ in range(3):
+            x = coefficients(d, f.group.order, rng)
+            assert alg_norm(AlgebraElement(f, x), grid=grid) == \
+                pytest.approx(reference_svd_norm(f, x, grid), rel=REL_REF)

@@ -372,3 +372,11 @@ def test_cli_classify_and_norm_make_no_ring_value_per_entry(
         assert products == [], command
         assert len(made) <= 24 * n < n * n, command
     assert len(json.loads(report.read_text())) == 1
+
+
+def test_a_bare_int_exponent_parses_over_one_variable():
+    from twistalg.serialize import parse_value
+    d = laurent(1)
+    assert parse_value(d, [[1, "1"]]).payload == {(1,): 1 + 0j}
+    assert parse_value(d, [[-2, "0.5"], [[3], "1"]]).payload == \
+        {(-2,): 0.5 + 0j, (3,): 1 + 0j}

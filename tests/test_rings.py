@@ -175,6 +175,15 @@ def test_abs_bound_of_a_product_keeps_a_nan_factor(factor):
         assert not v.is_zero(0.0) and not v.close(RingValue.zero(d), 1.0)
 
 
+@pytest.mark.parametrize("factor", [COMPLEX, REAL, QUATERNION, L1], ids=str)
+def test_norm_of_a_product_keeps_a_nan_factor(factor):
+    # as abs_bound: a NaN in a later factor as in the first
+    nan = RingValue.unit(factor).scale(float("nan"))
+    for d, parts in [(product_ring(COMPLEX, factor), (sc(1), nan)),
+                     (product_ring(factor, REAL), (nan, sc(1, REAL)))]:
+        assert np.isnan(RingValue(d, parts).norm(16))
+
+
 def test_abs_bound_laurent_is_coefficientwise():
     # largest coefficient magnitude; zero iff the value is zero
     a = RingValue.poly(L1, {(1,): 1, (0,): -2})
