@@ -311,23 +311,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _malloc_trim():
-    """glibc's malloc_trim, looked up once; a no-op where there is none."""
-    if sys.platform != "linux":
-        return int
-    import ctypes
-    return getattr(ctypes.CDLL(None), "malloc_trim", int)
-
-
-def _trim_heap() -> None:
-    """Hand the heap pages a command freed back to the OS: glibc keeps them
-    resident, and where later large arrays land among them depends on the
-    calls before, so repeated calls to main would hold a size set by their
-    order."""
-    _malloc_trim()(0)
+def _fix_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold at its default, 128 KiB, once: left
+    dynamic, it rises to each freed mmapped chunk's size, so large arrays
+    land in the brk heap and stay resident once freed; fixed, they are
+    unmapped.  A no-op off Linux or where the C library has no mallopt."""
+    if sys.platform == "linux":
+        import ctypes
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        mallopt(-3, 128 * 1024)         # M_MMAP_THRESHOLD
 
 
 def main(argv=None) -> int:
+    _fix_mmap_threshold()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -347,8 +344,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
-    finally:
-        _trim_heap()
 
 
 if __name__ == "__main__":

@@ -331,9 +331,9 @@ class RingValue:
         d = self.descriptor
         if d.kind in ("complex", "real"):
             return abs(self.payload)
-        if d.kind == "matrix":
-            if self.payload.size == 0:
-                return 0.0
+        if d.kind == "matrix":      # an SVD raises on NaN, reads NaN on inf
+            if self.payload.size == 0 or not np.isfinite(self.payload).all():
+                return self.abs_bound()
             return float(np.linalg.norm(self.payload.astype(complex), 2))
         if d.kind == "quaternion":
             return float(np.linalg.norm(self.payload))

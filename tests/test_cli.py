@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -613,34 +614,86 @@ def test_output_is_byte_deterministic(tmp_path, capsys):
                               indent=2) + "\n"
 
 
-def test_main_trims_the_heap_after_every_command(tmp_path, capsys,
-                                                 monkeypatch):
-    # successful and failing commands both hand freed heap pages back
+def test_main_fixes_the_mmap_threshold_once(tmp_path, capsys, monkeypatch):
+    # one mallopt(M_MMAP_THRESHOLD, 128 KiB) per process, over successful,
+    # failing and usage-error commands alike
     import ctypes
     import twistalg.cli
-    trims = []
+    calls = []
+
+    class Mallopt:          # a foreign function takes argtypes and restype
+        def __call__(self, param, value):
+            assert self.argtypes == [ctypes.c_int] * 2
+            assert self.restype is ctypes.c_int
+            calls.append((param, value))
 
     class Libc:
         def __init__(self, name):
             assert name is None
-
-        def malloc_trim(self, pad):
-            trims.append(pad)
+            self.mallopt = Mallopt()
 
     monkeypatch.setattr(twistalg.cli.sys, "platform", "linux")
     monkeypatch.setattr(ctypes, "CDLL", Libc)
-    # the C library is looked up once per process: forget the real one
-    twistalg.cli._malloc_trim.cache_clear()
+    # the threshold is fixed once per process: forget the real call
+    twistalg.cli._fix_mmap_threshold.cache_clear()
     cfg = write(tmp_path, "v.json", TRIVIAL_Z2)
     assert run(capsys, "validate", "--config", cfg)[0] == 0
     assert run(capsys, "validate", "--config", str(tmp_path / "no.json"))[0] == 2
-    assert trims == [0, 0]
-    # a C library without malloc_trim is no error
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-    twistalg.cli._malloc_trim.cache_clear()
+    assert run(capsys, "validate", "--config", cfg, "--tol", "0")[0] == 2
     assert run(capsys, "validate", "--config", cfg)[0] == 0
-    assert trims == [0, 0]
-    twistalg.cli._malloc_trim.cache_clear()
+    assert calls == [(-3, 131072)]
+    # a C library without mallopt is no error
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    twistalg.cli._fix_mmap_threshold.cache_clear()
+    assert run(capsys, "validate", "--config", cfg)[0] == 0
+    # nor is a platform other than Linux, where no C library is opened
+    def no_cdll(name):
+        raise AssertionError("CDLL opened off Linux")
+
+    monkeypatch.setattr(twistalg.cli.sys, "platform", "darwin")
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    twistalg.cli._fix_mmap_threshold.cache_clear()
+    assert run(capsys, "validate", "--config", cfg)[0] == 0
+    assert calls == [(-3, 131072)]
+    twistalg.cli._fix_mmap_threshold.cache_clear()
+
+
+HEAP_PROBE = """
+import os, sys
+import numpy as np
+import twistalg.cli
+
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+assert twistalg.cli.main(sys.argv[1:]) == 0
+big = np.ones(2 << 20)      # 16 MiB, mmapped: freeing it would raise a
+del big                     # dynamic threshold to 16 MiB
+before = rss()
+arrays = [np.ones(1 << 17) for _ in range(16)]      # sixteen 1 MiB arrays
+live = np.ones(1 << 10)     # a small block allocated after them
+del arrays
+print((rss() - before) / 2 ** 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's mmap threshold")
+def test_freed_large_arrays_leave_no_resident_heap(tmp_path):
+    # after main, a freed 16 MiB array leaves later 1 MiB arrays mmapped,
+    # so freeing them hands their pages back, with no trim after a command
+    cfg = write(tmp_path, "v.json", TRIVIAL_Z2)
+    package_root = str(Path(twistalg.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", HEAP_PROBE, "validate", "--config", cfg,
+         "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 2.0
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,9 @@
 plus _cocycle_check) at every tol: the array path's residuals drop a
 value of at most _COEFF_EPS as RingValue's sums drop such a term
 (cocycle._dropped), so both name the same violations, below _COEFF_EPS
-too."""
+too; a product of modulus at most _COEFF_EPS, which only coefficients
+below about 1e-7 (never unitary) make, is dropped as RingValue's product
+drops it."""
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ def same_violations(f, tol):
     got, want = validate(f, tol), object_report(f, tol)
     assert [v[:2] for v in got.violations] == [v[:2] for v in want.violations]
     for (_, _, a), (_, _, b) in zip(got.violations, want.violations):
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0)
     return got
 
 
@@ -82,3 +84,38 @@ def test_make_f_alpha_refuses_with_the_object_paths_report():
     with pytest.raises(ValueError) as err:
         make_f_alpha(3, [a, a], tol=1e-16)
     assert str(err.value) == f"make_f_alpha produced an invalid cocycle:\n{want}"
+
+
+def small_coefficient_table(g, d, rng):
+    """near_unit_table's values, about one in three scaled by 10^-k, k
+    uniform in (7, 13.5): v v^* of each such value, and the product of two
+    of them, is at most _COEFF_EPS."""
+    f = near_unit_table(g, d, rng)
+    return SchurFunction(g, d, [
+        [v.scale(10 ** -rng.uniform(7, 13.5)) if rng.random() < 1 / 3 else v
+         for v in row] for row in f.values])
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("d", [laurent(1), laurent(2)], ids=str)
+def test_small_coefficients_name_the_object_paths_violations(d, tol):
+    rng = np.random.default_rng([d.m, int(-np.log10(tol)), 7])
+    for i in range(40):
+        same_violations(small_coefficient_table(GROUPS[i % 4], d, rng), tol)
+
+
+def test_a_product_within_the_drop_reads_0():
+    """Z/2 with f(1, 1) = 1e-8 z^0, every other value 1, at tol 1e-9: v v^*
+    = 1e-16 is dropped, so the unitary residual is 1.0, on both paths; on
+    Z/3 with f(1, 1) = f(2, 1) = 1e-8 the left side of (1, 1, 1) is
+    dropped too, and its residual is the right side's 1e-8."""
+    d = laurent(1)
+    small = RingValue.monomial(d, 1e-8, (0,))
+    rows = [[RingValue.unit(d)] * 2 for _ in range(2)]
+    rows[1][1] = small
+    got = same_violations(SchurFunction(make_cyclic(2), d, rows), 1e-9)
+    assert got.violations == [("unitary", (1, 1), 1.0)]
+    rows = [[RingValue.unit(d)] * 3 for _ in range(3)]
+    rows[1][1] = rows[2][1] = small
+    got = same_violations(SchurFunction(make_cyclic(3), d, rows), 1e-9)
+    assert ("cocycle", (1, 1, 1), 1e-8) in got.violations

@@ -184,6 +184,21 @@ def test_norm_of_a_product_keeps_a_nan_factor(factor):
         assert np.isnan(RingValue(d, parts).norm(16))
 
 
+@pytest.mark.parametrize("d", [M2, matrix_ring(2, "real")], ids=str)
+def test_norm_of_a_non_finite_matrix_is_its_abs_bound(d):
+    # no SVD of a non-finite matrix: NaN if an entry is NaN, else inf
+    inf, nan = float("inf"), float("nan")
+    cases = [([[1, 0], [0, nan]], nan), ([[-inf, 0], [2, 1]], inf),
+             ([[inf, nan], [0, 1]], nan)]
+    for entries, want in cases:
+        v = RingValue.mat(d, entries)
+        for w in (v, RingValue(product_ring(COMPLEX, d), (sc(1), v)),
+                  RingValue(product_ring(d, REAL), (v, sc(1, REAL)))):
+            got = w.norm(16)
+            assert np.isnan(got) if np.isnan(want) else got == want
+            assert np.isnan(w.abs_bound()) == np.isnan(want)
+
+
 def test_abs_bound_laurent_is_coefficientwise():
     # largest coefficient magnitude; zero iff the value is zero
     a = RingValue.poly(L1, {(1,): 1, (0,): -2})
