@@ -4,16 +4,15 @@ Every cocycle value is central.  The centre of a finite product of C, R,
 M_k(C), M_k(R) and H has one factor per ring factor, a copy of C or of R
 (R for R, M_k(R) and H), and its values are the c 1.  So a table of such
 values is one (n, n) scalar array per centre factor: the (n, n, F) array
-SchurFunction._centre.  This module reads tables into that form and
-rebuilds their values and dense forms from it.  It is imported on first
-use, so importing twistalg does not compile it.
+SchurFunction._centre.  held takes it for a config's table whose readouts
+are all c 1; values, blocks and readouts rebuild the table from it.  It
+is imported on first use, so importing twistalg does not compile it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .rings import REAL, RingDescriptor, RingValue
-from .serialize import parse_scalar
+from .rings import RingDescriptor
 
 
 def leaves(d: RingDescriptor):
@@ -39,86 +38,35 @@ def checked(n: int, d: RingDescriptor, centre: np.ndarray) -> np.ndarray:
     return centre
 
 
-def read_table(d: RingDescriptor, table):
-    """The centre of a table of config literals, read a row at a time with
-    no RingValue made: parse_value's values.  Over C and R every table that
-    parses has one.  Else None where a literal is malformed (or a matrix or
-    quaternion not a list) or a value is not c 1 exactly with c finite (so
-    off-diagonal entries and imaginary parts 0, each diagonal constant bit
-    for bit); parse_value then raises at the first bad entry."""
-    real = [e.is_real for e in leaves(d) or ()]
-    if not real:
-        return None
-    n = len(table)
-    out = np.empty((len(real), n, n), dtype=float if all(real) else complex)
-    try:
-        for i, row in enumerate(table):
-            cols = _row(d, row)
-            if cols is None:
-                return None
-            for k, c in enumerate(cols):
-                out[k, i] = c
-    except (TypeError, ValueError, OverflowError):
-        return None
-    finite = d.kind in ("complex", "real") or np.isfinite(out).all()
-    return out.transpose(1, 2, 0) if finite else None
-
-
-def _row(d: RingDescriptor, row):
-    """A row's centre scalars, one array per centre factor, or None."""
+def held(d: RingDescriptor, rows, n: int):
+    """SchurFunction's form of a table of ring d from its n rows' readouts
+    (n, b, r): the centre over C and R and where every value is c 1, c
+    finite (diagonals constant bit for bit, all else 0); else the rows."""
+    from .dense import dense_dtype, dense_size, readout_columns
+    t = np.dtype((dense_dtype(d), (n, dense_size(d), len(readout_columns(d)))))
+    y = np.fromiter(rows, t, n)
     if d.kind in ("complex", "real"):
-        return [_scalars(d.kind == "real", row)]
-    n = len(row)        # each literal a list of k: factors, coordinates, rows
-    k = {"product": len(d.factors), "quaternion": 4}.get(d.kind, d.k)
-    if not all(type(v) is list and len(v) == k for v in row):
-        return None
-    if d.kind == "product":
-        out = [_row(e, [v[j] for v in row]) for j, e in enumerate(d.factors)]
-        return None if None in out else [c for part in out for c in part]
-    if d.kind == "quaternion":
-        p = np.fromiter(map(float, (x for v in row for x in v)), float, 4 * n)
-        p = p.reshape(n, 4)
-        return None if p[:, 1:].any() else [p[:, 0]]
-    if not all(type(r) is list and len(r) == k for v in row for r in v):
-        return None
-    m = _scalars(d.field == "real", [x for v in row for r in v for x in r])
-    m, i = m.reshape(n, k, k), np.arange(k)
-    diag = np.ascontiguousarray(m[:, i, i])
-    m[:, i, i] = 0
-    bits = diag.view(np.uint64).reshape(n, k, -1)
-    return None if m.any() or (bits != bits[:, :1]).any() else [diag[:, 0]]
-
-
-def _scalars(real: bool, literals) -> np.ndarray:
-    """parse_value's scalars of C or (real) R, strings in one pass: joined
-    by line breaks, spaces dropped, i read as j, split and read by complex()
-    as parse_scalar first tries.  A non-string, a line break or a literal
-    complex() refuses, or over R an imaginary part, sends them to one at a
-    time, which raises at the first bad one."""
-    try:
-        pieces = ("\n".join(literals).replace(" ", "").replace("i", "j")
-                  .split("\n"))
-        vals = (np.fromiter(map(complex, pieces), complex, len(literals))
-                if len(pieces) == len(literals) else None)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or (real and vals.imag.any()):
-        vals = np.array([_scalar(real, e) for e in literals], dtype=complex)
-    return vals.real if real else vals
-
-
-def _scalar(real: bool, literal) -> complex:
-    c = parse_scalar(literal)
-    if c.imag and real:
-        RingValue.scalar(REAL, c)       # refuses a complex scalar
-    return c
+        return y[..., 0]
+    r = [len(readout_columns(e)) for e in leaves(d)]    # diagonal lengths
+    one = readouts(d, np.ones((1, 1, len(r)), y.dtype))[0, 0]
+    diag = y[..., one != 0]                             # leaf by leaf
+    centre = diag[..., np.cumsum([0] + r[:-1])]
+    if (np.isfinite(centre).all()
+            and np.count_nonzero(y) == np.count_nonzero(diag)  # all else 0
+            and diag.tobytes() == np.repeat(centre, r, -1).tobytes()):
+        return centre
+    return _rows(d, y)
 
 
 def values(d: RingDescriptor, centre: np.ndarray) -> tuple:
     """The rows of RingValues of a table of ring d held by centre."""
+    return _rows(d, readouts(d, centre))
+
+
+def _rows(d: RingDescriptor, y: np.ndarray) -> tuple:
+    """The rows of RingValues of a table with readouts y (n, m, b, r)."""
     from .dense import from_readout
-    y, m = readouts(d, centre), centre.shape[1]
-    flat = from_readout(d, y.reshape((-1,) + y.shape[2:]))
+    flat, m = from_readout(d, y.reshape((-1,) + y.shape[2:])), y.shape[1]
     return tuple(tuple(flat[i:i + m]) for i in range(0, len(flat), m))
 
 
@@ -138,8 +86,8 @@ def readouts(d: RingDescriptor, centre: np.ndarray) -> np.ndarray:
     shape = centre.shape[:2] + (dense_size(d), len(readout_columns(d)))
     out = np.zeros(shape, dtype=dense_dtype(d))
     o = c = 0
-    for e, z in zip(leaves(d), np.moveaxis(centre, -1, 0)):
+    for k, e in enumerate(leaves(d)):
         i = np.arange(len(readout_columns(e)))
-        out[..., o + i, c + i] = z[..., None]
+        out[..., o + i, c + i] = centre[..., k, None]
         o, c = o + dense_size(e), c + len(i)
     return out

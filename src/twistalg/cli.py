@@ -15,7 +15,8 @@ from . import algebra, clifford, cocycle, isolab
 from .rings import DEFAULT_GRID, DEFAULT_TOL
 from .serialize import (ConfigError, cocycle_to_json, element_to_json,
                         parse_cocycle, parse_descriptor, parse_element,
-                        parse_value, validated_on_parse, value_to_json)
+                        parse_value, parse_values, validated_on_parse,
+                        value_to_json)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -121,7 +122,7 @@ def cmd_classify(args) -> int:
     for vec in vectors:
         if len(vec) != n - 1:
             raise ConfigError("all parameter vectors must share one length")
-        parsed.append([parse_value(d, a) for a in vec])
+        parsed.append(parse_values(d, vec))
     classes = []           # list of (representative index, member list)
     witnesses = {}
     for i, alphas in enumerate(parsed):
@@ -166,7 +167,7 @@ def _build_iso(cfg, tol):
         return isolab.identity_morphism(parse_cocycle(cfg["cocycle"], tol))
     if name == "lambda":
         f = parse_cocycle(cfg["cocycle"], tol)
-        vals = [parse_value(f.descriptor, v) for v in params["lambda"]]
+        vals = parse_values(f.descriptor, params["lambda"])
         lam = cocycle.Lambda(f.group, f.descriptor, vals, tol)
         return isolab.lambda_isomorphism(f, lam)
     if name == "z2_split":
@@ -196,7 +197,7 @@ def _build_iso(cfg, tol):
                                          tol=tol)
     if name == "cyclic_decompose":
         d = parse_descriptor(cfg.get("descriptor", "complex"))
-        alphas = [parse_value(d, a) for a in params["alphas"]]
+        alphas = parse_values(d, params["alphas"])
         f = cocycle.make_f_alpha(len(alphas) + 1, alphas, d, tol)
         beta = parse_value(d, params["beta"]) if "beta" in params else None
         return isolab.cyclic_decompose(f, alphas, beta=beta, tol=tol)
@@ -229,7 +230,7 @@ def _verified(rep, tol) -> bool:
 def cmd_clifford(args) -> int:
     cfg = _load_config(args)
     d = parse_descriptor(cfg.get("field", cfg.get("descriptor", "complex")))
-    values = [parse_value(d, v) for v in cfg["rho"]]
+    values = parse_values(d, cfg["rho"])
     labels = cfg.get("labels", list(range(1, len(values) + 1)))
     spec = clifford.CliffordSpec(labels, values, d, tol=args.tol)
     f = clifford.clifford_cocycle(spec)

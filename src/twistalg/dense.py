@@ -112,13 +112,21 @@ def dense_array(d: RingDescriptor, values) -> np.ndarray:
 def readout_array(d: RingDescriptor, values) -> np.ndarray:
     """(N, b, r) stack of value_dense(v)[:, readout_columns(d)], read off
     the payloads: the one step from values to arrays."""
+    if d.kind == "product":
+        return product_readouts(d, [
+            readout_array(e, [v.payload[i] for v in values])
+            for i, e, _, _ in _factor_slots(d)])
     b, r = dense_size(d), len(readout_columns(d))
-    if d.kind != "product":
-        return np.array([v.payload for v in values],
-                        dtype=dense_dtype(d)).reshape(-1, b, r)
-    out = np.zeros((len(values), b, r), dtype=dense_dtype(d))
-    for i, e, o, c in _factor_slots(d):
-        out[:, o, c] = readout_array(e, [v.payload[i] for v in values])
+    return np.array([v.payload for v in values],
+                    dtype=dense_dtype(d)).reshape(-1, b, r)
+
+
+def product_readouts(d: RingDescriptor, parts) -> np.ndarray:
+    """Readouts (N, b, r) of values of a product ring from their factors'."""
+    out = np.zeros((len(parts[0]), dense_size(d), len(readout_columns(d))),
+                   dtype=dense_dtype(d))
+    for (_, _, o, c), y in zip(_factor_slots(d), parts):
+        out[:, o, c] = y
     return out
 
 

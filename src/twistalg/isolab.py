@@ -958,16 +958,18 @@ def z2n_torus_rewrite(n: int, degree: int = 4, max_pairs: int = None,
         lhs = bits[g.mul[s, t]] + 2 * (fexp[s, t] + e[i] + e[j])
         return float(_residual(fc[s, t], lhs, 1.0, img[i] + img[j]).max())
 
+    from .dense import BLOCK_ENTRIES
     if max_pairs is None or nb * nb <= max_pairs:
         checked = nb * nb
         blocks = ((np.arange(rows.start, rows.stop)[:, None], np.arange(nb))
-                  for rows in row_blocks(nb, nb, 1 << 13))
+                  for rows in row_blocks(nb, nb, BLOCK_ENTRIES))
     else:
         rng = np.random.default_rng(seed)
         ii = rng.integers(0, nb, max_pairs)
         jj = rng.integers(0, nb, max_pairs)
         checked = max_pairs
-        blocks = ((ii[b], jj[b]) for b in row_blocks(max_pairs, 1, 1 << 13))
+        blocks = ((ii[b], jj[b])
+                  for b in row_blocks(max_pairs, 1, BLOCK_ENTRIES))
     mult_res = max(mult_residual(i, j) for i, j in blocks)
     return SubstitutionReport(mult_res, star_res, checked, injective)
 

@@ -256,7 +256,8 @@ class RingValue:
         if d.kind == "laurent":
             return RingValue(d, _clean_poly({e: v * c for e, v in self.payload.items()}))
         if d.kind in ("matrix", "quaternion"):
-            return RingValue(d, self.payload * c)
+            with np.errstate(invalid="ignore"):    # 0 inf is NaN, as Python's
+                return RingValue(d, self.payload * c)
         return RingValue(d, tuple(a.scale(c) for a in self.payload))
 
     def star(self) -> "RingValue":

@@ -2,10 +2,12 @@
 
 Scalars travel as "a+bi" strings, Laurent values as [exponents, coeff]
 term lists, matrices as row lists, quaternions as 4-tuples, product values
-as per-factor lists.  Groups are {kind: cyclic|product|subsets, ...} and
-cocycles are either explicit tables or named constructor shorthands.
+as per-factor lists; parse_readouts reads lists of finite ones.  Groups
+are {kind: cyclic|product|subsets, ...}, cocycles tables or constructors.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .cocycle import SchurFunction, klein_table, make_f_alpha
 from .groups import GroupTable, direct_product, make_cyclic, make_subset_group
@@ -100,6 +102,53 @@ def scalar_to_json(c: complex) -> str:
 
 
 # -- ring values -----------------------------------------------------------
+
+def parse_values(d: RingDescriptor, literals) -> list:
+    """Each literal's parse_value; over a finite ring from parse_readouts."""
+    if not d.is_finite:
+        return [parse_value(d, v) for v in literals]
+    from .dense import from_readout
+    return from_readout(d, parse_readouts(d, literals))
+
+
+def parse_readouts(d: RingDescriptor, literals) -> np.ndarray:
+    """dense.readout_array (N, b, r) of parse_value's values of literals of
+    a finite ring d, bit for bit: in one pass, else one literal at a time,
+    which raises parse_value's error at the first bad one."""
+    y = _batch(d, literals) if type(literals) is list and literals else None
+    if y is None:
+        from .dense import readout_array
+        y = readout_array(d, [parse_value(d, v) for v in literals])
+    return y
+
+
+def _batch(d: RingDescriptor, literals):
+    """parse_readouts in one pass, or None: lists of the right lengths, R
+    values real, scalar strings joined by line breaks, spaces dropped, i
+    read as j, split and read by complex() as parse_scalar first tries."""
+    flat = literals
+    for k in {"matrix": (d.k, d.k), "quaternion": (4,),
+              "product": (len(d.factors),)}.get(d.kind, ()):
+        if not all(type(v) is list and len(v) == k for v in flat):
+            return None
+        flat = [x for v in flat for x in v]
+    if d.kind == "product":         # flat: each literal's k factors in turn
+        parts = [_batch(e, flat[j::k]) for j, e in enumerate(d.factors)]
+        from .dense import product_readouts
+        return (None if any(p is None for p in parts)
+                else product_readouts(d, parts))
+    read, real = (float if d.kind == "quaternion" else complex), d.is_real
+    try:
+        s = flat if read is float else "\n".join(flat).replace(
+            " ", "").replace("i", "j").split("\n")
+        y = np.fromiter(map(read, s), read, len(s))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if len(y) != len(flat) or read is complex and real and y.imag.any():
+        return None
+    y = y.reshape(len(literals), -1, d.k or 1)
+    return y.real if real else y
+
 
 def parse_value(d: RingDescriptor, obj) -> RingValue:
     if d.kind in ("complex", "real"):
@@ -203,14 +252,13 @@ def parse_cocycle(obj, tol: float = DEFAULT_TOL) -> SchurFunction:
         table = obj["table"]
         if len(table) != g.order or any(len(r) != g.order for r in table):
             raise ConfigError("cocycle table shape mismatch")
-        from .centre import read_table
-        centre = read_table(d, table)
-        if centre is not None:
-            return SchurFunction(g, d, centre)
-        vals = [[parse_value(d, e) for e in row] for row in table]
-        return SchurFunction(g, d, vals)
+        if not d.is_finite:
+            return SchurFunction(g, d, [parse_values(d, r) for r in table])
+        from .centre import held
+        rows = (parse_readouts(d, row) for row in table)
+        return SchurFunction(g, d, held(d, rows, g.order))
     if "f_alpha" in obj:
-        alphas = [parse_value(d, a) for a in obj["f_alpha"]]
+        alphas = parse_values(d, obj["f_alpha"])
         return make_f_alpha(len(alphas) + 1, alphas, d, tol)
     if "klein_table" in obj:
         p = obj["klein_table"]
@@ -223,7 +271,7 @@ def parse_cocycle(obj, tol: float = DEFAULT_TOL) -> SchurFunction:
             raise ConfigError(f"klein_table missing parameter {exc}") from exc
     if "clifford_rho" in obj:
         from .clifford import CliffordSpec, clifford_cocycle
-        values = [parse_value(d, a) for a in obj["clifford_rho"]]
+        values = parse_values(d, obj["clifford_rho"])
         labels = obj.get("labels", list(range(1, len(values) + 1)))
         return clifford_cocycle(CliffordSpec(labels, values, d, tol))
     raise ConfigError("cocycle needs a table or a named constructor")

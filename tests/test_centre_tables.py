@@ -10,12 +10,13 @@ import pytest
 from small_groups import Q8
 from twistalg import (COMPLEX, QUATERNION, REAL, RingValue, SchurFunction,
                       make_cyclic, make_f_alpha, matrix_ring, product_ring,
-                      trivial_cocycle, validate)
-from twistalg.centre import leaves, read_table
+                      serialize, trivial_cocycle, validate)
+from twistalg.centre import leaves
 from twistalg.cli import main
-from twistalg.dense import value_blocks
-from twistalg.serialize import (parse_cocycle, parse_descriptor, parse_group,
-                                parse_value)
+from twistalg.dense import readout_array, value_blocks
+from twistalg.serialize import (ConfigError, parse_cocycle, parse_descriptor,
+                                parse_group, parse_readouts, parse_scalar,
+                                parse_value, parse_values)
 
 from rvalidate import block_validate
 
@@ -94,10 +95,30 @@ def break_table(variant, d, g, tables, rng):
         t[s, g.inv[s]] *= turn
 
 
+def reference_value(d, obj):
+    """The value of a literal of a finite ring as parse_value read it
+    before its one reader: one literal at a time, a RingValue per part."""
+    if d.kind in ("complex", "real"):
+        return RingValue.scalar(d, parse_scalar(obj))
+    if d.kind == "matrix":
+        rows = [[parse_scalar(e) for e in row] for row in obj]
+        if len(rows) != d.k or any(len(r) != d.k for r in rows):
+            raise ConfigError(f"matrix literal must be {d.k}x{d.k}")
+        return RingValue.mat(d, rows)
+    if d.kind == "quaternion":
+        if len(obj) != 4:
+            raise ConfigError("quaternion literal must have 4 coordinates")
+        return RingValue.quaternion([float(x) for x in obj])
+    if len(obj) != len(d.factors):
+        raise ConfigError("product literal component count mismatch")
+    return RingValue.tuple_value(d, [reference_value(e, o)
+                                     for e, o in zip(d.factors, obj)])
+
+
 def reference_parse(obj):
-    """parse_cocycle's table one parse_value per entry: list-held."""
+    """parse_cocycle's table one reference_value per entry: list-held."""
     d, g = parse_descriptor(obj["descriptor"]), parse_group(obj["group"])
-    return SchurFunction(g, d, [[parse_value(d, v) for v in row]
+    return SchurFunction(g, d, [[reference_value(d, v) for v in row]
                                 for row in obj["table"]])
 
 
@@ -256,8 +277,6 @@ def test_tables_that_stay_on_the_block_path(case):
     table[2][3] = entry
     obj = {"descriptor": RINGS[ring], "group": {"kind": "cyclic", "n": n},
            "table": table}
-    d = parse_descriptor(RINGS[ring])
-    assert read_table(d, table) is None
     f = parse_cocycle(obj)
     assert f._centre is None
     rep = validate(f)
@@ -289,44 +308,213 @@ def outcome(parse, obj):
 ONE = {"M2C": [["1", "0"], ["0", "1"]], "M2R": [["1", "0"], ["0", "1"]],
        "H": ["1", "0", "0", "0"], "CxM2C": ["1", [["1", "0"], ["0", "1"]]],
        "RxH": ["1", ["1", "0", "0", "0"]]}
+NO_LEN = "object of type '{}' has no len()"
+# (ring, entries, the error the entry loop raised, or None if it read them:
+# recorded from it, so the reader is not held against itself)
 MALFORMED = {
-    "M2C-word": ("M2C", {(1, 2): [["x", "0"], ["0", "1"]]}),
+    "M2C-word": ("M2C", {(1, 2): [["x", "0"], ["0", "1"]]},
+                 (ConfigError, "bad scalar literal 'x'")),
     "M2C-shape-then-word": ("M2C", {(1, 1): [["1", "0"]],
-                                    (1, 2): [["x", "0"], ["0", "1"]]}),
+                                    (1, 2): [["x", "0"], ["0", "1"]]},
+                            (ConfigError, "matrix literal must be 2x2")),
     "M2C-word-then-shape": ("M2C", {(1, 1): [["x", "0"], ["0", "1"]],
-                                    (1, 2): [["1", "0"]]}),
-    "M2C-string-rows": ("M2C", {(2, 0): ["10", "01"]}),
-    "M2C-bool": ("M2C", {(0, 3): [[True, 0], [0, 1]]}),
+                                    (1, 2): [["1", "0"]]},
+                            (ConfigError, "bad scalar literal 'x'")),
+    "M2C-string-rows": ("M2C", {(2, 0): ["10", "01"]}, None),
+    "M2C-bool": ("M2C", {(0, 3): [[True, 0], [0, 1]]},
+                 (ConfigError, "bad scalar literal True")),
     "M2R-complex-then-word": ("M2R", {(1, 0): [["1", "0.5i"], ["0", "1"]],
-                                      (1, 1): [["y", "0"], ["0", "1"]]}),
+                                      (1, 1): [["y", "0"], ["0", "1"]]},
+                              (ValueError, "complex scalar in a real ring")),
     "M2R-word-then-complex": ("M2R", {(0, 1): [["y", "0"], ["0", "1"]],
-                                      (1, 0): [["1", "0.5i"], ["0", "1"]]}),
-    "M2R-tiny-imaginary": ("M2R", {(1, 1): [["1+1e-15i", "0"], ["0", "1"]]}),
-    "H-three": ("H", {(1, 1): ["1", "0", "0"]}),
-    "H-complex": ("H", {(2, 2): ["1+0i", "0", "0", "0"]}),
-    "H-dict": ("H", {(3, 1): {"a": 1, "b": 2, "c": 3, "d": 4}}),
-    "H-bool": ("H", {(3, 3): [True, False, 0, 0]}),
-    "CxM2C-missing": ("CxM2C", {(1, 3): ["1"]}),
+                                      (1, 0): [["1", "0.5i"], ["0", "1"]]},
+                              (ConfigError, "bad scalar literal 'y'")),
+    "M2R-tiny-imaginary": ("M2R", {(1, 1): [["1+1e-15i", "0"], ["0", "1"]]},
+                           None),
+    "H-three": ("H", {(1, 1): ["1", "0", "0"]},
+                (ConfigError, "quaternion literal must have 4 coordinates")),
+    "H-complex": ("H", {(2, 2): ["1+0i", "0", "0", "0"]},
+                  (ValueError, "could not convert string to float: '1+0i'")),
+    "H-dict": ("H", {(3, 1): {"a": 1, "b": 2, "c": 3, "d": 4}},
+               (ValueError, "could not convert string to float: 'a'")),
+    "H-bool": ("H", {(3, 3): [True, False, 0, 0]}, None),
+    "CxM2C-missing": ("CxM2C", {(1, 3): ["1"]},
+                      (ConfigError, "product literal component count "
+                                    "mismatch")),
     "CxM2C-bad-scalar-then-shape": ("CxM2C", {
-        (2, 1): ["z", [["1", "0"], ["0", "1"]]], (2, 2): ["1", [["1"]]]}),
-    "RxH-complex": ("RxH", {(1, 1): ["1i", ["1", "0", "0", "0"]]}),
-    "RxH-numbers": ("RxH", {(0, 0): [1, [1.0, 0, 0, 0]]}),
+        (2, 1): ["z", [["1", "0"], ["0", "1"]]], (2, 2): ["1", [["1"]]]},
+        (ConfigError, "bad scalar literal 'z'")),
+    "RxH-complex": ("RxH", {(1, 1): ["1i", ["1", "0", "0", "0"]]},
+                    (ValueError, "complex scalar in a real ring")),
+    "RxH-numbers": ("RxH", {(0, 0): [1, [1.0, 0, 0, 0]]}, None),
+    # no list where a list belongs: a number, None, a string, a dict
+    "H-number": ("H", {(1, 2): 5}, (TypeError, NO_LEN.format("int"))),
+    "H-none": ("H", {(2, 1): None}, (TypeError, NO_LEN.format("NoneType"))),
+    "H-short-string": ("H", {(0, 2): "10"}, (
+        ConfigError, "quaternion literal must have 4 coordinates")),
+    "H-digit-string": ("H", {(3, 0): "1000"}, None),
+    "H-word-then-number": ("H", {(1, 1): "abcd", (1, 2): 5},
+                           (ValueError, "could not convert string to float: "
+                                        "'a'")),
+    "M2C-number": ("M2C", {(2, 3): 5},
+                   (TypeError, "'int' object is not iterable")),
+    "M2C-word-then-number-row": ("M2C", {(1, 0): [["x", "0"], 5]},
+                                 (ConfigError, "bad scalar literal 'x'")),
+    "M2C-number-row-then-word": ("M2C", {(1, 0): [["1", "0"], 5],
+                                         (1, 1): [["x", "0"], ["0", "1"]]},
+                                 (TypeError, "'int' object is not iterable")),
+    "M2C-dict": ("M2C", {(0, 1): {"a": 1}},
+                 (ConfigError, "bad scalar literal 'a'")),
+    "M2R-string": ("M2R", {(3, 2): "ab"},
+                   (ConfigError, "bad scalar literal 'a'")),
+    "M2R-complex-then-number-row": ("M2R", {(2, 2): [["0.5i", "0"], 5]}, (
+        TypeError, "'int' object is not iterable")),
+    "CxM2C-number": ("CxM2C", {(1, 2): 5}, (TypeError, NO_LEN.format("int"))),
+    "CxM2C-number-factor": ("CxM2C", {(3, 3): ["1", 5]},
+                            (TypeError, "'int' object is not iterable")),
+    "CxM2C-string": ("CxM2C", {(2, 0): "10"},
+                     (ConfigError, "matrix literal must be 2x2")),
+    "RxH-number-factor": ("RxH", {(1, 3): ["1", 5]},
+                          (TypeError, NO_LEN.format("int"))),
+    "RxH-none-then-dict": ("RxH", {(0, 1): None, (0, 2): {"a": 1}},
+                           (TypeError, NO_LEN.format("NoneType"))),
+    "RxH-dict-then-none": ("RxH", {(0, 1): {"a": 1}, (2, 0): None}, (
+        ConfigError, "product literal component count mismatch")),
+    "RxH-string-factor": ("RxH", {(3, 1): ["1", "1000"]}, None),
 }
+
+
+def malformed_config(case):
+    ring, entries, _ = MALFORMED[case]
+    table = [[ONE[ring] for _ in range(4)] for _ in range(4)]
+    for (s, t), v in entries.items():
+        table[s][t] = v
+    return {"descriptor": RINGS[ring], "group": {"kind": "cyclic", "n": 4},
+            "table": table}
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_centre_parse_raises_the_first_error_of_the_loop(case):
-    ring, entries = MALFORMED[case]
-    table = [[ONE[ring] for _ in range(4)] for _ in range(4)]
-    for (s, t), v in entries.items():
-        table[s][t] = v
-    obj = {"descriptor": RINGS[ring], "group": {"kind": "cyclic", "n": 4},
-           "table": table}
-    want = outcome(reference_parse, obj)
+    obj, want = malformed_config(case), MALFORMED[case][2]
     assert outcome(parse_cocycle, obj) == want
+    assert outcome(reference_parse, obj) == want
     if want is None:
         f, ref = parse_cocycle(obj), reference_parse(obj)
         assert key(validate(f)) == key(block_validate(ref))
+        assert [[repr(v) for v in row] for row in f.values] == \
+            [[repr(v) for v in row] for row in ref.values]
+
+
+@pytest.mark.parametrize("case", [c for c, v in MALFORMED.items() if v[2]])
+def test_literal_lists_raise_the_first_error_of_the_loop(case):
+    """The f_alpha, clifford rho and lambda lists and one value read with
+    the entries of a malformed table: the same first error."""
+    obj, want = malformed_config(case), MALFORMED[case][2]
+    d = parse_descriptor(obj["descriptor"])
+    values = [v for row in obj["table"] for v in row]
+    assert outcome(lambda v: parse_values(d, v), values) == want
+    bad = next(v for v in values if outcome(lambda v: parse_value(d, v), v))
+    assert outcome(lambda v: parse_value(d, v), bad) == want
+    f_alpha = {"descriptor": obj["descriptor"], "f_alpha": values[:6]}
+    assert outcome(parse_cocycle, f_alpha) == outcome(
+        lambda v: [reference_value(d, a) for a in v], values[:6])
+
+
+@pytest.mark.parametrize("obj", [5, None, "ab", {"a": 1}, True],
+                         ids=["number", "none", "string", "dict", "bool"])
+@pytest.mark.parametrize("ring", ["H", "M2C", "M2R", "CxM2C", "RxH",
+                                  "complex", "real"])
+def test_literal_lists_that_are_no_lists(ring, obj):
+    d = parse_descriptor(RINGS.get(ring, ring))
+    want = outcome(lambda v: [reference_value(d, a) for a in v], obj)
+    assert want is not None
+    assert outcome(lambda v: parse_values(d, v), obj) == want
+    assert outcome(lambda v: parse_readouts(d, v), obj) == want
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS) + ["complex", "real"])
+def test_empty_literal_lists(ring):
+    d = parse_descriptor(RINGS.get(ring, ring))
+    y = parse_readouts(d, [])
+    assert y.shape == (0,) + readout_array(d, [RingValue.unit(d)]).shape[1:]
+    assert parse_values(d, []) == []
+
+
+# -- the one reader against the entry loop ----------------------------------
+
+# the first four real, the first six strings that take the one pass
+SCALARS = ["1", "-0", " 2.5e-1 ", "-1e3", "0.6+0.8i", " 0.6 - 0.8 i ", "-i",
+           "1e-3-2.5e1i", "nan", "inf", "-infi", "1+1e-15i", "1\n", "\t1",
+           "1_0", "(1)", "1\n2", 3, -1.5, [0.6, 0.8], ["-0.25", "0"], "0.5i",
+           "x", True, None, [1]]
+# float() reads the first four; complex() reads "(1)" and "1+0j" too
+COORDINATES = ["1", "-0", "0.5", " 2 ", "1e-3", "inf", "nan", "1_0", 3,
+               -1.5, True, "(1)", "1+0j", "1+0i", "x", None, [0]]
+
+
+def random_literal(d, rng, odd):
+    """A literal of ring d: strings mostly, with probability odd a number,
+    a pair, an odd or a bad piece, or a wrong length."""
+    common = 4 if d.is_real else 6
+    pick = lambda pool: pool[rng.integers(len(pool) if rng.random() < odd
+                                          else min(common, len(pool)))]
+    if d.kind in ("complex", "real"):
+        return pick(SCALARS)
+    if d.kind == "quaternion":
+        out = [pick(COORDINATES) for _ in range(4)]
+    elif d.kind == "matrix":
+        out = [[pick(SCALARS) for _ in range(d.k)] for _ in range(d.k)]
+    else:
+        out = [random_literal(e, rng, odd) for e in d.factors]
+    return out[:-1] if rng.random() < odd / 4 else out
+
+
+def readouts_or_error(read, d, literals):
+    try:
+        y = read(d, literals)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return y.dtype, y.shape, y.tobytes()
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS) + ["nested"])
+def test_parse_readouts_is_the_entry_loops_readout(ring):
+    """parse_readouts equals readout_array of reference_value's values of
+    the same literals bit for bit (or raises its first error), over lists
+    of strings that take the one pass and lists that fall back."""
+    d = parse_descriptor(NESTED if ring == "nested" else RINGS[ring])
+    rng = np.random.default_rng([len(ring), 30])
+    reference = lambda d, v: readout_array(d, [reference_value(d, a)
+                                                 for a in v])
+    read = {}
+    for k in range(200):
+        odd = (0.0, 0.02, 0.2)[k % 3]
+        literals = [random_literal(d, rng, odd)
+                    for _ in range(rng.integers(1, 9))]
+        want = readouts_or_error(reference, d, literals)
+        assert readouts_or_error(parse_readouts, d, literals) == want
+        read[type(want[0]) is type] = True
+    assert set(read) == {True, False}       # both errors and values
+
+
+def test_table_parse_makes_no_parse_value_per_entry(monkeypatch):
+    """A table of M_2(C) that is not all c 1 is read row by row into
+    readouts, its values made from them: no parse_value or parse_scalar
+    call per entry, nor after the parse."""
+    calls = []
+    for name in ("parse_value", "parse_scalar"):
+        real = getattr(serialize, name)
+        monkeypatch.setattr(serialize, name, lambda *a, real=real: (
+            calls.append(1), real(*a))[1])
+    n = 8
+    table = [[[[f"{s}", "0.5i"], [f"{t}", "1"]] for t in range(n)]
+             for s in range(n)]
+    f = parse_cocycle({"descriptor": RINGS["M2C"],
+                       "group": {"kind": "cyclic", "n": n}, "table": table})
+    assert f._centre is None
+    assert repr(f.value(3, 5)) == repr(RingValue.mat(
+        matrix_ring(2), [[3, 0.5j], [5, 1]]))
+    assert calls == []
 
 
 # -- product rings with a Laurent factor ------------------------------------

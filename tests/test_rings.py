@@ -199,6 +199,27 @@ def test_norm_of_a_non_finite_matrix_is_its_abs_bound(d):
             assert np.isnan(w.abs_bound()) == np.isnan(want)
 
 
+@pytest.mark.parametrize("d", [M2, matrix_ring(2, "real"), QUATERNION,
+                               product_ring(REAL, M2, QUATERNION)],
+                         ids=str)
+def test_scale_by_inf_warns_nothing(d):
+    """0 inf is NaN, with no numpy warning (so none under -W error), each
+    entry as Python computes it: (1 + 0j) inf has a NaN imaginary part."""
+    import warnings
+    inf = float("inf")
+
+    def entries(v):     # Python numbers, factor by factor
+        if v.descriptor.kind == "product":
+            return [x for a in v.payload for x in entries(a)]
+        return np.asarray(v.payload).reshape(-1).tolist()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (RingValue.unit(d), RingValue.zero(d)):
+            want = [x * inf for x in entries(v)]
+            assert repr(entries(v.scale(inf))) == repr(want)
+
+
 def test_abs_bound_laurent_is_coefficientwise():
     # largest coefficient magnitude; zero iff the value is zero
     a = RingValue.poly(L1, {(1,): 1, (0,): -2})

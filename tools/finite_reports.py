@@ -12,9 +12,13 @@ table is a random coboundary on Z/1, Z/2, Z/3, Z/6, Z/2 x Z/2 or S3, held
 as its centre (every value exactly c 1) and as a list (one value one unit
 in the last place off c 1); elements have random coefficients, some
 entries -0, on a few group elements or on all.  The ``iso`` configs are the
-identity and a ``lambda`` isomorphism.  Each line is the repr of one
-config's name, subcommand, exit code, report file, standard output and
-standard error; for ``mul`` and ``star`` also the reprs of the result's
+identity and a ``lambda`` isomorphism.  After those come configs whose
+value literals are malformed (``malformed_configs``): in tables, in
+element coefficients and in the ``f_alpha``, ``clifford`` rho and
+``lambda`` lists, so the output also shows which error each reading
+raises first.  Each line is the repr of one config's name, subcommand,
+exit code, report file, standard output and standard error; for a
+``mul`` or ``star`` that succeeds also the reprs of the result's
 coefficients, computed in this process, which show the sign of a zero and
 more digits than the report's twelve.  Two trees give byte-identical
 output exactly when they give the same results on these configs; diff a
@@ -22,25 +26,13 @@ parent's output with a change's, each run from its own checkout.
 """
 from __future__ import annotations
 
-import contextlib
-import io
-import os
 import sys
-import tempfile
 from itertools import permutations
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"          # before numpy loads BLAS
-
-ROOT = Path.cwd()
-sys.path[:0] = [str(ROOT / "src")]
-
-import json                                              # noqa: E402
+from cli_runner import cli_runner          # first: BLAS pinned, src/ on path
 
 import numpy as np                                       # noqa: E402
 
-import twistalg.cli                                      # noqa: E402
 from twistalg.algebra import alg_mul, alg_star           # noqa: E402
 from twistalg.serialize import (parse_cocycle, parse_element,  # noqa: E402
                                 parse_group)
@@ -179,26 +171,114 @@ def products(command: str, config: dict):
     return [repr(c.payload) for c in out.coeffs]
 
 
-def run(command: str, config: dict, path: Path, out: Path):
-    path.write_text(json.dumps(config))
-    out.unlink(missing_ok=True)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
-            stderr):
-        rc = twistalg.cli.main([command, "--config", str(path), "--out",
-                                str(out)])
-    report = out.read_text() if out.exists() else None
-    result = (command, rc, report, stdout.getvalue(), stderr.getvalue())
-    if command in ("mul", "star"):
-        result += (products(command, config),)
-    return result
+# -- malformed literals --------------------------------------------------
+
+H1 = ["1", "0", "0", "0"]
+M1 = [["1", "0"], ["0", "1"]]
+ONE = {"H": H1, "M2C": M1, "M2R": M1, "CxM2C": ["1", M1], "RxH": ["1", H1]}
+INF = {"H": ["inf", "0", "0", "0"], "M2C": [["inf", "0"], ["0", "1"]],
+       "M2R": [["1", "0"], ["0", "-inf"]], "CxM2C": ["inf", M1],
+       "RxH": ["1", ["1", "0", "nan", "0"]]}
+# per ring, literals parse_value refuses, some malformed in two places, so
+# the first error in reading order is the one raised; and a few it reads
+# (strings whose characters are the coordinates or rows, numbers, pairs)
+_COMMON = {"number": 5, "dict": {"a": 1}, "none": None, "short-string": "10"}
+BAD = {
+    "H": {"bad-scalar": ["1", "x", "0", "0"], "shape": ["1", "0", "0"],
+          "complex": ["1+0.5i", "0", "0", "0"], "list-coordinate":
+              ["1", [0], "0", "0"], "word": "abcd", "digits": "1000",
+          "word-and-shape": ["1", "y", "0", "0", "0"], **_COMMON},
+    "M2C": {"bad-scalar": [["1", "x"], ["0", "1"]], "shape": [["1", "0"]],
+            "long-row": [["1", "0", "0"], ["0", "1"]],
+            "number-row": [["1", "0"], 5], "scalar-then-number-row":
+                [["x", "0"], 5], "word-rows": ["ab", "cd"], "digit-rows":
+                ["10", "01"], "bool": [[True, "0"], ["0", "1"]],
+            "pair": [[[1, 0], "0"], ["0", [1, 0]]], **_COMMON},
+    "M2R": {"bad-scalar": [["1", "x"], ["0", "1"]], "shape": [["1", "0"]],
+            "complex": [["1", "0.5i"], ["0", "1"]], "complex-then-scalar":
+                [["0.5i", "x"], ["0", "1"]], "complex-then-shape":
+                [["0.5i", "0"]], "tiny-imaginary":
+                [["1+1e-15i", "0"], ["0", "1"]], "number-row":
+                [["1", "0"], 5], **_COMMON},
+    "CxM2C": {"bad-scalar": ["x", M1], "bad-matrix-scalar":
+                  ["1", [["1", "x"], ["0", "1"]]], "shape": ["1"],
+              "matrix-shape": ["1", [["1", "0"]]], "number-factor": ["1", 5],
+              "dict-factor": ["1", {"a": 1}], "three": ["1", M1, "1"],
+              **_COMMON},
+    "RxH": {"bad-scalar": ["x", H1], "shape": ["1"], "quaternion-shape":
+                ["1", ["1", "0", "0"]], "complex": ["1i", H1],
+            "complex-coordinate": ["1", ["1+1i", "0", "0", "0"]],
+            "number-factor": ["1", 5], "string-factor": ["1", "1000"],
+            "numbers": [1, [1.0, 0, 0, 0]], **_COMMON},
+}
+
+
+def malformed_configs():
+    """(name, subcommand, config) of configs whose literals are malformed
+    (and of a few that parse_value reads though they are no lists): each
+    bad literal alone, and pairs of them in both orders, in one table row
+    and across two rows; in an element's coefficients before and after an
+    unknown label and a non-finite coefficient; and in the f_alpha,
+    clifford rho and lambda lists."""
+    z4 = {"kind": "cyclic", "n": 4}
+    for ring, desc in RINGS.items():
+        one, bad = ONE[ring], BAD[ring]
+        names = list(bad)
+        pairs = [(a, b) for i, a in enumerate(names) for b in
+                 names[i + 1:i + 3]]
+        pairs += [(b, a) for a, b in pairs]
+
+        def table(entries):
+            t = [[one] * 4 for _ in range(4)]
+            for (s, u), v in entries.items():
+                t[s] = t[s][:u] + [v] + t[s][u + 1:]
+            return {"descriptor": desc, "group": z4, "table": t}
+
+        for name, v in bad.items():
+            yield (f"{ring}/malformed/table/{name}", "validate",
+                   {"cocycle": table({(2, 1): v})})
+        for a, b in pairs:
+            yield (f"{ring}/malformed/row/{a}+{b}", "validate",
+                   {"cocycle": table({(1, 2): bad[a], (1, 3): bad[b]})})
+            yield (f"{ring}/malformed/rows/{a}+{b}", "validate",
+                   {"cocycle": table({(1, 3): bad[a], (2, 0): bad[b]})})
+        for row in (5, "1234", {"a": 1, "b": 2, "c": 3, "d": 4}):
+            t = table({})
+            t["table"][3] = row
+            yield f"{ring}/malformed/table-row/{row!r}", "validate", {
+                "cocycle": t}
+        valid = table({})
+        others = {"unknown": ("q", one), "inf": ("1", INF[ring])}
+        for name, v in bad.items():
+            yield (f"{ring}/malformed/element/{name}", "star",
+                   {"cocycle": valid, "x": {"coeffs": {"0": one, "2": v}}})
+            for other, (label, w) in others.items():
+                for where, coeffs in (("first", {label: w, "2": v}),
+                                      ("after", {"2": v, label: w})):
+                    yield (f"{ring}/malformed/element/{name}/{other}-{where}",
+                           "star", {"cocycle": valid,
+                                    "x": {"coeffs": {"0": one, **coeffs}}})
+        lists = [(name, [one, v, one]) for name, v in bad.items()]
+        lists += [(f"{a}+{b}", [one, bad[a], bad[b]]) for a, b in pairs]
+        lists += [(f"not-a-list/{v!r}", v) for v in (5, "ab", {"a": 1})]
+        for name, values in lists:
+            yield (f"{ring}/malformed/f_alpha/{name}", "validate",
+                   {"cocycle": {"descriptor": desc, "f_alpha": values}})
+            yield (f"{ring}/malformed/clifford/{name}", "clifford",
+                   {"descriptor": desc, "rho": values})
+            yield (f"{ring}/malformed/lambda/{name}", "iso",
+                   {"constructor": "lambda", "cocycle": table({}),
+                    "params": {"lambda": values + [one]
+                               if isinstance(values, list) else values}})
 
 
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
-        for name, command, config in configs():
-            print(repr((name, run(command, config, path, out))))
+    with cli_runner() as run:
+        for name, command, config in (*configs(), *malformed_configs()):
+            result = run(command, config)
+            if command in ("mul", "star") and result[1] == 0:
+                result += (products(command, config),)
+            print(repr((name, result)))
     return 0
 
 

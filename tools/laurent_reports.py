@@ -24,24 +24,12 @@ run from its own checkout.
 """
 from __future__ import annotations
 
-import contextlib
-import io
-import os
 import sys
-import tempfile
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"          # before numpy loads BLAS
-
-ROOT = Path.cwd()
-sys.path[:0] = [str(ROOT / "src")]
-
-import json                                              # noqa: E402
+from cli_runner import cli_runner          # first: BLAS pinned, src/ on path
 
 import numpy as np                                       # noqa: E402
 
-import twistalg.cli                                      # noqa: E402
 from twistalg.serialize import parse_group               # noqa: E402
 
 RINGS = {"laurent1": {"kind": "laurent", "m": 1},
@@ -262,23 +250,10 @@ def more_configs():
             yield f"{ring}/norm/{name}", "norm", config, flags
 
 
-def run(command: str, config: dict, flags, path: Path, out: Path):
-    path.write_text(json.dumps(config))
-    out.unlink(missing_ok=True)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
-            stderr):
-        rc = twistalg.cli.main([command, "--config", str(path), "--out",
-                                str(out), *flags])
-    report = out.read_text() if out.exists() else None
-    return command, rc, report, stdout.getvalue(), stderr.getvalue()
-
-
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+    with cli_runner() as run:
         for name, command, config, flags in (*configs(), *more_configs()):
-            print(repr((name, run(command, config, flags, path, out))))
+            print(repr((name, run(command, config, flags))))
     return 0
 
 

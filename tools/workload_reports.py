@@ -15,53 +15,30 @@ each run from its own checkout.
 """
 from __future__ import annotations
 
-import contextlib
-import io
-import os
 import sys
-import tempfile
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"          # before numpy loads BLAS
+from cli_runner import ROOT, cli_runner    # first: BLAS pinned, src/ on path
 
-ROOT = Path.cwd()
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-import json                                              # noqa: E402
+sys.path.insert(1, str(ROOT / "bench"))
 
 import twistalg                                          # noqa: E402
-import twistalg.cli                                      # noqa: E402
 from workloads import WORKLOADS, make_pass               # noqa: E402
 
 SEEDS = (1, 2)
 PASSES = (0, 1, 2)
 
 
-def run(job, config: Path, out: Path):
-    """The repr-able result of one job."""
-    if job.call is not None:
-        return job.call(twistalg)
-    config.write_text(json.dumps(job.config))
-    out.unlink(missing_ok=True)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(
-            stderr):
-        rc = twistalg.cli.main([job.command, "--config", str(config),
-                                "--out", str(out), *job.flags])
-    report = out.read_text() if out.exists() else None
-    return job.command, rc, report, stdout.getvalue(), stderr.getvalue()
-
-
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        config, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+    with cli_runner() as run:
         for workload in WORKLOADS:
             for seed in SEEDS:
                 for index in PASSES:
                     for job in make_pass(workload, seed, index):
+                        result = (job.call(twistalg) if job.call is not None
+                                  else run(job.command, job.config,
+                                           job.flags))
                         print(repr((workload, seed, index, job.slot,
-                                    run(job, config, out))))
+                                    result)))
     return 0
 
 
